@@ -21,7 +21,6 @@ from .model import SystemModel
 from .kalman import (
     KfUpdateTrace,
     Observation,
-    boundary_predict,
     cycle_candidates,
     first_obs_timestamp,
     g_step,
@@ -46,6 +45,7 @@ from .scheduler import (
 from .sim import (
     ChannelConfig,
     CycleLog,
+    decision_cycles,
     run_simulation,
     sample_airtimes,
     selection_stats,

@@ -14,6 +14,8 @@ Environment: OSPKIT_LOG sets the logging level (e.g. DEBUG, INFO).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import json
 import logging
 import os
@@ -28,8 +30,9 @@ from .config import (
     CSV_FLOAT_FMT,
     format_seq,
     load_config,
-    parse_config_dict,
+    parse_model,
     preset_config,
+    read_json_object,
     write_csv,
 )
 from .errors import ConfigError, NumericError, OspkitError
@@ -53,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("simulate", help="run a full simulation to CSV")
     pm.add_argument("--config", required=True)
-    pm.add_argument("--policy", choices=sim.POLICIES)
+    pm.add_argument("--policy", choices=tuple(scheduler.POLICIES))
     pm.add_argument("--cycles", type=int)
     pm.add_argument("--seed", type=int)
     pm.add_argument("--out", help="CSV output path (default from config, else stdout)")
@@ -80,34 +83,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_schedule(args) -> int:
     path = Path(args.config)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}")
-    model = parse_config_dict(
-        {"model": data["model"],
-         "channel": {"obs_airtime": [[1.0, 1.0]] * len(data["model"]["C"]),
-                     "action_airtime": []},
-         "run": {}},
-        base_dir=path.parent,
-    ).model
+    data = read_json_object(path)
+    model = parse_model(data.get("model"))
     inst = data.get("instance")
     if not isinstance(inst, dict):
         raise ConfigError(f"{path}: missing 'instance' block")
-    k = int(inst.get("cycle_index", 1))
-    prior_scale = float(inst.get("prior_cov_scale", 1.0))
+    try:
+        candidates = tuple(scheduler.Candidate(*c) for c in inst["candidates"])
+        k = int(inst.get("cycle_index", 1))
+        prior_scale = float(inst.get("prior_cov_scale", 1.0))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed instance: {type(exc).__name__}: {exc}")
     prior = np.asarray(inst.get("prior_cov", (prior_scale * np.eye(model.n_states)).tolist()))
     ctx = scheduler.CycleContext(
-        candidates=tuple(scheduler.Candidate(*c) for c in inst["candidates"]),
+        candidates=candidates,
         action_airtimes=tuple(inst.get("action_airtimes", ())),
         T=model.T,
         cycle_index=k,
         t0=float(inst.get("t0", (k - 1) * model.T)),
         prior_cov=prior,
     )
-    ev = (scheduler.bnb_search if args.policy == "bnb" else scheduler.greedy_search)(
-        ctx, model
-    )
+    ev = scheduler.POLICIES[args.policy](ctx, model)
     print(f"policy: {args.policy}")
     print(f"sequence: {format_seq(ev.seq)}")
     print(f"end_of_harvest: {CSV_FLOAT_FMT % ev.end_of_harvest}")
@@ -118,28 +114,19 @@ def _cmd_schedule(args) -> int:
     return EXIT_OK
 
 
-def _run_once(cfg, policy, cycles, seed):
-    channel = sim.ChannelConfig(
-        obs_airtime=cfg.channel.obs_airtime,
-        action_airtime=cfg.channel.action_airtime,
-        seed=seed,
-        trace=cfg.channel.trace,
-    )
-    return sim.run_simulation(
-        cfg.model, channel, policy, cycles, initial_cov=cfg.initial_cov()
-    )
-
-
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     policy = args.policy or cfg.policy
-    cycles = args.cycles or cfg.cycles
+    cycles = args.cycles if args.cycles is not None else cfg.cycles
     seed = args.seed if args.seed is not None else cfg.channel.seed
     if args.reps < 1:
         raise ConfigError("--reps must be >= 1")
     logs = []
     for rep in range(args.reps):
-        logs.extend(_run_once(cfg, policy, cycles, seed + rep))
+        channel = dataclasses.replace(cfg.channel, seed=seed + rep)
+        logs.extend(sim.run_simulation(
+            cfg.model, channel, policy, cycles, initial_cov=cfg.initial_cov()
+        ))
     out = args.out or cfg.csv_path
     if out:
         with open(out, "w", newline="\n") as fh:
@@ -152,44 +139,22 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     cfg = load_config(args.config)
-    cycles = args.cycles or cfg.cycles
+    cycles = args.cycles if args.cycles is not None else cfg.cycles
+    if cycles < 1:
+        raise ConfigError(f"--cycles must be >= 1, got {cycles}")
     seed = args.seed if args.seed is not None else cfg.channel.seed
-    channel = sim.ChannelConfig(
-        obs_airtime=cfg.channel.obs_airtime,
-        action_airtime=cfg.channel.action_airtime,
-        seed=seed,
-        trace=cfg.channel.trace,
-    )
-    model = cfg.model
+    channel = dataclasses.replace(cfg.channel, seed=seed)
     mismatches = 0
-    t0 = 0.0
-    prior = cfg.initial_cov()
-    for k in range(1, cycles + 1):
-        cand_meta = kalman.cycle_candidates(model, k)
-        obs_air, act_air = sim.sample_airtimes(channel, k)
-        ctx = scheduler.CycleContext(
-            candidates=tuple(
-                scheduler.Candidate(c.timestamp, float(obs_air[c.observer]), c.observer)
-                for c in cand_meta
-            ),
-            action_airtimes=tuple(act_air),
-            T=model.T,
-            cycle_index=k,
-            t0=t0,
-            prior_cov=prior,
-        )
-        ev = scheduler.bnb_search(ctx, model)
-        ref = scheduler.exhaustive_oracle(ctx, model)
+    pipeline = sim.decision_cycles(cfg.model, channel, "bnb", cfg.initial_cov())
+    for ctx, ev in itertools.islice(pipeline, cycles):
+        ref = scheduler.exhaustive_oracle(ctx, cfg.model)
         rel = abs(ev.mse - ref.mse) / max(abs(ref.mse), 1e-300)
         if ev.seq != ref.seq or rel > 1e-9:
             mismatches += 1
             print(
-                f"cycle {k}: MISMATCH search={format_seq(ev.seq)} "
+                f"cycle {ctx.cycle_index}: MISMATCH search={format_seq(ev.seq)} "
                 f"mse={ev.mse!r} oracle={format_seq(ref.seq)} mse={ref.mse!r}"
             )
-        if ev.seq:
-            prior = ev.running_cov
-            t0 = ctx.candidates[ev.seq[-1]].timestamp
     if mismatches:
         print(f"{mismatches}/{cycles} cycles mismatched")
         return EXIT_MISMATCH

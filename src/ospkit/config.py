@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import SystemModel
-from .sim import POLICIES, ChannelConfig, CycleLog
+from .scheduler import POLICIES
+from .sim import ChannelConfig, CycleLog
 
 __all__ = [
     "ExperimentConfig",
@@ -91,6 +92,22 @@ def _trace_bounds(trace, lo_col: int, hi_col: int):
     return tuple((float(c.min()), float(c.max())) for c in cols.T)
 
 
+def parse_model(mb) -> SystemModel:
+    """Validate a config's ``model`` block; raises ConfigError on the first problem."""
+    if not isinstance(mb, dict):
+        raise ConfigError("model: missing or not an object")
+    missing = [f for f in ("A", "B", "C", "Q", "R", "T", "observer_periods") if f not in mb]
+    if missing:
+        raise ConfigError("model: missing fields: " + ", ".join(missing))
+    try:
+        return SystemModel(
+            A=mb["A"], B=mb["B"], C=mb["C"], Q=mb["Q"], R=mb["R"],
+            T=mb["T"], observer_periods=mb["observer_periods"],
+        )
+    except Exception as exc:
+        raise ConfigError(f"model: {exc}")
+
+
 def parse_config_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     """Validate a parsed JSON object into an ExperimentConfig.
 
@@ -106,19 +123,11 @@ def parse_config_dict(data: dict, base_dir: Path | None = None) -> ExperimentCon
     if errors:
         raise ConfigError("\n".join(errors))
 
-    mb = data["model"]
     model = None
-    missing = [f for f in ("A", "B", "C", "Q", "R", "T", "observer_periods") if f not in mb]
-    if missing:
-        errors.append("model: missing fields: " + ", ".join(missing))
-    else:
-        try:
-            model = SystemModel(
-                A=mb["A"], B=mb["B"], C=mb["C"], Q=mb["Q"], R=mb["R"],
-                T=mb["T"], observer_periods=mb["observer_periods"],
-            )
-        except Exception as exc:
-            errors.append(f"model: {exc}")
+    try:
+        model = parse_model(data["model"])
+    except ConfigError as exc:
+        errors.append(str(exc))
 
     cb = data["channel"]
     channel = None
@@ -164,7 +173,7 @@ def parse_config_dict(data: dict, base_dir: Path | None = None) -> ExperimentCon
     rb = data["run"]
     policy = rb.get("policy", "bnb")
     if policy not in POLICIES:
-        errors.append(f"run.policy: {policy!r} not one of {POLICIES}")
+        errors.append(f"run.policy: {policy!r} not one of {tuple(POLICIES)}")
     cycles = rb.get("cycles", 100)
     if not (isinstance(cycles, int) and cycles >= 1):
         errors.append(f"run.cycles: must be an integer >= 1, got {cycles!r}")
@@ -189,8 +198,8 @@ def parse_config_dict(data: dict, base_dir: Path | None = None) -> ExperimentCon
     )
 
 
-def load_config(path) -> ExperimentConfig:
-    """Load and validate a JSON experiment config file."""
+def read_json_object(path) -> dict:
+    """Read a JSON file whose top level must be an object."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -202,7 +211,12 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    return parse_config_dict(data, base_dir=path.parent)
+    return data
+
+
+def load_config(path) -> ExperimentConfig:
+    """Load and validate a JSON experiment config file."""
+    return parse_config_dict(read_json_object(path), base_dir=Path(path).parent)
 
 
 # -- named scenario presets --------------------------------------------------
@@ -319,7 +333,6 @@ def _baseline(kind: str) -> dict:
 _PRESETS = {
     "rate-fast": lambda: _single_observer_rate(0.003),
     "rate-slow": lambda: _single_observer_rate(0.053),
-    "blackout-6of6": lambda: _blackout("100000"),
     "blackout-6of6-100000": lambda: _blackout("100000"),
     "blackout-6of6-001000": lambda: _blackout("001000"),
     "blackout-6of6-000010": lambda: _blackout("000010"),

@@ -28,7 +28,6 @@ __all__ = [
     "predict_cov",
     "scalar_update_cov",
     "g_step",
-    "boundary_predict",
     "sequence_mse",
     "propagate_estimate",
     "update_estimate",
@@ -138,11 +137,6 @@ def g_step(
     return posterior
 
 
-def boundary_predict(model: SystemModel, P: np.ndarray, t_i: float, kT: float) -> np.ndarray:
-    """Predict the covariance to the end of the decision cycle."""
-    return predict_cov(model, P, t_i, kT)
-
-
 def sequence_mse(
     model: SystemModel,
     P0: np.ndarray,
@@ -169,7 +163,7 @@ def sequence_mse(
             )
         cov = g_step(model, cov, t_prev, obs.timestamp, obs.observer)
         t_prev = obs.timestamp
-    mse = float(np.trace(boundary_predict(model, cov, t_prev, kT)))
+    mse = float(np.trace(predict_cov(model, cov, t_prev, kT)))
     return mse, cov
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, OrderingError
-from .kalman import Observation, boundary_predict, g_step, sequence_mse
+from .kalman import Observation, g_step, predict_cov, sequence_mse
 from .model import SystemModel
 
 __all__ = [
@@ -32,7 +32,10 @@ __all__ = [
     "is_schedulable",
     "bnb_search",
     "greedy_search",
+    "harvest_all",
+    "harvest_none",
     "exhaustive_oracle",
+    "POLICIES",
 ]
 
 # Two MSE values within this relative tolerance are treated as tied and the
@@ -171,7 +174,8 @@ def _better(mse_a: float, seq_a, mse_b: float, seq_b) -> bool:
     return seq_a < seq_b
 
 
-def _empty_evaluation(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
+def harvest_none(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
+    """Policy ``none``: the empty sequence, i.e. pure prediction."""
     mse, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, (), ctx.cycle_end)
     return ScheduleEvaluation(
         seq=(),
@@ -192,7 +196,7 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     observation with a shorter airtime may fit.  ``nodes_visited`` counts
     feasibility-checked non-empty sequences.
     """
-    best = _empty_evaluation(ctx, model)
+    best = harvest_none(ctx, model)
     if ctx.budget <= 0.0:
         return best
     nodes = 0
@@ -210,7 +214,7 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
                 continue  # prune subtree (s, j); siblings may still fit
             cov_j = g_step(model, cov, t_prev, cj.timestamp, cj.observer)
             seq_j = seq + (j,)
-            mse_j = float(np.trace(boundary_predict(model, cov_j, cj.timestamp, kT)))
+            mse_j = float(np.trace(predict_cov(model, cov_j, cj.timestamp, kT)))
             if _better(mse_j, seq_j, best_key[0], best_key[1]):
                 best_key = (mse_j, seq_j, cov_j, dj)
             extend(seq_j, dj, cov_j, cj.timestamp, j + 1)
@@ -227,7 +231,7 @@ def greedy_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     keep each one whose append stays schedulable; skipped indices are never
     revisited."""
     if ctx.budget <= 0.0:
-        return _empty_evaluation(ctx, model)
+        return harvest_none(ctx, model)
     seq: tuple[int, ...] = ()
     d = 0.0
     cov = ctx.prior_cov
@@ -240,9 +244,20 @@ def greedy_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
             seq += (j,)
             d = dj
             t_prev = cj.timestamp
-    mse = float(np.trace(boundary_predict(model, cov, t_prev, ctx.cycle_end)))
+    mse = float(np.trace(predict_cov(model, cov, t_prev, ctx.cycle_end)))
     return ScheduleEvaluation(
         seq=seq, end_of_harvest=d, mse=mse, running_cov=cov, nodes_visited=ctx.L
+    )
+
+
+def harvest_all(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
+    """Policy ``all``: every candidate in time order, ignoring the budget."""
+    seq = tuple(range(ctx.L))
+    mse, cov = sequence_mse(
+        model, ctx.prior_cov, ctx.t0, ctx.observations(seq), ctx.cycle_end
+    )
+    return ScheduleEvaluation(
+        seq=seq, end_of_harvest=end_of_harvest(seq, ctx), mse=mse, running_cov=cov
     )
 
 
@@ -252,7 +267,7 @@ def exhaustive_oracle(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluati
     the same tie-break.  Guarded to L <= 20."""
     if ctx.L > _ORACLE_MAX_L:
         raise DomainError(f"exhaustive oracle limited to L <= {_ORACLE_MAX_L}")
-    best = _empty_evaluation(ctx, model)
+    best = harvest_none(ctx, model)
     if ctx.budget <= 0.0:
         return best
     visited = 1
@@ -270,3 +285,14 @@ def exhaustive_oracle(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluati
                     seq=seq, end_of_harvest=d, mse=mse, running_cov=cov
                 )
     return replace(best, nodes_visited=visited)
+
+
+# Policy name -> decision rule (ctx, model) -> ScheduleEvaluation.  Each entry
+# looks its function up by module-level name at call time, so tracing that
+# rebinds those names (perfbench/spans.py) sees calls made through the table.
+POLICIES = {
+    "bnb": lambda ctx, model: bnb_search(ctx, model),
+    "greedy": lambda ctx, model: greedy_search(ctx, model),
+    "all": lambda ctx, model: harvest_all(ctx, model),
+    "none": lambda ctx, model: harvest_none(ctx, model),
+}

@@ -13,6 +13,8 @@ true-state trajectory and the same airtimes.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,14 +26,12 @@ from .model import SystemModel
 __all__ = [
     "ChannelConfig",
     "CycleLog",
+    "decision_cycles",
     "sample_airtimes",
     "step_true_state",
     "run_simulation",
     "selection_stats",
-    "POLICIES",
 ]
-
-POLICIES = ("bnb", "greedy", "all", "none")
 
 # Stream tags: keep the three noise roles on independent substreams.
 _CHANNEL_TAG = 101
@@ -144,25 +144,52 @@ class CycleLog:
     prior_cov: np.ndarray = field(default=None, repr=False)
 
 
-def _select(policy: str, ctx: scheduler.CycleContext, model: SystemModel):
-    if policy == "bnb":
-        return scheduler.bnb_search(ctx, model)
-    if policy == "greedy":
-        return scheduler.greedy_search(ctx, model)
-    if policy == "all":
-        seq = tuple(range(ctx.L))
-        mse, cov = kalman.sequence_mse(
-            model, ctx.prior_cov, ctx.t0, ctx.observations(seq), ctx.cycle_end
+def decision_cycles(
+    model: SystemModel, channel: ChannelConfig, policy: str, initial_cov: np.ndarray
+) -> Iterator[tuple[scheduler.CycleContext, scheduler.ScheduleEvaluation]]:
+    """Yield (instance, policy's evaluation) for cycles k = 1, 2, ... without
+    end: the decision steps of ``run_simulation`` and ``ospkit oracle``.
+
+    The covariance anchor starts at (t0 = 0, P = initial_cov) and moves to
+    (last harvested timestamp, ``ev.running_cov``) after every cycle that
+    harvests something.  An unknown policy raises ConfigError before cycle 1.
+    """
+    decide = scheduler.POLICIES.get(policy)
+    if decide is None:
+        raise ConfigError(
+            f"unknown policy {policy!r}; expected one of {tuple(scheduler.POLICIES)}"
         )
-        return scheduler.ScheduleEvaluation(
-            seq=seq,
-            end_of_harvest=scheduler.end_of_harvest(seq, ctx),
-            mse=mse,
-            running_cov=cov,
+    t0, prior_cov = 0.0, initial_cov
+    for k in itertools.count(1):
+        obs_air, act_air = sample_airtimes(channel, k)
+        ctx = scheduler.CycleContext(
+            candidates=tuple(
+                scheduler.Candidate(c.timestamp, float(obs_air[c.observer]), c.observer)
+                for c in kalman.cycle_candidates(model, k)
+            ),
+            action_airtimes=tuple(act_air),
+            T=model.T,
+            cycle_index=k,
+            t0=t0,
+            prior_cov=prior_cov,
         )
-    if policy == "none":
-        return scheduler._empty_evaluation(ctx, model)
-    raise ConfigError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+        ev = decide(ctx, model)
+        yield ctx, ev
+        if ev.seq:
+            t0, prior_cov = ctx.candidates[ev.seq[-1]].timestamp, ev.running_cov
+
+
+def _fuse(model: SystemModel, xh, P, t: float, inputs, observed):
+    """Fuse (candidate, value) pairs in order into the estimate (xh, P)
+    held at time t; returns the estimate and time of the last one."""
+    for c, y in observed:
+        xh = kalman.propagate_estimate(model, xh, inputs, t, c.timestamp)
+        P = kalman.predict_cov(model, P, t, c.timestamp)
+        xh, P, _ = kalman.update_estimate(
+            xh, P, y, model.obs_row(c.observer), model.obs_var(c.observer)
+        )
+        t = c.timestamp
+    return xh, P, t
 
 
 def run_simulation(
@@ -191,73 +218,50 @@ def run_simulation(
             f"distributions, model has {model.n_observers} observers"
         )
     S = model.n_states
-    P_anchor = np.eye(S) if initial_cov is None else np.asarray(initial_cov, dtype=float)
-    x_anchor = np.zeros(S)
-    t_anchor = 0.0
+    P0 = np.eye(S) if initial_cov is None else np.asarray(initial_cov, dtype=float)
+    xh = np.zeros(S)  # the estimate's mean, held at the covariance anchor
     t_true = 0.0
 
     rng_proc = np.random.default_rng([cfg.seed, _PROCESS_TAG])
     rng_obs = np.random.default_rng([cfg.seed, _OBS_NOISE_TAG])
 
     # Default initial world: draw the true state from the executive's prior
-    # N(0, P_anchor) so predicted and realized errors are consistent from
-    # cycle 1 on.  An explicit initial_state overrides the draw.
-    if initial_state is None and P_anchor.any():
-        x_true = _noise_factor(P_anchor) @ rng_proc.standard_normal(S)
+    # N(0, P0) so predicted and realized errors are consistent from cycle 1
+    # on.  An explicit initial_state overrides the draw.
+    if initial_state is None and P0.any():
+        x_true = _noise_factor(P0) @ rng_proc.standard_normal(S)
     elif initial_state is None:
         x_true = np.zeros(S)
     else:
         x_true = np.asarray(initial_state, dtype=float)
 
     logs: list[CycleLog] = []
-    for k in range(1, K + 1):
-        cand_meta = kalman.cycle_candidates(model, k)
-        obs_air, act_air = sample_airtimes(cfg, k)
-        candidates = scheduler.order_observations(
-            scheduler.Candidate(c.timestamp, float(obs_air[c.observer]), c.observer)
-            for c in cand_meta
-        )
-        ctx = scheduler.CycleContext(
-            candidates=candidates,
-            action_airtimes=tuple(act_air),
-            T=model.T,
-            cycle_index=k,
-            t0=t_anchor,
-            prior_cov=P_anchor,
-        )
-        ev = _select(policy, ctx, model)
-
+    for ctx, ev in itertools.islice(decision_cycles(model, cfg, policy, P0), K):
         # Advance the true state through all candidate timestamps, then to kT.
-        true_at: dict[int, np.ndarray] = {}
-        for i, c in enumerate(candidates):
-            x_true = step_true_state(model, x_true, inputs, t_true, c.timestamp, rng_proc)
-            t_true = c.timestamp
-            true_at[i] = x_true
-        x_true = step_true_state(model, x_true, inputs, t_true, ctx.cycle_end, rng_proc)
-        t_true = ctx.cycle_end
+        true_at = []
+        for t in [c.timestamp for c in ctx.candidates] + [ctx.cycle_end]:
+            x_true = step_true_state(model, x_true, inputs, t_true, t, rng_proc)
+            t_true = t
+            true_at.append(x_true)
 
-        # Executive's estimate: fuse the chosen observations in order.
-        xh, P, t_est = x_anchor, P_anchor, t_anchor
+        # Executive's estimate: fuse the chosen observations in order.  With
+        # none chosen, xh and t_est stay at the anchor, as decision_cycles'
+        # covariance anchor does.
+        observed = []
         for i in ev.seq:
-            c = candidates[i]
-            y = float(model.obs_row(c.observer) @ true_at[i]) + np.sqrt(
-                model.obs_var(c.observer)
-            ) * rng_obs.standard_normal()
-            xh = kalman.propagate_estimate(model, xh, inputs, t_est, c.timestamp)
-            P = kalman.predict_cov(model, P, t_est, c.timestamp)
-            xh, P, _ = kalman.update_estimate(
-                xh, P, y, model.obs_row(c.observer), model.obs_var(c.observer)
-            )
-            t_est = c.timestamp
+            c = ctx.candidates[i]
+            noise = np.sqrt(model.obs_var(c.observer)) * rng_obs.standard_normal()
+            observed.append((c, float(model.obs_row(c.observer) @ true_at[i]) + noise))
+        xh, _, t_est = _fuse(model, xh, ctx.prior_cov, ctx.t0, inputs, observed)
 
         xh_boundary = kalman.propagate_estimate(model, xh, inputs, t_est, ctx.cycle_end)
         sq_err = float(np.sum((x_true - xh_boundary) ** 2))
 
         logs.append(
             CycleLog(
-                cycle=k,
+                cycle=ctx.cycle_index,
                 policy=policy,
-                candidates=candidates,
+                candidates=ctx.candidates,
                 seq=ev.seq,
                 end_of_harvest=ev.end_of_harvest,
                 budget=ctx.budget,
@@ -267,15 +271,10 @@ def run_simulation(
                 est_state=xh_boundary,
                 nodes_visited=ev.nodes_visited,
                 forced_empty=ev.forced_empty,
-                t0=t_anchor,
-                prior_cov=P_anchor,
+                t0=ctx.t0,
+                prior_cov=ctx.prior_cov,
             )
         )
-
-        # Carry the anchor forward: last fused observation, or unchanged if
-        # nothing was harvested (prediction happens lazily next cycle).
-        if ev.seq:
-            x_anchor, P_anchor, t_anchor = xh, P, t_est
 
     return logs
 

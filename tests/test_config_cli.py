@@ -20,6 +20,9 @@ from ospkit.config import (
 )
 
 
+BASELINE_MODEL = preset_config("baseline-compare-diff")["model"]
+
+
 def minimal_config_dict():
     return {
         "model": {
@@ -194,6 +197,30 @@ class TestCli:
         assert "sequence: 1+3" in out
         assert run_cli(["schedule", "--config", str(p), "--policy", "greedy"]) == 0
         assert "sequence: 1+2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"instance": {"candidates": [[0.0, 0.002, 0]]}},
+            [1, 2],
+            {"model": BASELINE_MODEL, "instance": {"action_airtimes": [0.004]}},
+            {"model": BASELINE_MODEL, "instance": {"candidates": [[0.0, 0.002]]}},
+        ],
+        ids=["no-model", "top-level-array", "no-candidates", "two-field-candidate"],
+    )
+    def test_schedule_malformed_instance_is_config_error(self, tmp_path, capsys, doc):
+        p = tmp_path / "inst.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["schedule", "--config", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle"])
+    def test_zero_cycles_rejected(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(preset_config("unconstrained")))
+        assert run_cli([command, "--config", str(cfg_path), "--cycles", "0"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and ">= 1" in out.err
 
     def test_simulate_writes_csv(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -11,7 +11,6 @@ from ospkit import (
     DomainError,
     Observation,
     OrderingError,
-    boundary_predict,
     cycle_candidates,
     dynamics,
     first_obs_timestamp,
@@ -163,13 +162,6 @@ class TestCovarianceOperators:
         want, _ = scalar_update_cov(prior, C_MIX[2], 1e-2)
         np.testing.assert_array_equal(got, want)
 
-    def test_boundary_predict_is_predict(self):
-        model = make_model(C_MIX, np.eye(6), (T3,) * 6)
-        P = np.eye(3)
-        np.testing.assert_array_equal(
-            boundary_predict(model, P, 0.002, 0.01), predict_cov(model, P, 0.002, 0.01)
-        )
-
     def test_update_never_increases_trace(self):
         rng = np.random.default_rng(31)
         for _ in range(200):
@@ -219,7 +211,7 @@ class TestSequenceMse:
             _, pre_cov = sequence_mse(model, np.eye(3), 0.0, seq[:-1], T3)
             t_prev = seq[-2].timestamp if L > 1 else 0.0
             inc_cov = g_step(model, pre_cov, t_prev, seq[-1].timestamp, seq[-1].observer)
-            inc_mse = float(np.trace(boundary_predict(model, inc_cov, seq[-1].timestamp, T3)))
+            inc_mse = float(np.trace(predict_cov(model, inc_cov, seq[-1].timestamp, T3)))
             np.testing.assert_allclose(inc_cov, full_cov, rtol=1e-12, atol=1e-15)
             assert inc_mse == pytest.approx(full_mse, rel=1e-12)
 

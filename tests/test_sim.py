@@ -1,7 +1,10 @@
 """Simulation-layer tests: airtime sampling reproducibility and bounds,
 true-state stepping statistics, per-cycle log invariants, shared-world
-policy comparisons, and selection statistics."""
+policy comparisons, the decision-cycle pipeline shared with the oracle
+command, and selection statistics."""
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -9,12 +12,16 @@ import pytest
 from ospkit import (
     ChannelConfig,
     ConfigError,
+    decision_cycles,
     dynamics,
     run_simulation,
     sample_airtimes,
     selection_stats,
     step_true_state,
 )
+from ospkit.cli import run_cli
+from ospkit.config import parse_config_dict, preset_config
+from ospkit.sim import _fuse
 from conftest import A3, C_MIX, T3, make_model, scalar_model
 
 
@@ -167,6 +174,55 @@ class TestRunSimulation:
         tail = logs[50:]
         ratio = np.mean([l.sq_err for l in tail]) / np.mean([l.mse_pred for l in tail])
         assert 0.5 < ratio < 2.0
+
+
+class TestDecisionCycles:
+    """The shared cycle pipeline against the simulator that runs on it."""
+
+    PRESETS = ["blackout-6of6-100000", "baseline-compare-diff", "rate-slow"]
+
+    @staticmethod
+    def preset(name):
+        cfg = parse_config_dict(preset_config(name))
+        return cfg.model, cfg.channel, cfg.initial_cov()
+
+    @pytest.mark.parametrize("policy", ["bnb", "greedy", "all"])
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_anchor_matches_simulation_log(self, name, policy):
+        model, channel, P0 = self.preset(name)
+        logs = run_simulation(model, channel, policy, 30, initial_cov=P0)
+        cycles = decision_cycles(model, channel, policy, P0)
+        for log, (ctx, ev) in zip(logs, cycles):
+            assert (ctx.cycle_index, ctx.t0, ev.seq) == (log.cycle, log.t0, log.seq)
+            assert np.array_equal(ctx.prior_cov, log.prior_cov)
+
+    @pytest.mark.parametrize("policy", ["bnb", "greedy", "all"])
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_fusion_covariance_is_running_cov(self, name, policy):
+        # The simulator fuses with its own predict/update chain while the
+        # next cycle's anchor is the search's running covariance: the two
+        # must agree bit for bit.
+        model, channel, P0 = self.preset(name)
+        x = np.zeros(model.n_states)
+        harvested = 0
+        for _, (ctx, ev) in zip(range(30), decision_cycles(model, channel, policy, P0)):
+            observed = [(ctx.candidates[i], 0.0) for i in ev.seq]
+            _, P, _ = _fuse(model, x, ctx.prior_cov, ctx.t0, None, observed)
+            assert np.array_equal(P, ev.running_cov)
+            harvested += bool(ev.seq)
+        assert harvested > 0
+
+    def test_unknown_policy_raises_before_cycle_one(self):
+        model, channel, P0 = self.preset("rate-fast")
+        with pytest.raises(ConfigError, match="psychic"):
+            next(decision_cycles(model, channel, "psychic", P0))
+
+    @pytest.mark.parametrize("name", ["blackout-6of6-100000", "baseline-compare-diff"])
+    def test_oracle_command_agrees(self, tmp_path, capsys, name):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(preset_config(name)))
+        assert run_cli(["oracle", "--config", str(cfg_path), "--cycles", "20"]) == 0
+        assert capsys.readouterr().out == "oracle agreement on 20/20 cycles\n"
 
 
 class TestSelectionStats:
