@@ -19,7 +19,6 @@ from .errors import (
 )
 from .model import SystemModel
 from .kalman import (
-    KfUpdateTrace,
     Observation,
     cycle_candidates,
     first_obs_timestamp,

@@ -56,7 +56,6 @@ class ExperimentConfig:
     cycles: int
     initial_cov_scale: float
     csv_path: str | None = None
-    preset: str | None = None
 
     def initial_cov(self) -> np.ndarray:
         return self.initial_cov_scale * np.eye(self.model.n_states)
@@ -194,7 +193,6 @@ def parse_config_dict(data: dict, base_dir: Path | None = None) -> ExperimentCon
         cycles=cycles,
         initial_cov_scale=float(scale),
         csv_path=csv_path,
-        preset=rb.get("preset"),
     )
 
 

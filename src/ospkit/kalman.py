@@ -11,7 +11,7 @@ the boundary-predicted covariance at the end of its covariance chain.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +22,6 @@ from .model import SystemModel
 
 __all__ = [
     "Observation",
-    "KfUpdateTrace",
     "first_obs_timestamp",
     "cycle_candidates",
     "predict_cov",
@@ -39,22 +38,10 @@ _GRID_EPS = 1e-9
 
 @dataclass(frozen=True)
 class Observation:
-    """One representative observation: who produced it, when, and (in
-    simulation only) its value."""
+    """One representative observation: who produced it and when."""
 
     observer: int
     timestamp: float
-    value: float | None = None
-
-
-@dataclass(frozen=True)
-class KfUpdateTrace:
-    """Diagnostics of one scalar measurement update."""
-
-    innovation_variance: float
-    gain: np.ndarray
-    prior_cov: np.ndarray
-    posterior_cov: np.ndarray
 
 
 def first_obs_timestamp(T: float, T_n: float, k: int) -> float | None:
@@ -111,20 +98,16 @@ def predict_cov(model: SystemModel, P: np.ndarray, t_i: float, t_j: float) -> np
     return symmetrize(Phi @ P @ Phi.T + Qd)
 
 
-def scalar_update_cov(
-    P: np.ndarray, c: np.ndarray, r_j: float
-) -> tuple[np.ndarray, KfUpdateTrace]:
-    """Scalar measurement update P - (1/e) P c c^T P with e = c^T P c + r_j."""
+def scalar_update_cov(P: np.ndarray, c: np.ndarray, r_j: float) -> np.ndarray:
+    """Posterior covariance of a scalar measurement update:
+    P - (1/e) P c c^T P, symmetrized, with innovation variance
+    e = c^T P c + r_j."""
     if not r_j > 0.0:
         raise DomainError(f"observation-noise variance must be > 0, got {r_j}")
     c = np.asarray(c, dtype=float).reshape(-1)
     Pc = P @ c
     e = float(c @ Pc + r_j)
-    posterior = symmetrize(P - np.outer(Pc, Pc) / e)
-    trace = KfUpdateTrace(
-        innovation_variance=e, gain=Pc / e, prior_cov=P, posterior_cov=posterior
-    )
-    return posterior, trace
+    return symmetrize(P - np.outer(Pc, Pc) / e)
 
 
 def g_step(
@@ -133,15 +116,14 @@ def g_step(
     """A posteriori -> a posteriori: predict over [t_i, t_j], then update
     with the given observer's row."""
     prior = predict_cov(model, P, t_i, t_j)
-    posterior, _ = scalar_update_cov(prior, model.obs_row(observer), model.obs_var(observer))
-    return posterior
+    return scalar_update_cov(prior, model.obs_row(observer), model.obs_var(observer))
 
 
 def sequence_mse(
     model: SystemModel,
     P0: np.ndarray,
     t0: float,
-    seq: list[Observation] | tuple[Observation, ...],
+    seq: Sequence,
     kT: float,
 ) -> tuple[float, np.ndarray]:
     """Predicted boundary MSE of an observation sequence and its running
@@ -153,6 +135,8 @@ def sequence_mse(
     ``t0`` for the empty sequence).  Timestamps must be non-decreasing
     along the sequence and lie in [t0, kT]; simultaneous observations from
     distinct observers are allowed (zero-length predict between updates).
+    Only ``.observer`` and ``.timestamp`` of each element are read, so an
+    :class:`Observation` or a ``scheduler.Candidate`` serves.
     """
     cov = np.asarray(P0, dtype=float)
     t_prev = t0
@@ -211,11 +195,13 @@ def propagate_estimate(
 
 def update_estimate(
     xhat: np.ndarray, P: np.ndarray, y: float, c: np.ndarray, r_j: float
-) -> tuple[np.ndarray, np.ndarray, KfUpdateTrace]:
-    """Scalar Kalman update of the state estimate: K = Pc/e,
-    xhat <- xhat + K (y - c^T xhat)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar Kalman update of the estimate (xhat, P) with measurement y:
+    returns (xhat + K (y - c^T xhat), scalar_update_cov(P, c, r_j)) with
+    gain K = Pc/e and innovation variance e = c^T P c + r_j."""
     xhat = np.asarray(xhat, dtype=float).reshape(-1)
     c = np.asarray(c, dtype=float).reshape(-1)
-    posterior, trace = scalar_update_cov(P, c, r_j)
-    xnew = xhat + trace.gain * (y - float(c @ xhat))
-    return xnew, posterior, trace
+    posterior = scalar_update_cov(P, c, r_j)
+    Pc = P @ c
+    gain = Pc / float(c @ Pc + r_j)
+    return xhat + gain * (y - float(c @ xhat)), posterior

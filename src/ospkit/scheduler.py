@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, OrderingError
-from .kalman import Observation, g_step, predict_cov, sequence_mse
+from .kalman import g_step, predict_cov, sequence_mse
 from .model import SystemModel
 
 __all__ = [
@@ -120,12 +120,6 @@ class CycleContext:
     def rel_offset(self, i: int) -> float:
         """Candidate i's timestamp relative to the cycle start."""
         return self.candidates[i].timestamp - self.cycle_start
-
-    def observations(self, seq) -> tuple[Observation, ...]:
-        return tuple(
-            Observation(self.candidates[i].observer, self.candidates[i].timestamp)
-            for i in seq
-        )
 
 
 @dataclass(frozen=True)
@@ -253,9 +247,7 @@ def greedy_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
 def harvest_all(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     """Policy ``all``: every candidate in time order, ignoring the budget."""
     seq = tuple(range(ctx.L))
-    mse, cov = sequence_mse(
-        model, ctx.prior_cov, ctx.t0, ctx.observations(seq), ctx.cycle_end
-    )
+    mse, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, ctx.candidates, ctx.cycle_end)
     return ScheduleEvaluation(
         seq=seq, end_of_harvest=end_of_harvest(seq, ctx), mse=mse, running_cov=cov
     )
@@ -277,9 +269,8 @@ def exhaustive_oracle(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluati
             d = end_of_harvest(seq, ctx)
             if not d < ctx.budget:
                 continue
-            mse, cov = sequence_mse(
-                model, ctx.prior_cov, ctx.t0, ctx.observations(seq), ctx.cycle_end
-            )
+            chosen = [ctx.candidates[i] for i in seq]
+            mse, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, chosen, ctx.cycle_end)
             if _better(mse, seq, best.mse, best.seq):
                 best = ScheduleEvaluation(
                     seq=seq, end_of_harvest=d, mse=mse, running_cov=cov

@@ -14,6 +14,7 @@ true-state trajectory and the same airtimes.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -55,12 +56,18 @@ class ChannelConfig:
     trace: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
-        for role, dists in (("obs", self.obs_airtime), ("action", self.action_airtime)):
-            for lo, hi in dists:
-                if not (0.0 < lo <= hi):
-                    raise ConfigError(
-                        f"{role} airtime bounds must satisfy 0 < lo <= hi, got ({lo}, {hi})"
-                    )
+        # Action airtimes may be 0, as CycleContext and trace files allow;
+        # an observation always occupies the channel.
+        for lo, hi in self.obs_airtime:
+            if not (0.0 < lo <= hi):
+                raise ConfigError(
+                    f"obs airtime bounds must satisfy 0 < lo <= hi, got ({lo}, {hi})"
+                )
+        for lo, hi in self.action_airtime:
+            if not (0.0 <= lo <= hi):
+                raise ConfigError(
+                    f"action airtime bounds must satisfy 0 <= lo <= hi, got ({lo}, {hi})"
+                )
         if self.trace is not None:
             want = len(self.obs_airtime) + len(self.action_airtime)
             for i, row in enumerate(self.trace):
@@ -139,7 +146,6 @@ class CycleLog:
     true_state: np.ndarray
     est_state: np.ndarray
     nodes_visited: int
-    forced_empty: bool
     t0: float = 0.0
     prior_cov: np.ndarray = field(default=None, repr=False)
 
@@ -152,12 +158,19 @@ def decision_cycles(
 
     The covariance anchor starts at (t0 = 0, P = initial_cov) and moves to
     (last harvested timestamp, ``ev.running_cov``) after every cycle that
-    harvests something.  An unknown policy raises ConfigError before cycle 1.
+    harvests something.  An unknown policy, or a channel whose observer count
+    differs from the model's, raises ConfigError before cycle 1; a non-finite
+    predicted MSE raises NumericError.
     """
     decide = scheduler.POLICIES.get(policy)
     if decide is None:
         raise ConfigError(
             f"unknown policy {policy!r}; expected one of {tuple(scheduler.POLICIES)}"
+        )
+    if len(channel.obs_airtime) != model.n_observers:
+        raise ConfigError(
+            f"channel config has {len(channel.obs_airtime)} observer airtime "
+            f"distributions, model has {model.n_observers} observers"
         )
     t0, prior_cov = 0.0, initial_cov
     for k in itertools.count(1):
@@ -174,6 +187,8 @@ def decision_cycles(
             prior_cov=prior_cov,
         )
         ev = decide(ctx, model)
+        if not math.isfinite(ev.mse):
+            raise NumericError(f"cycle {k}: predicted MSE is {ev.mse}")
         yield ctx, ev
         if ev.seq:
             t0, prior_cov = ctx.candidates[ev.seq[-1]].timestamp, ev.running_cov
@@ -185,7 +200,7 @@ def _fuse(model: SystemModel, xh, P, t: float, inputs, observed):
     for c, y in observed:
         xh = kalman.propagate_estimate(model, xh, inputs, t, c.timestamp)
         P = kalman.predict_cov(model, P, t, c.timestamp)
-        xh, P, _ = kalman.update_estimate(
+        xh, P = kalman.update_estimate(
             xh, P, y, model.obs_row(c.observer), model.obs_var(c.observer)
         )
         t = c.timestamp
@@ -208,15 +223,14 @@ def run_simulation(
     harvests nothing.  The true state is advanced through every candidate
     timestamp regardless of selection so that all policies on one seed see
     the same trajectory; observation values are synthesized only for the
-    chosen sequence.
+    chosen sequence.  A non-finite predicted MSE or squared error raises
+    NumericError; an airtime trace shorter than K raises ConfigError before
+    cycle 1.
     """
     if K < 1:
         raise DomainError(f"cycle count must be >= 1, got {K}")
-    if len(cfg.obs_airtime) != model.n_observers:
-        raise ConfigError(
-            f"channel config has {len(cfg.obs_airtime)} observer airtime "
-            f"distributions, model has {model.n_observers} observers"
-        )
+    if cfg.trace is not None and len(cfg.trace) < K:
+        raise ConfigError(f"airtime trace has {len(cfg.trace)} rows, run needs {K}")
     S = model.n_states
     P0 = np.eye(S) if initial_cov is None else np.asarray(initial_cov, dtype=float)
     xh = np.zeros(S)  # the estimate's mean, held at the covariance anchor
@@ -256,6 +270,8 @@ def run_simulation(
 
         xh_boundary = kalman.propagate_estimate(model, xh, inputs, t_est, ctx.cycle_end)
         sq_err = float(np.sum((x_true - xh_boundary) ** 2))
+        if not math.isfinite(sq_err):
+            raise NumericError(f"cycle {ctx.cycle_index}: squared error is {sq_err}")
 
         logs.append(
             CycleLog(
@@ -270,7 +286,6 @@ def run_simulation(
                 true_state=x_true.copy(),
                 est_state=xh_boundary,
                 nodes_visited=ev.nodes_visited,
-                forced_empty=ev.forced_empty,
                 t0=ctx.t0,
                 prior_cov=ctx.prior_cov,
             )

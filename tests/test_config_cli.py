@@ -92,6 +92,16 @@ class TestConfigParsing:
         obs, act = sim.sample_airtimes(cfg.channel, 2)
         assert obs[0] == 1.8e-4 and act[0] == 1.9e-3
 
+    def test_trace_with_zero_action_airtime_simulates(self, tmp_path):
+        trace = tmp_path / "chan.csv"
+        trace.write_text("1.5e-4,0\n1.8e-4,4e-3\n")
+        d = minimal_config_dict()
+        d["channel"] = {"trace_path": trace.name, "seed": 0, "action_count": 1}
+        cfg = parse_config_dict(d, base_dir=tmp_path)
+        assert cfg.channel.action_airtime == ((0.0, 4e-3),)
+        logs = run_simulation(cfg.model, cfg.channel, cfg.policy, 2)
+        assert [log.budget for log in logs] == [0.01, 0.01 - 4e-3]
+
     def test_channel_requires_one_source(self):
         d = minimal_config_dict()
         d["channel"]["trace_path"] = "whatever.csv"
@@ -175,8 +185,8 @@ class TestCli:
     def test_preset_emits_loadable_json(self, tmp_path, capsys):
         out = tmp_path / "p.json"
         assert run_cli(["preset", "rate-fast", "--out", str(out)]) == 0
-        cfg = load_config(out)
-        assert cfg.preset == "rate-fast"
+        assert json.loads(out.read_text())["run"]["preset"] == "rate-fast"
+        assert load_config(out).model.observer_periods == (0.003,)
 
     def test_schedule_solves_instance(self, tmp_path, capsys):
         d = preset_config("baseline-compare-diff")
@@ -247,6 +257,23 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(preset_config("blackout-6of6-100000")))
         assert run_cli(["oracle", "--config", str(cfg_path), "--cycles", "5"]) == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_run_exits_numeric(self, tmp_path, capsys):
+        # An unstable scalar plant under pure prediction overflows to inf
+        # near cycle 89: the run must fail with exit 2 and write no CSV.
+        d = minimal_config_dict()
+        d["model"]["A"] = [[400.0]]
+        d["channel"]["action_airtime"] = [[1e-4, 2e-4]]
+        d["run"] = {"policy": "none", "cycles": 120}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        out = tmp_path / "run.csv"
+        assert run_cli(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert run_cli(["simulate", "--config", str(cfg_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "numeric error: " in captured.err
 
     def test_config_error_exit_code(self, tmp_path):
         p = tmp_path / "bad.json"

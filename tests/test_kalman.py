@@ -129,26 +129,26 @@ class TestCovarianceOperators:
 
     def test_update_zero_row_is_identity(self):
         P = np.diag([1.0, 2.0, 3.0])
-        post, tr = scalar_update_cov(P, np.zeros(3), 0.4)
+        post = scalar_update_cov(P, np.zeros(3), 0.4)
+        assert isinstance(post, np.ndarray)
         np.testing.assert_array_equal(post, P)
-        assert tr.innovation_variance == pytest.approx(0.4)
 
     def test_update_scalar_closed_form(self):
         p, r = 2.0, 0.5
-        post, tr = scalar_update_cov(np.array([[p]]), np.array([1.0]), r)
+        post = scalar_update_cov(np.array([[p]]), np.array([1.0]), r)
         np.testing.assert_allclose(post, [[p * r / (p + r)]], rtol=1e-14)
-        assert tr.gain[0] == pytest.approx(p / (p + r))
+        # The update removes p^2 / e, with innovation variance e = p + r.
+        assert p - post[0, 0] == pytest.approx(p**2 / (p + r), rel=1e-14)
 
     def test_update_joseph_form_oracle(self):
         P = np.eye(3)
         c = C_MIX[0]
         r = 1e-2
-        post, tr = scalar_update_cov(P, c, r)
+        post = scalar_update_cov(P, c, r)
         K = (P @ c) / (c @ P @ c + r)
         J = np.eye(3) - np.outer(K, c)
         want = J @ P @ J.T + r * np.outer(K, K)
         np.testing.assert_allclose(post, want, rtol=1e-12, atol=1e-15)
-        np.testing.assert_allclose(tr.gain, K, rtol=1e-13)
 
     def test_update_rejects_nonpositive_variance(self):
         with pytest.raises(DomainError):
@@ -159,7 +159,7 @@ class TestCovarianceOperators:
         P = np.eye(3)
         got = g_step(model, P, 0.0, 0.004, 2)
         prior = predict_cov(model, P, 0.0, 0.004)
-        want, _ = scalar_update_cov(prior, C_MIX[2], 1e-2)
+        want = scalar_update_cov(prior, C_MIX[2], 1e-2)
         np.testing.assert_array_equal(got, want)
 
     def test_update_never_increases_trace(self):
@@ -169,7 +169,7 @@ class TestCovarianceOperators:
             G = rng.normal(size=(n, n))
             P = G @ G.T + 1e-6 * np.eye(n)
             c = rng.normal(size=n)
-            post, _ = scalar_update_cov(P, c, float(rng.uniform(1e-3, 1.0)))
+            post = scalar_update_cov(P, c, float(rng.uniform(1e-3, 1.0)))
             assert np.trace(post) <= np.trace(P) + 1e-12
             assert np.linalg.eigvalsh(post).min() >= -1e-10
 
@@ -273,21 +273,29 @@ class TestUpdateEstimate:
     def test_scalar_closed_form(self):
         x, P = np.array([0.0]), np.array([[2.0]])
         y, r = 1.0, 0.5
-        xn, Pn, tr = update_estimate(x, P, y, np.array([1.0]), r)
+        xn, Pn = update_estimate(x, P, y, np.array([1.0]), r)
         assert xn[0] == pytest.approx(y * 2.0 / 2.5, rel=1e-13)
         assert Pn[0, 0] == pytest.approx(2.0 * 0.5 / 2.5, rel=1e-13)
+
+    def test_gain_matches_joseph_oracle(self):
+        # From xhat = 0 with y = 1 the updated estimate is the gain itself;
+        # the covariance is scalar_update_cov's, bit for bit.
+        P, c, r = np.eye(3), C_MIX[0], 1e-2
+        xn, Pn = update_estimate(np.zeros(3), P, 1.0, c, r)
+        np.testing.assert_allclose(xn, (P @ c) / (c @ P @ c + r), rtol=1e-13)
+        np.testing.assert_array_equal(Pn, scalar_update_cov(P, c, r))
 
     def test_exact_observation_is_ignored_when_predicted(self):
         # Innovation zero -> estimate unchanged, covariance still shrinks.
         x = np.array([1.0, 2.0, 3.0])
         c = C_MIX[0]
-        xn, Pn, _ = update_estimate(x, np.eye(3), float(c @ x), c, 1e-2)
+        xn, Pn = update_estimate(x, np.eye(3), float(c @ x), c, 1e-2)
         np.testing.assert_allclose(xn, x, rtol=1e-13)
         assert np.trace(Pn) < 3.0
 
     def test_huge_noise_limit(self):
         x = np.array([1.0, 2.0, 3.0])
         c = np.array([1.0, 0.0, 0.0])
-        xn, Pn, _ = update_estimate(x, np.eye(3), 100.0, c, 1e12)
+        xn, Pn = update_estimate(x, np.eye(3), 100.0, c, 1e12)
         np.testing.assert_allclose(xn, x, atol=1e-9)
         np.testing.assert_allclose(Pn, np.eye(3), atol=1e-10)

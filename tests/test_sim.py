@@ -12,6 +12,7 @@ import pytest
 from ospkit import (
     ChannelConfig,
     ConfigError,
+    NumericError,
     decision_cycles,
     dynamics,
     run_simulation,
@@ -166,6 +167,25 @@ class TestRunSimulation:
             logs[0].true_state.shape, (3,)
         )
 
+    def test_trace_shorter_than_run_rejected_up_front(self, model):
+        cfg = ChannelConfig(
+            obs_airtime=((1e-4, 2e-4),) * 6,
+            action_airtime=(),
+            trace=((1e-4,) * 6,),
+        )
+        assert len(run_simulation(model, cfg, "bnb", 1)) == 1
+        with pytest.raises(ConfigError, match="1 rows, run needs 2"):
+            run_simulation(model, cfg, "bnb", 2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_squared_error_raises(self):
+        # The predicted MSE stays finite; only the realized error overflows.
+        model = scalar_model(a=0.0, q=0.01, T=0.01, period=0.01)
+        with pytest.raises(NumericError, match="squared error"):
+            run_simulation(
+                model, chan(1, 1e-4, 2e-4), "none", 1, initial_state=np.array([1e200])
+            )
+
     def test_filter_calibration(self, model):
         # With every observation fused, the realized squared error should
         # track the filter's predicted MSE within a factor of two.
@@ -216,6 +236,22 @@ class TestDecisionCycles:
         model, channel, P0 = self.preset("rate-fast")
         with pytest.raises(ConfigError, match="psychic"):
             next(decision_cycles(model, channel, "psychic", P0))
+
+    def test_observer_count_mismatch_raises_before_cycle_one(self):
+        model, channel, P0 = self.preset("blackout-6of6-100000")
+        short = ChannelConfig(channel.obs_airtime[:5], channel.action_airtime)
+        with pytest.raises(ConfigError, match="5 observer airtime"):
+            next(decision_cycles(model, short, "bnb", P0))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_mse_raises(self):
+        # Unstable scalar plant, pure prediction: the predicted MSE grows by
+        # e^8 per cycle and overflows to inf near cycle 89.
+        model = scalar_model(a=400.0, q=0.01, T=0.01, period=0.01)
+        cycles = decision_cycles(model, chan(1, 1e-4, 2e-4), "none", np.eye(1))
+        with pytest.raises(NumericError, match="predicted MSE is inf"):
+            for _ in range(120):
+                next(cycles)
 
     @pytest.mark.parametrize("name", ["blackout-6of6-100000", "baseline-compare-diff"])
     def test_oracle_command_agrees(self, tmp_path, capsys, name):
