@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import logging
+import operator
 import os
 import sys
 from pathlib import Path
@@ -36,7 +36,6 @@ from .config import (
     write_csv,
 )
 from .errors import ConfigError, NumericError, OspkitError
-from .model import SystemModel
 
 log = logging.getLogger("ospkit")
 
@@ -52,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("schedule", help="solve one cycle instance from file")
     ps.add_argument("--config", required=True, help="cycle-instance JSON file")
-    ps.add_argument("--policy", choices=("bnb", "greedy"), default="bnb")
+    ps.add_argument("--policy", choices=tuple(scheduler.POLICIES), default="bnb")
 
     pm = sub.add_parser("simulate", help="run a full simulation to CSV")
     pm.add_argument("--config", required=True)
@@ -88,21 +87,28 @@ def _cmd_schedule(args) -> int:
     inst = data.get("instance")
     if not isinstance(inst, dict):
         raise ConfigError(f"{path}: missing 'instance' block")
+    S, N = model.n_states, model.n_observers
     try:
-        candidates = tuple(scheduler.Candidate(*c) for c in inst["candidates"])
         k = int(inst.get("cycle_index", 1))
-        prior_scale = float(inst.get("prior_cov_scale", 1.0))
+        scale = float(inst.get("prior_cov_scale", 1.0))
+        ctx = scheduler.CycleContext(
+            candidates=tuple(
+                scheduler.Candidate(float(t), float(a), operator.index(n))
+                for t, a, n in inst["candidates"]
+            ),
+            action_airtimes=inst.get("action_airtimes", ()),
+            T=model.T,
+            cycle_index=k,
+            t0=float(inst.get("t0", (k - 1) * model.T)),
+            prior_cov=inst.get("prior_cov", scale * np.eye(S)),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed instance: {type(exc).__name__}: {exc}")
-    prior = np.asarray(inst.get("prior_cov", (prior_scale * np.eye(model.n_states)).tolist()))
-    ctx = scheduler.CycleContext(
-        candidates=candidates,
-        action_airtimes=tuple(inst.get("action_airtimes", ())),
-        T=model.T,
-        cycle_index=k,
-        t0=float(inst.get("t0", (k - 1) * model.T)),
-        prior_cov=prior,
-    )
+    bad = [c.observer for c in ctx.candidates if c.observer not in range(N)]
+    if bad:
+        raise ConfigError(f"{path}: candidate observers {bad} not in [0, {N})")
+    if ctx.prior_cov.shape != (S, S):
+        raise ConfigError(f"{path}: prior_cov must be {S}x{S}, got {ctx.prior_cov.shape}")
     ev = scheduler.POLICIES[args.policy](ctx, model)
     print(f"policy: {args.policy}")
     print(f"sequence: {format_seq(ev.seq)}")
@@ -140,13 +146,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_oracle(args) -> int:
     cfg = load_config(args.config)
     cycles = args.cycles if args.cycles is not None else cfg.cycles
-    if cycles < 1:
-        raise ConfigError(f"--cycles must be >= 1, got {cycles}")
     seed = args.seed if args.seed is not None else cfg.channel.seed
     channel = dataclasses.replace(cfg.channel, seed=seed)
     mismatches = 0
-    pipeline = sim.decision_cycles(cfg.model, channel, "bnb", cfg.initial_cov())
-    for ctx, ev in itertools.islice(pipeline, cycles):
+    pipeline = sim.decision_cycles(cfg.model, channel, "bnb", cfg.initial_cov(), cycles)
+    for ctx, ev in pipeline:
         ref = scheduler.exhaustive_oracle(ctx, cfg.model)
         rel = abs(ev.mse - ref.mse) / max(abs(ref.mse), 1e-300)
         if ev.seq != ref.seq or rel > 1e-9:

@@ -171,7 +171,7 @@ def parse_config_dict(data: dict, base_dir: Path | None = None) -> ExperimentCon
 
     rb = data["run"]
     policy = rb.get("policy", "bnb")
-    if policy not in POLICIES:
+    if not isinstance(policy, str) or policy not in POLICIES:
         errors.append(f"run.policy: {policy!r} not one of {tuple(POLICIES)}")
     cycles = rb.get("cycles", 100)
     if not (isinstance(cycles, int) and cycles >= 1):
@@ -182,7 +182,10 @@ def parse_config_dict(data: dict, base_dir: Path | None = None) -> ExperimentCon
         errors.append(f"run.initial_cov_scale: must be > 0, got {scale!r}")
         scale = 1.0
 
-    csv_path = data.get("output", {}).get("csv")
+    output = data.get("output", {})
+    csv_path = output.get("csv") if isinstance(output, dict) else None
+    if not (isinstance(output, dict) and isinstance(csv_path, (str, type(None)))):
+        errors.append(f"output: must be an object with a string 'csv', got {output!r}")
 
     if errors:
         raise ConfigError("\n".join(errors))

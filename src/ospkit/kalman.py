@@ -99,15 +99,15 @@ def predict_cov(model: SystemModel, P: np.ndarray, t_i: float, t_j: float) -> np
 
 
 def scalar_update_cov(P: np.ndarray, c: np.ndarray, r_j: float) -> np.ndarray:
-    """Posterior covariance of a scalar measurement update:
-    P - (1/e) P c c^T P, symmetrized, with innovation variance
-    e = c^T P c + r_j."""
+    """Posterior covariance of a scalar measurement update: P - (1/e) P c c^T P
+    with innovation variance e = c^T P c + r_j.  P must be symmetric (as
+    ``predict_cov`` output is), which makes the result exactly symmetric."""
     if not r_j > 0.0:
         raise DomainError(f"observation-noise variance must be > 0, got {r_j}")
     c = np.asarray(c, dtype=float).reshape(-1)
     Pc = P @ c
     e = float(c @ Pc + r_j)
-    return symmetrize(P - np.outer(Pc, Pc) / e)
+    return P - np.outer(Pc, Pc) / e
 
 
 def g_step(

@@ -7,8 +7,8 @@ A sequence of candidate indices is schedulable iff its end-of-harvest time
 budget B = T - sum(action airtimes).  The search space is the family of
 strictly ascending index tuples (a subset forest); any extension of a
 non-schedulable sequence is non-schedulable, which is the only pruning
-rule used (no objective-based bounding -- MSE is not known to be monotone
-under extension).
+rule used.  Adding an observation never raises the predicted MSE, but the
+search does not bound on the objective yet.
 """
 
 from __future__ import annotations
@@ -140,16 +140,21 @@ class ScheduleEvaluation:
     forced_empty: bool = False
 
 
+def _finish(d: float, ctx: CycleContext, j: int) -> float:
+    """FCFS step: when candidate j finishes transmitting on a channel busy
+    until d, cycle-relative: max(o_j, d) + O_j."""
+    return max(ctx.rel_offset(j), d) + ctx.candidates[j].airtime
+
+
 def end_of_harvest(seq, ctx: CycleContext) -> float:
     """Cycle-relative time when the last observation of ``seq`` finishes
-    transmitting: d <- max(o_j + O_j, d + O_j) over the sequence, d = 0
-    for the empty sequence."""
+    transmitting: d <- max(o_j, d) + O_j over the sequence, d = 0 for the
+    empty sequence."""
     d = 0.0
     for i in seq:
         if not 0 <= i < ctx.L:
             raise DomainError(f"candidate index {i} out of range [0, {ctx.L})")
-        c = ctx.candidates[i]
-        d = max(ctx.rel_offset(i) + c.airtime, d + c.airtime)
+        d = _finish(d, ctx, i)
     return d
 
 
@@ -168,16 +173,20 @@ def _better(mse_a: float, seq_a, mse_b: float, seq_b) -> bool:
     return seq_a < seq_b
 
 
+def _evaluate(
+    ctx: CycleContext, model: SystemModel, seq: tuple[int, ...], **diagnostics
+) -> ScheduleEvaluation:
+    """Score ``seq`` from scratch: its end of harvest, and its predicted MSE
+    and running covariance from the cycle's anchor."""
+    mse, cov = sequence_mse(
+        model, ctx.prior_cov, ctx.t0, [ctx.candidates[i] for i in seq], ctx.cycle_end
+    )
+    return ScheduleEvaluation(seq, end_of_harvest(seq, ctx), mse, cov, **diagnostics)
+
+
 def harvest_none(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     """Policy ``none``: the empty sequence, i.e. pure prediction."""
-    mse, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, (), ctx.cycle_end)
-    return ScheduleEvaluation(
-        seq=(),
-        end_of_harvest=0.0,
-        mse=mse,
-        running_cov=cov,
-        forced_empty=not 0.0 < ctx.budget,
-    )
+    return _evaluate(ctx, model, (), forced_empty=not 0.0 < ctx.budget)
 
 
 def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
@@ -203,7 +212,7 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
         for j in range(first_next, ctx.L):
             cj = ctx.candidates[j]
             nodes += 1
-            dj = max(ctx.rel_offset(j) + cj.airtime, d + cj.airtime)
+            dj = _finish(d, ctx, j)
             if not dj < B:
                 continue  # prune subtree (s, j); siblings may still fit
             cov_j = g_step(model, cov, t_prev, cj.timestamp, cj.observer)
@@ -215,9 +224,7 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
 
     extend((), 0.0, ctx.prior_cov, ctx.t0, 0)
     mse, seq, cov, d = best_key
-    return ScheduleEvaluation(
-        seq=seq, end_of_harvest=d, mse=mse, running_cov=cov, nodes_visited=nodes
-    )
+    return ScheduleEvaluation(seq, d, mse, cov, nodes_visited=nodes)
 
 
 def greedy_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
@@ -228,29 +235,17 @@ def greedy_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
         return harvest_none(ctx, model)
     seq: tuple[int, ...] = ()
     d = 0.0
-    cov = ctx.prior_cov
-    t_prev = ctx.t0
     for j in range(ctx.L):
-        cj = ctx.candidates[j]
-        dj = max(ctx.rel_offset(j) + cj.airtime, d + cj.airtime)
+        dj = _finish(d, ctx, j)
         if dj < ctx.budget:
-            cov = g_step(model, cov, t_prev, cj.timestamp, cj.observer)
             seq += (j,)
             d = dj
-            t_prev = cj.timestamp
-    mse = float(np.trace(predict_cov(model, cov, t_prev, ctx.cycle_end)))
-    return ScheduleEvaluation(
-        seq=seq, end_of_harvest=d, mse=mse, running_cov=cov, nodes_visited=ctx.L
-    )
+    return _evaluate(ctx, model, seq, nodes_visited=ctx.L)
 
 
 def harvest_all(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     """Policy ``all``: every candidate in time order, ignoring the budget."""
-    seq = tuple(range(ctx.L))
-    mse, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, ctx.candidates, ctx.cycle_end)
-    return ScheduleEvaluation(
-        seq=seq, end_of_harvest=end_of_harvest(seq, ctx), mse=mse, running_cov=cov
-    )
+    return _evaluate(ctx, model, tuple(range(ctx.L)))
 
 
 def exhaustive_oracle(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
@@ -262,20 +257,14 @@ def exhaustive_oracle(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluati
     best = harvest_none(ctx, model)
     if ctx.budget <= 0.0:
         return best
-    visited = 1
     for size in range(1, ctx.L + 1):
         for seq in itertools.combinations(range(ctx.L), size):
-            visited += 1
-            d = end_of_harvest(seq, ctx)
-            if not d < ctx.budget:
+            if not is_schedulable(seq, ctx):
                 continue
-            chosen = [ctx.candidates[i] for i in seq]
-            mse, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, chosen, ctx.cycle_end)
-            if _better(mse, seq, best.mse, best.seq):
-                best = ScheduleEvaluation(
-                    seq=seq, end_of_harvest=d, mse=mse, running_cov=cov
-                )
-    return replace(best, nodes_visited=visited)
+            ev = _evaluate(ctx, model, seq)
+            if _better(ev.mse, seq, best.mse, best.seq):
+                best = ev
+    return replace(best, nodes_visited=2**ctx.L)
 
 
 # Policy name -> decision rule (ctx, model) -> ScheduleEvaluation.  Each entry

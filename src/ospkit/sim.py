@@ -13,7 +13,6 @@ true-state trajectory and the same airtimes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -85,8 +84,6 @@ def sample_airtimes(cfg: ChannelConfig, k: int) -> tuple[np.ndarray, np.ndarray]
     """
     n_obs = len(cfg.obs_airtime)
     if cfg.trace is not None:
-        if k > len(cfg.trace):
-            raise ConfigError(f"airtime trace has no row for cycle {k}")
         row = cfg.trace[k - 1]
         return np.asarray(row[:n_obs]), np.asarray(row[n_obs:])
     rng = np.random.default_rng([cfg.seed, k, _CHANNEL_TAG])
@@ -151,17 +148,21 @@ class CycleLog:
 
 
 def decision_cycles(
-    model: SystemModel, channel: ChannelConfig, policy: str, initial_cov: np.ndarray
+    model: SystemModel, channel: ChannelConfig, policy: str, initial_cov: np.ndarray,
+    cycles: int,
 ) -> Iterator[tuple[scheduler.CycleContext, scheduler.ScheduleEvaluation]]:
-    """Yield (instance, policy's evaluation) for cycles k = 1, 2, ... without
-    end: the decision steps of ``run_simulation`` and ``ospkit oracle``.
+    """Yield (instance, policy's evaluation) for cycles k = 1 .. ``cycles``:
+    the decision steps of ``run_simulation`` and ``ospkit oracle``.
 
     The covariance anchor starts at (t0 = 0, P = initial_cov) and moves to
     (last harvested timestamp, ``ev.running_cov``) after every cycle that
-    harvests something.  An unknown policy, or a channel whose observer count
-    differs from the model's, raises ConfigError before cycle 1; a non-finite
+    harvests something.  A cycle count below 1, an unknown policy, a channel
+    whose observer count differs from the model's, or an airtime trace
+    shorter than the run raises ConfigError before cycle 1; a non-finite
     predicted MSE raises NumericError.
     """
+    if cycles < 1:
+        raise ConfigError(f"cycle count must be >= 1, got {cycles}")
     decide = scheduler.POLICIES.get(policy)
     if decide is None:
         raise ConfigError(
@@ -172,8 +173,12 @@ def decision_cycles(
             f"channel config has {len(channel.obs_airtime)} observer airtime "
             f"distributions, model has {model.n_observers} observers"
         )
+    if channel.trace is not None and len(channel.trace) < cycles:
+        raise ConfigError(
+            f"airtime trace has {len(channel.trace)} rows, run needs {cycles}"
+        )
     t0, prior_cov = 0.0, initial_cov
-    for k in itertools.count(1):
+    for k in range(1, cycles + 1):
         obs_air, act_air = sample_airtimes(channel, k)
         ctx = scheduler.CycleContext(
             candidates=tuple(
@@ -224,13 +229,9 @@ def run_simulation(
     timestamp regardless of selection so that all policies on one seed see
     the same trajectory; observation values are synthesized only for the
     chosen sequence.  A non-finite predicted MSE or squared error raises
-    NumericError; an airtime trace shorter than K raises ConfigError before
-    cycle 1.
+    NumericError; a bad run (``decision_cycles`` lists the checks) raises
+    ConfigError before cycle 1.
     """
-    if K < 1:
-        raise DomainError(f"cycle count must be >= 1, got {K}")
-    if cfg.trace is not None and len(cfg.trace) < K:
-        raise ConfigError(f"airtime trace has {len(cfg.trace)} rows, run needs {K}")
     S = model.n_states
     P0 = np.eye(S) if initial_cov is None else np.asarray(initial_cov, dtype=float)
     xh = np.zeros(S)  # the estimate's mean, held at the covariance anchor
@@ -250,7 +251,7 @@ def run_simulation(
         x_true = np.asarray(initial_state, dtype=float)
 
     logs: list[CycleLog] = []
-    for ctx, ev in itertools.islice(decision_cycles(model, cfg, policy, P0), K):
+    for ctx, ev in decision_cycles(model, cfg, policy, P0, K):
         # Advance the true state through all candidate timestamps, then to kT.
         true_at = []
         for t in [c.timestamp for c in ctx.candidates] + [ctx.cycle_end]:

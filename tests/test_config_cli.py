@@ -207,6 +207,8 @@ class TestCli:
         assert "sequence: 1+3" in out
         assert run_cli(["schedule", "--config", str(p), "--policy", "greedy"]) == 0
         assert "sequence: 1+2" in capsys.readouterr().out
+        assert run_cli(["schedule", "--config", str(p), "--policy", "all"]) == 0
+        assert "sequence: 1+2+3" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "doc",
@@ -215,14 +217,40 @@ class TestCli:
             [1, 2],
             {"model": BASELINE_MODEL, "instance": {"action_airtimes": [0.004]}},
             {"model": BASELINE_MODEL, "instance": {"candidates": [[0.0, 0.002]]}},
+            {"model": BASELINE_MODEL, "instance": {"candidates": [[0.0, 0.002, 3]]}},
+            {
+                "model": BASELINE_MODEL,
+                "instance": {"candidates": [[0.0, 0.002, 0]], "prior_cov": [[1.0]]},
+            },
+            {
+                "model": BASELINE_MODEL,
+                "instance": {"candidates": [[0.0, 0.002, 0]], "action_airtimes": ["x"]},
+            },
         ],
-        ids=["no-model", "top-level-array", "no-candidates", "two-field-candidate"],
+        ids=[
+            "no-model", "top-level-array", "no-candidates", "two-field-candidate",
+            "observer-out-of-range", "prior-cov-shape", "non-numeric-action-airtime",
+        ],
     )
     def test_schedule_malformed_instance_is_config_error(self, tmp_path, capsys, doc):
         p = tmp_path / "inst.json"
         p.write_text(json.dumps(doc))
         assert run_cli(["schedule", "--config", str(p)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "block, value",
+        [("output", "x.csv"), ("run", {"policy": ["bnb"]})],
+        ids=["output-not-object", "policy-not-string"],
+    )
+    def test_malformed_config_is_config_error(self, tmp_path, capsys, block, value):
+        d = minimal_config_dict()
+        d[block] = value
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(d))
+        assert run_cli(["simulate", "--config", str(p)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"config error: {block}")
 
     @pytest.mark.parametrize("command", ["simulate", "oracle"])
     def test_zero_cycles_rejected(self, tmp_path, capsys, command):

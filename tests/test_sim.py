@@ -21,7 +21,7 @@ from ospkit import (
     step_true_state,
 )
 from ospkit.cli import run_cli
-from ospkit.config import parse_config_dict, preset_config
+from ospkit.config import PRESET_NAMES, parse_config_dict, preset_config
 from ospkit.sim import _fuse
 from conftest import A3, C_MIX, T3, make_model, scalar_model
 
@@ -211,7 +211,8 @@ class TestDecisionCycles:
     def test_anchor_matches_simulation_log(self, name, policy):
         model, channel, P0 = self.preset(name)
         logs = run_simulation(model, channel, policy, 30, initial_cov=P0)
-        cycles = decision_cycles(model, channel, policy, P0)
+        cycles = list(decision_cycles(model, channel, policy, P0, 30))
+        assert len(cycles) == len(logs) == 30
         for log, (ctx, ev) in zip(logs, cycles):
             assert (ctx.cycle_index, ctx.t0, ev.seq) == (log.cycle, log.t0, log.seq)
             assert np.array_equal(ctx.prior_cov, log.prior_cov)
@@ -225,7 +226,7 @@ class TestDecisionCycles:
         model, channel, P0 = self.preset(name)
         x = np.zeros(model.n_states)
         harvested = 0
-        for _, (ctx, ev) in zip(range(30), decision_cycles(model, channel, policy, P0)):
+        for ctx, ev in decision_cycles(model, channel, policy, P0, 30):
             observed = [(ctx.candidates[i], 0.0) for i in ev.seq]
             _, P, _ = _fuse(model, x, ctx.prior_cov, ctx.t0, None, observed)
             assert np.array_equal(P, ev.running_cov)
@@ -235,25 +236,44 @@ class TestDecisionCycles:
     def test_unknown_policy_raises_before_cycle_one(self):
         model, channel, P0 = self.preset("rate-fast")
         with pytest.raises(ConfigError, match="psychic"):
-            next(decision_cycles(model, channel, "psychic", P0))
+            next(decision_cycles(model, channel, "psychic", P0, 1))
 
     def test_observer_count_mismatch_raises_before_cycle_one(self):
         model, channel, P0 = self.preset("blackout-6of6-100000")
         short = ChannelConfig(channel.obs_airtime[:5], channel.action_airtime)
         with pytest.raises(ConfigError, match="5 observer airtime"):
-            next(decision_cycles(model, short, "bnb", P0))
+            next(decision_cycles(model, short, "bnb", P0, 1))
+
+    def test_zero_cycles_raises_before_cycle_one(self):
+        model, channel, P0 = self.preset("rate-fast")
+        with pytest.raises(ConfigError, match=">= 1, got 0"):
+            next(decision_cycles(model, channel, "bnb", P0, 0))
+        with pytest.raises(ConfigError, match=">= 1, got 0"):
+            run_simulation(model, channel, "bnb", 0)
+
+    def test_oracle_command_checks_trace_length_first(self, tmp_path, capsys):
+        # A 1-observer, 1-agent config whose trace covers 2 of 5 cycles:
+        # rejected before any cycle is computed or printed.
+        cfg = preset_config("rate-fast")
+        cfg["channel"] = {"trace_path": "airtimes.txt"}
+        (tmp_path / "airtimes.txt").write_text("1.5e-4,1.5e-4\n1.6e-4,1.2e-4\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["oracle", "--config", str(cfg_path), "--cycles", "5"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "run needs 5" in out.err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_mse_raises(self):
         # Unstable scalar plant, pure prediction: the predicted MSE grows by
         # e^8 per cycle and overflows to inf near cycle 89.
         model = scalar_model(a=400.0, q=0.01, T=0.01, period=0.01)
-        cycles = decision_cycles(model, chan(1, 1e-4, 2e-4), "none", np.eye(1))
+        cycles = decision_cycles(model, chan(1, 1e-4, 2e-4), "none", np.eye(1), 120)
         with pytest.raises(NumericError, match="predicted MSE is inf"):
-            for _ in range(120):
-                next(cycles)
+            for _ in cycles:
+                pass
 
-    @pytest.mark.parametrize("name", ["blackout-6of6-100000", "baseline-compare-diff"])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_oracle_command_agrees(self, tmp_path, capsys, name):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(preset_config(name)))
