@@ -35,7 +35,8 @@ from .config import (
     read_json_object,
     write_csv,
 )
-from .errors import ConfigError, NumericError, OspkitError
+from .errors import ConfigError, DomainError, NumericError, OspkitError
+from .model import check_covariance
 
 log = logging.getLogger("ospkit")
 
@@ -109,7 +110,11 @@ def _cmd_schedule(args) -> int:
         raise ConfigError(f"{path}: candidate observers {bad} not in [0, {N})")
     if ctx.prior_cov.shape != (S, S):
         raise ConfigError(f"{path}: prior_cov must be {S}x{S}, got {ctx.prior_cov.shape}")
-    ev = scheduler.POLICIES[args.policy](ctx, model)
+    try:
+        check_covariance("prior_cov", ctx.prior_cov)
+    except DomainError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    ev = scheduler.decide(args.policy, ctx, model)
     print(f"policy: {args.policy}")
     print(f"sequence: {format_seq(ev.seq)}")
     print(f"end_of_harvest: {CSV_FLOAT_FMT % ev.end_of_harvest}")

@@ -94,7 +94,7 @@ def predict_cov(model: SystemModel, P: np.ndarray, t_i: float, t_j: float) -> np
     """A posteriori -> a priori: Phi P Phi^T + Q over [t_i, t_j], symmetrized."""
     if t_i > t_j:
         raise OrderingError(f"predict_cov requires t_i <= t_j, got {t_i}, {t_j}")
-    Phi, Qd = model.discretize(t_i, t_j)
+    Phi, Qd = model.discretize(t_j - t_i)
     return symmetrize(Phi @ P @ Phi.T + Qd)
 
 
@@ -181,15 +181,15 @@ def propagate_estimate(
         raise OrderingError(f"propagate_estimate requires s <= t, got {s}, {t}")
     xhat = np.asarray(xhat, dtype=float).reshape(-1)
     if inputs is None:
-        Phi, _ = model.discretize(s, t)
+        Phi, _ = model.discretize(t - s)
         return Phi @ xhat
     x = xhat
     for a, b, j in _segments(s, t, model.T):
         if j not in inputs:
             raise ConfigError(f"no input vector provided for cycle segment {j}")
         u = np.asarray(inputs[j], dtype=float).reshape(-1)
-        Phi, _ = model.discretize(a, b)
-        x = Phi @ x + model.input_lambda(a, b, b) @ u
+        Phi, _ = model.discretize(b - a)
+        x = Phi @ x + model.input_lambda(b - a) @ u
     return x
 
 

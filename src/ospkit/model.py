@@ -9,10 +9,24 @@ import numpy as np
 from . import dynamics
 from .errors import ConfigError, DimensionError, DomainError
 
-__all__ = ["SystemModel"]
+__all__ = ["SystemModel", "check_covariance"]
 
 _SYM_TOL = 1e-10
 _PSD_TOL = -1e-10
+
+# Most interval lengths SystemModel.discretize keeps memoized.
+DISC_CACHE_SIZE = 1024
+
+
+def check_covariance(name: str, M: np.ndarray) -> None:
+    """Raise DomainError unless the square matrix M is finite, symmetric
+    within ``_SYM_TOL`` and positive semi-definite within ``_PSD_TOL``."""
+    if not np.all(np.isfinite(M)):
+        raise DomainError(f"{name} contains non-finite entries")
+    if np.abs(M - M.T).max() > _SYM_TOL:
+        raise DomainError(f"{name} must be symmetric")
+    if np.linalg.eigvalsh(dynamics.symmetrize(M)).min() < _PSD_TOL:
+        raise DomainError(f"{name} must be positive semi-definite")
 
 
 @dataclass(frozen=True)
@@ -34,7 +48,7 @@ class SystemModel:
     R: np.ndarray
     T: float
     observer_periods: tuple[float, ...]
-    _disc_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _disc_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -46,7 +60,7 @@ class SystemModel:
         R = np.atleast_2d(np.asarray(self.R, dtype=float))
         periods = tuple(float(p) for p in self.observer_periods)
 
-        for name, M in (("A", A), ("B", B), ("C", C), ("Q", Q), ("R", R)):
+        for name, M in (("A", A), ("B", B), ("C", C), ("R", R)):
             if not np.all(np.isfinite(M)):
                 raise DomainError(f"{name} contains non-finite entries")
         S = A.shape[0]
@@ -61,10 +75,7 @@ class SystemModel:
             raise DimensionError(f"Q must be {S}x{S}, got {Q.shape}")
         if R.shape != (N, N):
             raise DimensionError(f"R must be {N}x{N}, got {R.shape}")
-        if np.abs(Q - Q.T).max() > _SYM_TOL:
-            raise DomainError("Q must be symmetric")
-        if np.linalg.eigvalsh(dynamics.symmetrize(Q)).min() < _PSD_TOL:
-            raise DomainError("Q must be positive semi-definite")
+        check_covariance("Q", Q)
         if R.size and np.abs(R - np.diag(np.diag(R))).max() > 0.0:
             raise ConfigError(
                 "R must be diagonal: per-observation scalar updates assume "
@@ -109,22 +120,26 @@ class SystemModel:
         """Observation-noise variance of observer n."""
         return float(self.R[n, n])
 
-    def discretize(self, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(Phi(s, t), Q(s, t)) with per-(s, t) memoization.
+    def discretize(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """(Phi, Qd) over an interval of length dt >= 0, memoized per length.
 
-        Scheduling re-evaluates the same time pairs across many candidate
-        sequences, so the two matrix exponentials are cached.
+        The plant is time-invariant, so both depend only on dt.  The cache
+        keeps the ``DISC_CACHE_SIZE`` lengths added last; a full cache
+        evicts the one added first.
         """
-        key = (float(s), float(t))
-        hit = self._disc_cache.get(key)
-        if hit is None:
-            hit = (
-                dynamics.phi(self.A, s, t),
-                dynamics.noise_cov(self.A, self.Q, s, t),
-            )
-            self._disc_cache[key] = hit
-        return hit
+        entry = self._disc_cache.get(dt)
+        if entry is None:
+            if len(self._disc_cache) >= DISC_CACHE_SIZE:
+                del self._disc_cache[next(iter(self._disc_cache))]
+            entry = self._disc_cache[dt] = [
+                dynamics.phi(self.A, 0.0, dt), dynamics.noise_cov(self.A, self.Q, 0.0, dt), None
+            ]
+        return entry[0], entry[1]
 
-    def input_lambda(self, r: float, s: float, t: float) -> np.ndarray:
-        """ZOH input matrix Lambda(r, s, t) for this plant."""
-        return dynamics.input_integral(self.A, self.B, r, s, t)
+    def input_lambda(self, dt: float) -> np.ndarray:
+        """ZOH input matrix Lambda(0, dt, dt), memoized with ``discretize``."""
+        self.discretize(dt)
+        entry = self._disc_cache[dt]
+        if entry[2] is None:
+            entry[2] = dynamics.input_integral(self.A, self.B, 0.0, dt, dt)
+        return entry[2]

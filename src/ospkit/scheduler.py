@@ -14,11 +14,12 @@ search does not bound on the objective yet.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DomainError, OrderingError
+from .errors import DomainError, NumericError, OrderingError
 from .kalman import g_step, predict_cov, sequence_mse
 from .model import SystemModel
 
@@ -36,6 +37,7 @@ __all__ = [
     "harvest_none",
     "exhaustive_oracle",
     "POLICIES",
+    "decide",
 ]
 
 # Two MSE values within this relative tolerance are treated as tied and the
@@ -276,3 +278,12 @@ POLICIES = {
     "all": lambda ctx, model: harvest_all(ctx, model),
     "none": lambda ctx, model: harvest_none(ctx, model),
 }
+
+
+def decide(policy: str, ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
+    """Run the named policy on one instance; a non-finite predicted MSE
+    raises NumericError."""
+    ev = POLICIES[policy](ctx, model)
+    if not math.isfinite(ev.mse):
+        raise NumericError(f"cycle {ctx.cycle_index}: predicted MSE is {ev.mse}")
+    return ev

@@ -80,8 +80,11 @@ def sample_airtimes(cfg: ChannelConfig, k: int) -> tuple[np.ndarray, np.ndarray]
     """Airtimes for cycle k: (per-observer, per-agent).
 
     Deterministic under (seed, k).  With a trace configured, row k-1 is
-    used instead of random draws (the trace must cover the cycle).
+    used instead of random draws (the trace must cover the cycle).  A cycle
+    index below 1 raises DomainError.
     """
+    if k < 1:
+        raise DomainError(f"cycle index must be >= 1, got {k}")
     n_obs = len(cfg.obs_airtime)
     if cfg.trace is not None:
         row = cfg.trace[k - 1]
@@ -122,7 +125,7 @@ def step_true_state(
     mean = kalman.propagate_estimate(model, x, inputs, s, t)
     if s == t:
         return mean
-    _, Qd = model.discretize(s, t)
+    _, Qd = model.discretize(t - s)
     if not Qd.any():
         return mean
     return mean + _noise_factor(Qd) @ rng.standard_normal(model.n_states)
@@ -159,12 +162,11 @@ def decision_cycles(
     harvests something.  A cycle count below 1, an unknown policy, a channel
     whose observer count differs from the model's, or an airtime trace
     shorter than the run raises ConfigError before cycle 1; a non-finite
-    predicted MSE raises NumericError.
+    predicted MSE raises NumericError (``scheduler.decide``).
     """
     if cycles < 1:
         raise ConfigError(f"cycle count must be >= 1, got {cycles}")
-    decide = scheduler.POLICIES.get(policy)
-    if decide is None:
+    if policy not in scheduler.POLICIES:
         raise ConfigError(
             f"unknown policy {policy!r}; expected one of {tuple(scheduler.POLICIES)}"
         )
@@ -191,9 +193,7 @@ def decision_cycles(
             t0=t0,
             prior_cov=prior_cov,
         )
-        ev = decide(ctx, model)
-        if not math.isfinite(ev.mse):
-            raise NumericError(f"cycle {k}: predicted MSE is {ev.mse}")
+        ev = scheduler.decide(policy, ctx, model)
         yield ctx, ev
         if ev.seq:
             t0, prior_cov = ctx.candidates[ev.seq[-1]].timestamp, ev.running_cov

@@ -226,10 +226,32 @@ class TestCli:
                 "model": BASELINE_MODEL,
                 "instance": {"candidates": [[0.0, 0.002, 0]], "action_airtimes": ["x"]},
             },
+            {
+                "model": BASELINE_MODEL,
+                "instance": {
+                    "candidates": [[0.0, 0.002, 0]],
+                    "prior_cov": [[float("nan"), 0, 0], [0, 1, 0], [0, 0, 1]],
+                },
+            },
+            {
+                "model": BASELINE_MODEL,
+                "instance": {
+                    "candidates": [[0.0, 0.002, 0]],
+                    "prior_cov": [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]],
+                },
+            },
+            {
+                "model": BASELINE_MODEL,
+                "instance": {
+                    "candidates": [[0.0, 0.002, 0]],
+                    "prior_cov": [[-5, 0, 0], [0, 1, 0], [0, 0, 1]],
+                },
+            },
         ],
         ids=[
             "no-model", "top-level-array", "no-candidates", "two-field-candidate",
             "observer-out-of-range", "prior-cov-shape", "non-numeric-action-airtime",
+            "prior-cov-non-finite", "prior-cov-asymmetric", "prior-cov-not-psd",
         ],
     )
     def test_schedule_malformed_instance_is_config_error(self, tmp_path, capsys, doc):
@@ -302,6 +324,23 @@ class TestCli:
         assert run_cli(["simulate", "--config", str(cfg_path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "numeric error: " in captured.err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_schedule_non_finite_mse_exits_numeric(self, tmp_path, capsys):
+        # Predicting the unstable scalar plant from t0 = 0 to cycle 200
+        # overflows the covariance: exit 2, not "mse: inf" with exit 0.
+        d = minimal_config_dict()
+        d["model"]["A"] = [[400.0]]
+        doc = {
+            "model": d["model"],
+            "instance": {"candidates": [[1.99, 0.002, 0]], "cycle_index": 200, "t0": 0.0},
+        }
+        p = tmp_path / "inst.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["schedule", "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numeric error: cycle 200: predicted MSE is")
 
     def test_config_error_exit_code(self, tmp_path):
         p = tmp_path / "bad.json"

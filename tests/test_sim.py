@@ -12,6 +12,7 @@ import pytest
 from ospkit import (
     ChannelConfig,
     ConfigError,
+    DomainError,
     NumericError,
     decision_cycles,
     dynamics,
@@ -68,6 +69,13 @@ class TestSampleAirtimes:
     def test_rejects_bad_bounds(self):
         with pytest.raises(ConfigError):
             ChannelConfig(obs_airtime=((2e-4, 1e-4),), action_airtime=())
+
+    @pytest.mark.parametrize("trace", [None, ((1.5e-4,), (1.8e-4,))], ids=["random", "trace"])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_cycle_below_one(self, trace, k):
+        cfg = ChannelConfig(obs_airtime=((1e-4, 2e-4),), action_airtime=(), trace=trace)
+        with pytest.raises(DomainError, match="cycle index must be >= 1"):
+            sample_airtimes(cfg, k)
 
 
 class TestStepTrueState:
@@ -134,7 +142,7 @@ class TestRunSimulation:
         # fixed point of P -> Phi P Phi^T + Q over one cycle (A is stable).
         import scipy.linalg
 
-        Phi, Qd = model.discretize(0.0, model.T)
+        Phi, Qd = model.discretize(model.T)
         P_inf = scipy.linalg.solve_discrete_lyapunov(Phi, Qd)
         assert logs[-1].mse_pred == pytest.approx(float(np.trace(P_inf)), rel=1e-6)
 
