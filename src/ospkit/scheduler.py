@@ -5,10 +5,15 @@ predicted boundary MSE.
 A sequence of candidate indices is schedulable iff its end-of-harvest time
 (FCFS, non-preemptive, cycle-relative) is strictly below the harvesting
 budget B = T - sum(action airtimes).  The search space is the family of
-strictly ascending index tuples (a subset forest); any extension of a
-non-schedulable sequence is non-schedulable, which is the only pruning
-rule used.  Adding an observation never raises the predicted MSE, but the
-search does not bound on the objective yet.
+strictly ascending index tuples (a subset forest).  The branch-and-bound
+search prunes on two rules.  Feasibility: any extension of a
+non-schedulable sequence is non-schedulable.  The objective: adding an
+observation never raises the predicted MSE, so the MSE of a sequence
+extended by every candidate that could still follow it bounds all its
+extensions from below, and a subtree whose bound exceeds the incumbent by
+more than the tie tolerance is skipped (Vitus, Zhang, Abate, Hu & Tomlin,
+"On efficient sensor scheduling for linear dynamical systems",
+Automatica 2012).
 """
 
 from __future__ import annotations
@@ -192,39 +197,90 @@ def harvest_none(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
 
 
 def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
-    """Depth-first feasibility-pruned search over the subset forest.
+    """Depth-first branch-and-bound over the subset forest.
 
     Returns the MSE-minimizing schedulable sequence (the empty sequence
-    included whenever budget > 0).  Appending index j to a sequence is
-    checked for schedulability first; an infeasible append skips the whole
-    subtree rooted there but later siblings are still tried, since a later
-    observation with a shorter airtime may fit.  ``nodes_visited`` counts
-    feasibility-checked non-empty sequences.
+    included whenever budget > 0): the sequence that scoring every
+    schedulable sequence in depth-first order under ``_better`` picks.
+
+    The children of a node ``seq`` with end of harvest d are its followers,
+    the later candidates i with ``_finish(d, ctx, i) < B``; d only grows
+    along an extension, so a child's followers are among its parent's.
+    The node's bound is the boundary MSE of its covariance chained through
+    all its followers.  An update never raises a covariance in the Loewner
+    order, so the bound is at most the MSE of every descendant.  The search
+    skips the rest of a node's subtree as soon as ``bound * (1 - 2 *
+    MSE_TIE_RTOL)`` exceeds the incumbent's MSE: no descendant can then
+    beat the incumbent or tie it and win the tie-break.  The first child's
+    covariance heads its parent's chain; when none of the parent's later
+    followers drops out of the child's, the rest of the chain is the
+    child's chain and its bound is the same, so both are reused.
+    ``nodes_visited`` counts the non-empty sequences checked for
+    feasibility.  The bound needs a positive semi-definite ``prior_cov``,
+    which ``decision_cycles`` and ``ospkit schedule`` check.
     """
     best = harvest_none(ctx, model)
     if ctx.budget <= 0.0:
         return best
-    nodes = 0
     kT = ctx.cycle_end
-    B = ctx.budget
+    cut = 1.0 - 2.0 * MSE_TIE_RTOL
     best_key = (best.mse, best.seq, best.running_cov, best.end_of_harvest)
+    nodes = ctx.L  # the root checks every candidate
 
-    def extend(seq, d, cov, t_prev, first_next):
-        nonlocal nodes, best_key
-        for j in range(first_next, ctx.L):
+    def chain_from(cov, t, seq):
+        """Running covariances of ``cov``, held at time t, through ``seq``."""
+        out = []
+        for j in seq:
             cj = ctx.candidates[j]
-            nodes += 1
-            dj = _finish(d, ctx, j)
-            if not dj < B:
-                continue  # prune subtree (s, j); siblings may still fit
-            cov_j = g_step(model, cov, t_prev, cj.timestamp, cj.observer)
-            seq_j = seq + (j,)
-            mse_j = float(np.trace(predict_cov(model, cov_j, cj.timestamp, kT)))
-            if _better(mse_j, seq_j, best_key[0], best_key[1]):
-                best_key = (mse_j, seq_j, cov_j, dj)
-            extend(seq_j, dj, cov_j, cj.timestamp, j + 1)
+            cov = g_step(model, cov, t, cj.timestamp, cj.observer)
+            t = cj.timestamp
+            out.append(cov)
+        return out
 
-    extend((), 0.0, ctx.prior_cov, ctx.t0, 0)
+    def boundary_mse(cov, j):
+        """Trace of ``cov``, held at candidate j's timestamp, predicted to kT."""
+        return float(np.trace(predict_cov(model, cov, ctx.candidates[j].timestamp, kT)))
+
+    def bound_of(fol, chain):
+        """Boundary MSE at the end of ``chain``; -inf (never cut) for a
+        single follower, whose bound is the one child's own MSE: visiting
+        that child costs no more than bounding it."""
+        return boundary_mse(chain[-1], fol[-1]) if len(fol) > 1 else -math.inf
+
+    def expand(seq, d, cov, t, fol, chain, bound):
+        """Visit the children seq + (j,), j in fol, and their subtrees.
+        ``chain`` is ``cov`` (held at t) chained through ``fol``, and
+        ``bound`` is ``bound_of(fol, chain)``."""
+        nonlocal best_key, nodes
+        for n, j in enumerate(fol):
+            if bound * cut > best_key[0]:
+                return
+            cj = ctx.candidates[j]
+            d_j = _finish(d, ctx, j)
+            rest = fol[n + 1 :]
+            nodes += len(rest)
+            kids = [i for i in rest if _finish(d_j, ctx, i) < ctx.budget]
+            if n == 0:
+                cov_j = chain[0]
+            else:
+                cov_j = g_step(model, cov, t, cj.timestamp, cj.observer)
+            seq_j = seq + (j,)
+            mse_j = boundary_mse(cov_j, j)
+            if _better(mse_j, seq_j, best_key[0], best_key[1]):
+                best_key = (mse_j, seq_j, cov_j, d_j)
+            if not kids:
+                continue
+            if n == 0 and kids == rest:  # the child's chain is the rest of ours
+                chain_j, bound_j = chain[1:], bound
+            else:
+                chain_j = chain_from(cov_j, cj.timestamp, kids)
+                bound_j = bound_of(kids, chain_j)
+            expand(seq_j, d_j, cov_j, cj.timestamp, kids, chain_j, bound_j)
+
+    fol = [i for i in range(ctx.L) if _finish(0.0, ctx, i) < ctx.budget]
+    if fol:
+        chain = chain_from(ctx.prior_cov, ctx.t0, fol)
+        expand((), 0.0, ctx.prior_cov, ctx.t0, fol, chain, bound_of(fol, chain))
     mse, seq, cov, d = best_key
     return ScheduleEvaluation(seq, d, mse, cov, nodes_visited=nodes)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kalman, scheduler
 from .errors import ConfigError, DomainError, NumericError
-from .model import SystemModel
+from .model import SystemModel, check_covariance
 
 __all__ = [
     "ChannelConfig",
@@ -159,10 +159,12 @@ def decision_cycles(
 
     The covariance anchor starts at (t0 = 0, P = initial_cov) and moves to
     (last harvested timestamp, ``ev.running_cov``) after every cycle that
-    harvests something.  A cycle count below 1, an unknown policy, a channel
-    whose observer count differs from the model's, or an airtime trace
-    shorter than the run raises ConfigError before cycle 1; a non-finite
-    predicted MSE raises NumericError (``scheduler.decide``).
+    harvests something.  The run is checked when this is called, before
+    cycle 1: a cycle count below 1, an unknown policy, a channel whose
+    observer count differs from the model's, an airtime trace shorter than
+    the run, or an ``initial_cov`` that is not a finite, symmetric, positive
+    semi-definite S x S matrix raises ConfigError.  A non-finite predicted
+    MSE raises NumericError (``scheduler.decide``).
     """
     if cycles < 1:
         raise ConfigError(f"cycle count must be >= 1, got {cycles}")
@@ -179,7 +181,20 @@ def decision_cycles(
         raise ConfigError(
             f"airtime trace has {len(channel.trace)} rows, run needs {cycles}"
         )
-    t0, prior_cov = 0.0, initial_cov
+    P0 = np.asarray(initial_cov, dtype=float)
+    S = model.n_states
+    if P0.shape != (S, S):
+        raise ConfigError(f"initial_cov must be {S}x{S}, got {P0.shape}")
+    try:
+        check_covariance("initial_cov", P0)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
+    return _cycles(model, channel, policy, P0, cycles)
+
+
+def _cycles(model, channel, policy, P0, cycles):
+    """The loop of ``decision_cycles``, on a checked run."""
+    t0, prior_cov = 0.0, P0
     for k in range(1, cycles + 1):
         obs_air, act_air = sample_airtimes(channel, k)
         ctx = scheduler.CycleContext(
@@ -230,10 +245,12 @@ def run_simulation(
     the same trajectory; observation values are synthesized only for the
     chosen sequence.  A non-finite predicted MSE or squared error raises
     NumericError; a bad run (``decision_cycles`` lists the checks) raises
-    ConfigError before cycle 1.
+    ConfigError before the initial state is drawn.
     """
     S = model.n_states
     P0 = np.eye(S) if initial_cov is None else np.asarray(initial_cov, dtype=float)
+    # Check the run before the initial state is drawn from N(0, P0).
+    cycles = decision_cycles(model, cfg, policy, P0, K)
     xh = np.zeros(S)  # the estimate's mean, held at the covariance anchor
     t_true = 0.0
 
@@ -251,7 +268,7 @@ def run_simulation(
         x_true = np.asarray(initial_state, dtype=float)
 
     logs: list[CycleLog] = []
-    for ctx, ev in decision_cycles(model, cfg, policy, P0, K):
+    for ctx, ev in cycles:
         # Advance the true state through all candidate timestamps, then to kT.
         true_at = []
         for t in [c.timestamp for c in ctx.candidates] + [ctx.cycle_end]:

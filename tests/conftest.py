@@ -63,20 +63,29 @@ def search_model() -> SystemModel:
     return make_model(C, R, (T3,) * 10)
 
 
-def random_context(rng, model, L=None, k=None) -> CycleContext:
+def random_context(rng, model, L=None, k=None, *, loose=False, ties=False) -> CycleContext:
     """Random schedulable-or-not instance: sorted timestamps inside the
-    cycle, positive airtimes, a random action load."""
+    cycle, positive airtimes of 5-40% of T, a random action load.
+
+    ``loose`` puts the timestamps in the first 60% of the cycle and draws
+    airtimes of 0.2-0.5% of T, so every subset is schedulable.  ``ties``
+    puts the timestamps on a 4-point grid, so several coincide.  Observers
+    repeat only when L exceeds the model's observer count."""
     if L is None:
         L = int(rng.integers(1, 11))
     if k is None:
         k = int(rng.integers(1, 50))
     T = model.T
-    lo, hi = (k - 1) * T, k * T
-    ts = np.sort(rng.uniform(lo, hi, size=L))
-    observers = rng.choice(model.n_observers, size=L, replace=False)
+    lo, hi = (k - 1) * T, (k - 1 + 0.6) * T if loose else k * T
+    if ties:
+        ts = np.sort(lo + (hi - lo) * rng.integers(0, 4, size=L) / 4)
+    else:
+        ts = np.sort(rng.uniform(lo, hi, size=L))
+    observers = rng.choice(model.n_observers, size=L, replace=L > model.n_observers)
     order = np.lexsort((observers, ts))
+    air_lo, air_hi = (0.002, 0.005) if loose else (0.05, 0.4)
     cands = tuple(
-        Candidate(timestamp=float(ts[i]), airtime=float(rng.uniform(0.05, 0.4) * T), observer=int(observers[i]))
+        Candidate(timestamp=float(ts[i]), airtime=float(rng.uniform(air_lo, air_hi) * T), observer=int(observers[i]))
         for i in order
     )
     actions = tuple(float(a) for a in rng.uniform(0.0, 0.15 * T, size=int(rng.integers(0, 3))))

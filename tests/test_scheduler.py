@@ -1,6 +1,7 @@
 """Scheduler tests: harvest recursion against a closed-form oracle,
-schedulability edge cases, branch-and-bound vs exhaustive enumeration,
-greedy baseline behavior, tie-break determinism, and pruning soundness."""
+schedulability edge cases, branch-and-bound vs exhaustive enumeration and
+vs a feasibility-only depth-first search, greedy baseline behavior,
+tie-break determinism, and the soundness of both pruning rules."""
 from __future__ import annotations
 
 import itertools
@@ -19,7 +20,10 @@ from ospkit import (
     harvesting_budget,
     is_schedulable,
     order_observations,
+    sequence_mse,
 )
+from ospkit.kalman import g_step, predict_cov
+from ospkit.scheduler import _better, _finish, harvest_none
 
 from conftest import T3, harvest_closed_form, make_model, random_context
 
@@ -246,6 +250,119 @@ class TestSearches:
         )
         with pytest.raises(DomainError):
             exhaustive_oracle(ctx, search_model)
+
+
+def feasibility_dfs(ctx, model):
+    """Reference search: score every schedulable sequence in depth-first
+    order, pruning on feasibility only; returns (seq, mse)."""
+    best = harvest_none(ctx, model)
+    if ctx.budget <= 0.0:
+        return best.seq, best.mse
+    key = [best.mse, best.seq]
+
+    def extend(seq, d, cov, t_prev, first_next):
+        for j in range(first_next, ctx.L):
+            cj = ctx.candidates[j]
+            dj = _finish(d, ctx, j)
+            if not dj < ctx.budget:
+                continue
+            cov_j = g_step(model, cov, t_prev, cj.timestamp, cj.observer)
+            mse_j = float(np.trace(predict_cov(model, cov_j, cj.timestamp, ctx.cycle_end)))
+            if _better(mse_j, seq + (j,), key[0], key[1]):
+                key[:] = [mse_j, seq + (j,)]
+            extend(seq + (j,), dj, cov_j, cj.timestamp, j + 1)
+
+    extend((), 0.0, ctx.prior_cov, ctx.t0, 0)
+    return key[1], key[0]
+
+
+def seq_mse(ctx, model, seq):
+    cands = [ctx.candidates[i] for i in seq]
+    return sequence_mse(model, ctx.prior_cov, ctx.t0, cands, ctx.cycle_end)[0]
+
+
+@pytest.fixture(scope="module")
+def dup_model():
+    """16 observers in duplicated pairs of C rows; every third observer has
+    noise variance 1e12, so many subsets tie within MSE_TIE_RTOL."""
+    rng = np.random.default_rng(17)
+    C = np.repeat(rng.normal(size=(8, 3)), 2, axis=0)
+    r = rng.uniform(1e-3, 1.0, size=16)
+    r[::3] = 1e12
+    return make_model(C, np.diag(r), (T3,) * 16)
+
+
+class TestBound:
+    """The objective bound of bnb_search: its premises (monotonicity and
+    admissibility), its effect on the node count, and that it never
+    changes the answer."""
+
+    @pytest.mark.parametrize("which", ["search", "dup"])
+    def test_mse_never_rises_under_insertion(self, which, search_model, dup_model):
+        model = search_model if which == "search" else dup_model
+        rng = np.random.default_rng(81)
+        for _ in range(40):
+            L = int(rng.integers(2, 9))
+            ctx = random_context(rng, model, L, loose=bool(rng.integers(2)), ties=True)
+            size = int(rng.integers(0, L))
+            seq = tuple(sorted(rng.choice(L, size=size, replace=False).tolist()))
+            base = seq_mse(ctx, model, seq)
+            for i in set(range(L)) - set(seq):
+                grown = seq_mse(ctx, model, tuple(sorted(seq + (i,))))
+                assert grown <= base * (1 + 1e-12), (seq, i, grown, base)
+
+    @pytest.mark.parametrize("loose", [True, False])
+    def test_bound_is_admissible(self, loose, search_model):
+        # At every schedulable node, the MSE of the node extended by all its
+        # followers is at most the MSE of each schedulable descendant.
+        rng = np.random.default_rng(83)
+        for _ in range(6):
+            ctx = random_context(rng, search_model, int(rng.integers(3, 8)), loose=loose)
+            feasible = [
+                seq
+                for n in range(ctx.L + 1)
+                for seq in itertools.combinations(range(ctx.L), n)
+                if is_schedulable(seq, ctx)
+            ]
+            mse = {seq: seq_mse(ctx, search_model, seq) for seq in feasible}
+            for seq in feasible:
+                d = end_of_harvest(seq, ctx)
+                after = range(seq[-1] + 1 if seq else 0, ctx.L)
+                fol = tuple(i for i in after if _finish(d, ctx, i) < ctx.budget)
+                bound = seq_mse(ctx, search_model, seq + fol)
+                for desc in feasible:
+                    if desc[: len(seq)] == seq:
+                        assert bound <= mse[desc] * (1 + 1e-12), (seq, desc)
+
+    def test_bnb_matches_exhaustive_up_to_twelve(self, search_model):
+        rng = np.random.default_rng(85)
+        for L in range(1, 13):
+            for loose in (True, False):
+                ctx = random_context(rng, search_model, L, loose=loose)
+                got = bnb_search(ctx, search_model)
+                want = exhaustive_oracle(ctx, search_model)
+                assert got.seq == want.seq, (L, loose, got.seq, want.seq)
+                assert got.mse == pytest.approx(want.mse, rel=1e-9)
+
+    def test_loose_twelve_visits_few_nodes(self, search_model):
+        # Feasibility alone checks all 2^12 - 1 sequences of a loose L = 12
+        # instance; the bound must cut that by more than a factor of 8.
+        rng = np.random.default_rng(87)
+        for _ in range(3):
+            ctx = random_context(rng, search_model, 12, loose=True)
+            assert bnb_search(ctx, search_model).nodes_visited < 2**12 // 8
+
+    def test_bound_never_changes_the_tied_winner(self, dup_model):
+        # Many subsets of this model tie within MSE_TIE_RTOL, and _better's
+        # tie rule is not transitive, so the answer depends on the order the
+        # sequences are scored in.  The cuts must not change it.
+        rng = np.random.default_rng(89)
+        for n in range(400):
+            ctx = random_context(
+                rng, dup_model, int(rng.integers(1, 9)), loose=n % 2 == 0, ties=True
+            )
+            got = bnb_search(ctx, dup_model)
+            assert (got.seq, got.mse) == feasibility_dfs(ctx, dup_model), n
 
 
 class TestStats:

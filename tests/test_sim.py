@@ -259,6 +259,30 @@ class TestDecisionCycles:
         with pytest.raises(ConfigError, match=">= 1, got 0"):
             run_simulation(model, channel, "bnb", 0)
 
+    @pytest.mark.parametrize("initial_state", [None, np.zeros(3)])
+    def test_bad_initial_cov_raises_before_cycle_one(self, initial_state):
+        # A negative-definite P0 used to log a negative mse_pred (with an
+        # explicit initial state) or fail drawing the initial state from
+        # N(0, P0) with a NumericError about the process noise.
+        model, channel, _ = self.preset("unconstrained")
+        P0 = -5.0 * np.eye(3)
+        with pytest.raises(ConfigError, match="initial_cov"):
+            run_simulation(
+                model, channel, "none", 5, initial_state=initial_state, initial_cov=P0
+            )
+        with pytest.raises(ConfigError, match="initial_cov"):
+            decision_cycles(model, channel, "none", P0, 5)
+
+    @pytest.mark.parametrize(
+        "P0, match",
+        [(np.eye(2), "3x3"), (np.diag([1.0, np.nan, 1.0]), "non-finite"),
+         (np.triu(np.ones((3, 3))), "symmetric")],
+    )
+    def test_malformed_initial_cov_raises_before_cycle_one(self, P0, match):
+        model, channel, _ = self.preset("unconstrained")
+        with pytest.raises(ConfigError, match=match):
+            decision_cycles(model, channel, "bnb", P0, 5)
+
     def test_oracle_command_checks_trace_length_first(self, tmp_path, capsys):
         # A 1-observer, 1-agent config whose trace covers 2 of 5 cycles:
         # rejected before any cycle is computed or printed.
