@@ -5,8 +5,8 @@ observations that minimizes the Kalman-predicted estimation MSE at the
 cycle boundary, subject to all transmissions finishing before the
 harvesting budget runs out.  The package provides the continuous-time
 discretization primitives, the multirate Kalman operators, the
-feasibility-pruned search (plus greedy and exhaustive baselines), a
-seeded closed-loop simulator, and a CLI.
+branch-and-bound search (plus greedy and exhaustive baselines), a seeded
+closed-loop simulator, and a CLI.
 """
 
 from .errors import (

@@ -11,13 +11,13 @@ the boundary-predicted covariance at the end of its covariance chain.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import symmetrize
-from .errors import ConfigError, DomainError, OrderingError
+from .errors import DomainError, OrderingError
 from .model import SystemModel
 
 __all__ = [
@@ -151,46 +151,25 @@ def sequence_mse(
     return mse, cov
 
 
-def _segments(s: float, t: float, T: float):
-    """Split [s, t] at decision-cycle boundaries; yields (a, b, cycle)."""
-    eps = _GRID_EPS * T
-    a = s
-    while a < t - eps:
-        j = math.floor((a + eps) / T)
-        b = min((j + 1) * T, t)
-        yield a, b, j
-        a = b
-    if s == t:
-        yield s, t, math.floor((s + eps) / T)
-
-
 def propagate_estimate(
     model: SystemModel,
     xhat: np.ndarray,
-    inputs: Mapping[int, np.ndarray] | None,
+    u: np.ndarray | None,
     s: float,
     t: float,
 ) -> np.ndarray:
-    """Mean state propagation under the ZOH input u(tau) = u[floor(tau/T)].
-
-    ``inputs`` maps cycle index -> action vector; ``None`` means zero input
-    everywhere.  A missing entry for a covered cycle raises
-    :class:`ConfigError`.  No process noise: this is the estimate's mean.
+    """Mean state propagation over [s, t] under the zero-order-hold input
+    ``u`` (``None`` means zero input): Phi xhat + Lambda u.  The interval
+    lies inside one decision cycle, whose action vector is held over it.
+    No process noise: this is the estimate's mean.
     """
     if s > t:
         raise OrderingError(f"propagate_estimate requires s <= t, got {s}, {t}")
-    xhat = np.asarray(xhat, dtype=float).reshape(-1)
-    if inputs is None:
-        Phi, _ = model.discretize(t - s)
-        return Phi @ xhat
-    x = xhat
-    for a, b, j in _segments(s, t, model.T):
-        if j not in inputs:
-            raise ConfigError(f"no input vector provided for cycle segment {j}")
-        u = np.asarray(inputs[j], dtype=float).reshape(-1)
-        Phi, _ = model.discretize(b - a)
-        x = Phi @ x + model.input_lambda(b - a) @ u
-    return x
+    Phi, _ = model.discretize(t - s)
+    x = Phi @ np.asarray(xhat, dtype=float).reshape(-1)
+    if u is None:
+        return x
+    return x + model.input_lambda(t - s) @ np.asarray(u, dtype=float).reshape(-1)
 
 
 def update_estimate(

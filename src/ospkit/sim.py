@@ -115,14 +115,15 @@ def _noise_factor(Q: np.ndarray) -> np.ndarray:
 def step_true_state(
     model: SystemModel,
     x: np.ndarray,
-    inputs,
+    u: np.ndarray | None,
     s: float,
     t: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Exact-discretization step of the true state over [s, t]: mean part
-    via the ZOH propagation, noise part drawn with covariance Q(s, t)."""
-    mean = kalman.propagate_estimate(model, x, inputs, s, t)
+    """Exact-discretization step of the true state over [s, t], inside one
+    cycle: mean part via the ZOH propagation under ``u``, noise part drawn
+    with covariance Q(s, t)."""
+    mean = kalman.propagate_estimate(model, x, u, s, t)
     if s == t:
         return mean
     _, Qd = model.discretize(t - s)
@@ -133,7 +134,8 @@ def step_true_state(
 
 @dataclass(frozen=True)
 class CycleLog:
-    """Per-cycle simulation record."""
+    """Per-cycle simulation record.  ``t0``/``prior_cov`` are the cycle's
+    covariance anchor: the cycle start (k-1)T and the covariance there."""
 
     cycle: int
     policy: str
@@ -157,9 +159,11 @@ def decision_cycles(
     """Yield (instance, policy's evaluation) for cycles k = 1 .. ``cycles``:
     the decision steps of ``run_simulation`` and ``ospkit oracle``.
 
-    The covariance anchor starts at (t0 = 0, P = initial_cov) and moves to
-    (last harvested timestamp, ``ev.running_cov``) after every cycle that
-    harvests something.  The run is checked when this is called, before
+    The covariance anchor is the cycle start: (t0 = 0, P = initial_cov),
+    then after cycle k (kT, ``ev.running_cov`` predicted to kT from the
+    last harvested timestamp, or from (k-1)T), whose trace is ``ev.mse``.
+    So every interval lies inside one cycle, and the work per cycle does
+    not grow with k.  The run is checked when this is called, before
     cycle 1: a cycle count below 1, an unknown policy, a channel whose
     observer count differs from the model's, an airtime trace shorter than
     the run, or an ``initial_cov`` that is not a finite, symmetric, positive
@@ -194,7 +198,7 @@ def decision_cycles(
 
 def _cycles(model, channel, policy, P0, cycles):
     """The loop of ``decision_cycles``, on a checked run."""
-    t0, prior_cov = 0.0, P0
+    prior_cov = P0
     for k in range(1, cycles + 1):
         obs_air, act_air = sample_airtimes(channel, k)
         ctx = scheduler.CycleContext(
@@ -205,20 +209,21 @@ def _cycles(model, channel, policy, P0, cycles):
             action_airtimes=tuple(act_air),
             T=model.T,
             cycle_index=k,
-            t0=t0,
+            t0=(k - 1) * model.T,
             prior_cov=prior_cov,
         )
         ev = scheduler.decide(policy, ctx, model)
         yield ctx, ev
-        if ev.seq:
-            t0, prior_cov = ctx.candidates[ev.seq[-1]].timestamp, ev.running_cov
+        t_last = ctx.candidates[ev.seq[-1]].timestamp if ev.seq else ctx.t0
+        prior_cov = kalman.predict_cov(model, ev.running_cov, t_last, ctx.cycle_end)
 
 
-def _fuse(model: SystemModel, xh, P, t: float, inputs, observed):
+def _fuse(model: SystemModel, xh, P, t: float, u, observed):
     """Fuse (candidate, value) pairs in order into the estimate (xh, P)
-    held at time t; returns the estimate and time of the last one."""
+    held at time t, under the cycle's input ``u``; returns the estimate and
+    time of the last one."""
     for c, y in observed:
-        xh = kalman.propagate_estimate(model, xh, inputs, t, c.timestamp)
+        xh = kalman.propagate_estimate(model, xh, u, t, c.timestamp)
         P = kalman.predict_cov(model, P, t, c.timestamp)
         xh, P = kalman.update_estimate(
             xh, P, y, model.obs_row(c.observer), model.obs_var(c.observer)
@@ -238,20 +243,29 @@ def run_simulation(
 ) -> list[CycleLog]:
     """Run K decision cycles under the given policy and return the logs.
 
-    The estimate anchor starts at (t0 = 0, P = initial_cov, default I).
-    Policy ``all`` harvests every candidate ignoring the budget; ``none``
-    harvests nothing.  The true state is advanced through every candidate
-    timestamp regardless of selection so that all policies on one seed see
-    the same trajectory; observation values are synthesized only for the
-    chosen sequence.  A non-finite predicted MSE or squared error raises
-    NumericError; a bad run (``decision_cycles`` lists the checks) raises
-    ConfigError before the initial state is drawn.
+    The estimate starts at (xh = 0, P = initial_cov, default I) and, like
+    ``decision_cycles``' anchor, is carried to every cycle boundary.
+    ``inputs`` maps j to the action vector (one entry per agent) held over
+    cycle j+1, [jT, (j+1)T], for j = 0 .. K-1; ``None`` means zero input
+    throughout.  Policy ``all``
+    harvests every candidate ignoring the budget; ``none`` harvests
+    nothing.  The true state is advanced through every candidate timestamp
+    regardless of selection so that all policies on one seed see the same
+    trajectory; observation values are synthesized only for the chosen
+    sequence.  A non-finite predicted MSE or squared error raises
+    NumericError; a bad run (``decision_cycles`` lists the checks, and
+    ``inputs`` missing a cycle) raises ConfigError before the initial state
+    is drawn.
     """
     S = model.n_states
     P0 = np.eye(S) if initial_cov is None else np.asarray(initial_cov, dtype=float)
     # Check the run before the initial state is drawn from N(0, P0).
     cycles = decision_cycles(model, cfg, policy, P0, K)
-    xh = np.zeros(S)  # the estimate's mean, held at the covariance anchor
+    missing = [] if inputs is None else [j for j in range(K) if j not in inputs]
+    if missing:
+        shown = ", ".join(map(str, missing[:10])) + (", ..." if len(missing) > 10 else "")
+        raise ConfigError(f"inputs lacks {len(missing)} of cycles 0..{K - 1}: {shown}")
+    xh = np.zeros(S)  # the estimate's mean at the cycle start
     t_true = 0.0
 
     rng_proc = np.random.default_rng([cfg.seed, _PROCESS_TAG])
@@ -269,25 +283,24 @@ def run_simulation(
 
     logs: list[CycleLog] = []
     for ctx, ev in cycles:
+        u = None if inputs is None else inputs[ctx.cycle_index - 1]
         # Advance the true state through all candidate timestamps, then to kT.
         true_at = []
         for t in [c.timestamp for c in ctx.candidates] + [ctx.cycle_end]:
-            x_true = step_true_state(model, x_true, inputs, t_true, t, rng_proc)
+            x_true = step_true_state(model, x_true, u, t_true, t, rng_proc)
             t_true = t
             true_at.append(x_true)
 
-        # Executive's estimate: fuse the chosen observations in order.  With
-        # none chosen, xh and t_est stay at the anchor, as decision_cycles'
-        # covariance anchor does.
+        # Executive's estimate: fuse the chosen observations in order.
         observed = []
         for i in ev.seq:
             c = ctx.candidates[i]
             noise = np.sqrt(model.obs_var(c.observer)) * rng_obs.standard_normal()
             observed.append((c, float(model.obs_row(c.observer) @ true_at[i]) + noise))
-        xh, _, t_est = _fuse(model, xh, ctx.prior_cov, ctx.t0, inputs, observed)
+        xh, _, t_est = _fuse(model, xh, ctx.prior_cov, ctx.t0, u, observed)
 
-        xh_boundary = kalman.propagate_estimate(model, xh, inputs, t_est, ctx.cycle_end)
-        sq_err = float(np.sum((x_true - xh_boundary) ** 2))
+        xh = kalman.propagate_estimate(model, xh, u, t_est, ctx.cycle_end)
+        sq_err = float(np.sum((x_true - xh) ** 2))
         if not math.isfinite(sq_err):
             raise NumericError(f"cycle {ctx.cycle_index}: squared error is {sq_err}")
 
@@ -302,7 +315,7 @@ def run_simulation(
                 mse_pred=ev.mse,
                 sq_err=sq_err,
                 true_state=x_true.copy(),
-                est_state=xh_boundary,
+                est_state=xh,
                 nodes_visited=ev.nodes_visited,
                 t0=ctx.t0,
                 prior_cov=ctx.prior_cov,

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from ospkit import (
-    ConfigError,
     DomainError,
     Observation,
     OrderingError,
@@ -242,19 +241,8 @@ class TestEstimatePropagation:
     def test_scalar_integrator_with_input(self):
         # a = 0, b = 2: x(t) = x(s) + b u (t - s) within one cycle.
         model = scalar_model(a=0.0, b=2.0, q=0.0, T=1.0)
-        got = propagate_estimate(model, np.array([3.0]), {0: np.array([0.5])}, 0.2, 0.9)
+        got = propagate_estimate(model, np.array([3.0]), np.array([0.5]), 0.2, 0.9)
         assert got[0] == pytest.approx(3.0 + 2.0 * 0.5 * 0.7, rel=1e-12)
-
-    def test_segment_chaining_across_boundaries(self):
-        # Propagating over two cycles in one call must equal two chained
-        # single-cycle calls (inputs switch at the boundary).
-        model = scalar_model(a=-1.0, b=2.0, q=0.0, T=1.0)
-        inputs = {0: np.array([0.5]), 1: np.array([-0.25])}
-        x = np.array([3.0])
-        full = propagate_estimate(model, x, inputs, 0.3, 1.7)
-        mid = propagate_estimate(model, x, inputs, 0.3, 1.0)
-        split = propagate_estimate(model, mid, inputs, 1.0, 1.7)
-        np.testing.assert_allclose(full, split, rtol=1e-12)
 
     def test_semigroup_zero_input(self):
         model = make_model(C_MIX, np.diag([1e-2] * 6), (T3,) * 6)
@@ -262,11 +250,6 @@ class TestEstimatePropagation:
         full = propagate_estimate(model, x, None, 0.0, 0.008)
         split = propagate_estimate(model, propagate_estimate(model, x, None, 0.0, 0.003), None, 0.003, 0.008)
         np.testing.assert_allclose(full, split, rtol=1e-9)
-
-    def test_missing_cycle_input_raises(self):
-        model = scalar_model(a=0.0, b=1.0, T=1.0)
-        with pytest.raises(ConfigError):
-            propagate_estimate(model, np.array([0.0]), {0: np.array([1.0])}, 0.0, 2.5)
 
 
 class TestUpdateEstimate:

@@ -70,6 +70,15 @@ class TestDiscretize:
         run_simulation(cfg.model, cfg.channel, "bnb", 300, initial_cov=cfg.initial_cov())
         assert 0 < len(cfg.model._disc_cache) <= 32
 
+    def test_prediction_only_run_cache_stays_small(self, tmp_path):
+        # Bounded work per cycle, without timing it: a run that never
+        # harvests still predicts from the cycle start, so the interval
+        # lengths do not grow with the cycle index (an anchor left at t = 0
+        # would add the new length kT every cycle and fill the cache).
+        cfg = preset_run(tmp_path, "unconstrained")
+        run_simulation(cfg.model, cfg.channel, "none", 1600, initial_cov=cfg.initial_cov())
+        assert 0 < len(cfg.model._disc_cache) <= 32
+
 
 class TestWarmCache:
     @staticmethod

@@ -14,6 +14,7 @@ from ospkit import (
     ConfigError,
     DomainError,
     NumericError,
+    cycle_candidates,
     decision_cycles,
     dynamics,
     run_simulation,
@@ -185,6 +186,40 @@ class TestRunSimulation:
         with pytest.raises(ConfigError, match="1 rows, run needs 2"):
             run_simulation(model, cfg, "bnb", 2)
 
+    def test_switching_inputs_integrate_exactly(self):
+        # Noiseless integrator x' = b u under an input that switches every
+        # cycle: after cycle k both the true state and the estimate (mean
+        # 0 at t = 0) have gained b T sum_{j<k} u_j.  The observer's period
+        # puts candidates inside cycles, and on their ends (t = 2, 4).
+        b, T, x0 = 2.0, 1.0, 3.0
+        model = scalar_model(a=0.0, b=b, q=0.0, T=T, period=0.4)
+        inputs = {j: [(-1.0) ** j * (0.5 + 0.1 * j)] for j in range(8)}
+        logs = run_simulation(
+            model, chan(1, 1e-4, 2e-4), "none", 8,
+            initial_state=np.array([x0]), inputs=inputs,
+        )
+        gained = 0.0
+        for log in logs:
+            gained += b * T * inputs[log.cycle - 1][0]
+            assert log.true_state[0] == pytest.approx(x0 + gained, rel=1e-12, abs=1e-12)
+            assert log.est_state[0] == pytest.approx(gained, rel=1e-12, abs=1e-12)
+
+    def test_input_at_cycle_end_is_the_cycles_own(self):
+        # rate-slow's candidate at 0.53 = 53 T ends cycle 53; stepping to it
+        # must use inputs[52], not look up inputs[53] past the run.
+        cfg = parse_config_dict(preset_config("rate-slow"))
+        assert any(c.timestamp == 53 * cfg.model.T for c in cycle_candidates(cfg.model, 53))
+        inputs = {j: [1.0] for j in range(53)}
+        logs = run_simulation(cfg.model, cfg.channel, "bnb", 53, inputs=inputs)
+        assert len(logs) == 53
+
+    def test_missing_inputs_raise_before_cycle_one(self, model):
+        # Every missing cycle index is named, which a failure midway through
+        # the run could not do.
+        inputs = {j: [0.1] for j in range(12) if j not in (3, 11)}
+        with pytest.raises(ConfigError, match=r"inputs lacks 2 of cycles 0\.\.11: 3, 11$"):
+            run_simulation(model, chan(6, 1e-4, 2e-4), "bnb", 12, inputs=inputs)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_squared_error_raises(self):
         # The predicted MSE stays finite; only the realized error overflows.
@@ -214,16 +249,24 @@ class TestDecisionCycles:
         cfg = parse_config_dict(preset_config(name))
         return cfg.model, cfg.channel, cfg.initial_cov()
 
-    @pytest.mark.parametrize("policy", ["bnb", "greedy", "all"])
+    @pytest.mark.parametrize("policy", ["bnb", "greedy", "all", "none"])
     @pytest.mark.parametrize("name", PRESETS)
     def test_anchor_matches_simulation_log(self, name, policy):
+        # The anchor is the cycle start, and its covariance is the previous
+        # cycle's boundary prediction: the same predict_cov call as that
+        # cycle's MSE, so the bits match.
         model, channel, P0 = self.preset(name)
         logs = run_simulation(model, channel, policy, 30, initial_cov=P0)
         cycles = list(decision_cycles(model, channel, policy, P0, 30))
         assert len(cycles) == len(logs) == 30
+        prev_mse = None
         for log, (ctx, ev) in zip(logs, cycles):
             assert (ctx.cycle_index, ctx.t0, ev.seq) == (log.cycle, log.t0, log.seq)
             assert np.array_equal(ctx.prior_cov, log.prior_cov)
+            assert ctx.t0 == ctx.cycle_start
+            if prev_mse is not None:
+                assert float(np.trace(ctx.prior_cov)) == prev_mse
+            prev_mse = ev.mse
 
     @pytest.mark.parametrize("policy", ["bnb", "greedy", "all"])
     @pytest.mark.parametrize("name", PRESETS)
