@@ -256,19 +256,20 @@ def _r_from_bitstring(bits: str) -> list[list[float]]:
     return R
 
 
-def _single_observer_rate(period: float) -> dict:
+def _scenario(C, R, periods, obs_airtime, action_airtime, cycles: int) -> dict:
+    """Preset skeleton over the shared plant (_A, _B, _Q, _T)."""
     return {
         "model": {
-            "A": _A, "B": _B, "C": [_C2[0]], "Q": _Q,
-            "R": [[SIGMA0_SQ]], "T": _T, "observer_periods": [period],
+            "A": _A, "B": _B, "C": C, "Q": _Q, "R": R, "T": _T,
+            "observer_periods": periods,
         },
-        "channel": {
-            "seed": 0,
-            "obs_airtime": [[1e-4, 2e-4]],
-            "action_airtime": [[1e-4, 2e-4]],
-        },
-        "run": {"policy": "bnb", "cycles": 200, "initial_cov_scale": 1.0},
+        "channel": {"seed": 0, "obs_airtime": obs_airtime, "action_airtime": action_airtime},
+        "run": {"policy": "bnb", "cycles": cycles, "initial_cov_scale": 1.0},
     }
+
+
+def _single_observer_rate(period: float) -> dict:
+    return _scenario([_C2[0]], [[SIGMA0_SQ]], [period], [[1e-4, 2e-4]], [[1e-4, 2e-4]], 200)
 
 
 def _blackout(bits: str) -> dict:
@@ -276,35 +277,16 @@ def _blackout(bits: str) -> dict:
     # C2 is used because its rows excite every state; under C1 the third
     # state's -1000 eigenvalue makes observers 4/5 carry almost no boundary
     # MSE, and a noisy duplicate of another direction would beat them.
-    return {
-        "model": {
-            "A": _A, "B": _B, "C": _C2, "Q": _Q,
-            "R": _r_from_bitstring(bits), "T": _T,
-            "observer_periods": [_T] * 6,
-        },
-        "channel": {
-            "seed": 0,
-            "obs_airtime": [[1.0e-3, 1.2e-3]] * 6,
-            "action_airtime": [[4.95e-3, 5.05e-3]],
-        },
-        "run": {"policy": "bnb", "cycles": 100, "initial_cov_scale": 1.0},
-    }
+    return _scenario(
+        _C2, _r_from_bitstring(bits), [_T] * 6,
+        [[1.0e-3, 1.2e-3]] * 6, [[4.95e-3, 5.05e-3]], 100,
+    )
 
 
 def _unconstrained() -> dict:
-    return {
-        "model": {
-            "A": _A, "B": _B, "C": _C1, "Q": _Q,
-            "R": _r_from_bitstring("000000"), "T": _T,
-            "observer_periods": [_T] * 6,
-        },
-        "channel": {
-            "seed": 0,
-            "obs_airtime": [[1e-4, 2e-4]] * 6,
-            "action_airtime": [[1e-4, 2e-4]],
-        },
-        "run": {"policy": "bnb", "cycles": 100, "initial_cov_scale": 1.0},
-    }
+    return _scenario(
+        _C1, _r_from_bitstring("000000"), [_T] * 6, [[1e-4, 2e-4]] * 6, [[1e-4, 2e-4]], 100
+    )
 
 
 def _baseline(kind: str) -> dict:
@@ -318,17 +300,11 @@ def _baseline(kind: str) -> dict:
     else:
         obs_air = [[1e-4, 1e-4], [1e-4, 1e-4], [1e-4, 1e-4]]
         act_air = [[1e-4, 1e-4]]
-    return {
-        "model": {
-            "A": _A, "B": _B,
-            "C": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]],
-            "Q": _Q,
-            "R": [[SIGMA0_SQ, 0.0, 0.0], [0.0, SIGMA1_SQ, 0.0], [0.0, 0.0, 1e-4]],
-            "T": _T, "observer_periods": [_T] * 3,
-        },
-        "channel": {"seed": 0, "obs_airtime": obs_air, "action_airtime": act_air},
-        "run": {"policy": "bnb", "cycles": 50, "initial_cov_scale": 1.0},
-    }
+    return _scenario(
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]],
+        [[SIGMA0_SQ, 0.0, 0.0], [0.0, SIGMA1_SQ, 0.0], [0.0, 0.0, 1e-4]],
+        [_T] * 3, obs_air, act_air, 50,
+    )
 
 
 _PRESETS = {

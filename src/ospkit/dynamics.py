@@ -1,10 +1,11 @@
 """Dense small-matrix numerics for continuous-time LTI discretization.
 
-Provides the state-transition matrix Phi(s, t) = e^{A(t-s)}, the
-zero-order-hold input integral Lambda(r, s, t), and the integrated
-process-noise covariance Q(s, t).  The input integral and the noise
-covariance are both computed through augmented block exponentials, so a
-singular state matrix A is supported everywhere.
+Provides the three exact operators over one interval [s, t]: the
+state-transition matrix Phi(s, t) = e^{A(t-s)}, the zero-order-hold input
+matrix Lambda(s, t) and the integrated process-noise covariance Q(s, t).
+Each is one exponential of a (block) matrix scaled by t - s (Van Loan,
+IEEE TAC 1978), so a singular state matrix A is supported everywhere and
+a zero-length interval gives exactly I or zeros.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import scipy.linalg
 from .errors import DimensionError, DomainError, OrderingError
 
 __all__ = [
-    "mat_exp",
     "phi",
     "input_integral",
     "noise_cov",
@@ -37,40 +37,36 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
-def mat_exp(M, t: float) -> np.ndarray:
-    """e^{M t} via scaling-and-squaring with a Pade approximant.
+def _length(name: str, s: float, t: float) -> float:
+    """Length t - s of [s, t]: the one endpoint check of phi, input_integral, noise_cov.
 
-    ``t`` may be zero or negative.  Raises :class:`DimensionError` for a
-    non-square ``M`` and :class:`DomainError` for non-finite input.
+    Raises :class:`DomainError` for a non-finite length (either endpoint
+    infinite or NaN) and :class:`OrderingError` for s > t.
     """
-    M = _as_square(M)
-    if not np.isfinite(t):
-        raise DomainError(f"t must be finite, got {t}")
-    if t == 0.0:
-        return np.eye(M.shape[0])
-    return scipy.linalg.expm(M * t)
+    d = t - s
+    if not np.isfinite(d):
+        raise DomainError(f"{name} requires finite s and t, got s={s}, t={t}")
+    if s > t:
+        raise OrderingError(f"{name} requires s <= t, got s={s}, t={t}")
+    return d
 
 
 def phi(A, s: float, t: float) -> np.ndarray:
     """State-transition matrix e^{A(t-s)} for s <= t; Phi(s, s) = I exactly."""
     A = _as_square(A, "A")
-    if s > t:
-        raise OrderingError(f"phi requires s <= t, got s={s}, t={t}")
-    if s == t:
-        return np.eye(A.shape[0])
-    return mat_exp(A, t - s)
+    return scipy.linalg.expm(A * _length("phi", s, t))
 
 
-def input_integral(A, B, r: float, s: float, t: float) -> np.ndarray:
-    """ZOH input matrix Lambda(r, s, t) = e^{A(t-s)} (int_0^{s-r} e^{A tau} dtau) B.
+def input_integral(A, B, s: float, t: float) -> np.ndarray:
+    """ZOH input matrix Lambda(s, t) = (int_0^{t-s} e^{A tau} dtau) B for s <= t.
 
     Computed with the augmented block exponential
 
-        exp([[A, I], [0, 0]] * (s-r)) = [[e^{A d}, int_0^d e^{A tau} dtau],
-                                         [0,       I]],
+        exp([[A, I], [0, 0]] * d) = [[e^{A d}, int_0^d e^{A tau} dtau],
+                                     [0,       I]],
 
     which supports singular A and coincides with A^{-1}(e^{A d} - I) when A
-    is invertible.  Requires r <= s <= t.
+    is invertible.  Lambda(s, s) = 0 exactly.
     """
     A = _as_square(A, "A")
     B = np.asarray(B, dtype=float)
@@ -79,15 +75,11 @@ def input_integral(A, B, r: float, s: float, t: float) -> np.ndarray:
     n = A.shape[0]
     if B.shape[0] != n:
         raise DimensionError(f"B must have {n} rows, got shape {B.shape}")
-    if not (r <= s <= t):
-        raise OrderingError(f"input_integral requires r <= s <= t, got {r}, {s}, {t}")
-    if r == s:
-        return np.zeros_like(B)
+    d = _length("input_integral", s, t)
     aug = np.zeros((2 * n, 2 * n))
     aug[:n, :n] = A
     aug[:n, n:] = np.eye(n)
-    G = scipy.linalg.expm(aug * (s - r))[:n, n:]
-    return phi(A, s, t) @ G @ B
+    return scipy.linalg.expm(aug * d)[:n, n:] @ B
 
 
 # Substep length cap for noise_cov, in units of 1 / ||A||: the Van Loan
@@ -125,11 +117,7 @@ def noise_cov(A, Q, s: float, t: float) -> np.ndarray:
         raise DimensionError(f"Q must match A's dimension {n}, got {Q.shape}")
     if np.abs(Q - Q.T).max() > 1e-10 * max(np.abs(Q).max(), 1.0):
         raise DomainError("Q must be symmetric")
-    if s > t:
-        raise OrderingError(f"noise_cov requires s <= t, got s={s}, t={t}")
-    if s == t:
-        return np.zeros((n, n))
-    d = t - s
+    d = _length("noise_cov", s, t)
     steps = max(1, int(np.ceil(d * np.linalg.norm(A, np.inf) / _VAN_LOAN_MAX_SCALE)))
     h = d / steps
     Qh = _van_loan_step(A, Q, h)

@@ -137,9 +137,9 @@ class SystemModel:
         return entry[0], entry[1]
 
     def input_lambda(self, dt: float) -> np.ndarray:
-        """ZOH input matrix Lambda(0, dt, dt), memoized with ``discretize``."""
+        """ZOH input matrix Lambda over length dt, memoized with ``discretize``."""
         self.discretize(dt)
         entry = self._disc_cache[dt]
         if entry[2] is None:
-            entry[2] = dynamics.input_integral(self.A, self.B, 0.0, dt, dt)
+            entry[2] = dynamics.input_integral(self.A, self.B, 0.0, dt)
         return entry[2]

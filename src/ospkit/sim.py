@@ -245,26 +245,33 @@ def run_simulation(
 
     The estimate starts at (xh = 0, P = initial_cov, default I) and, like
     ``decision_cycles``' anchor, is carried to every cycle boundary.
-    ``inputs`` maps j to the action vector (one entry per agent) held over
-    cycle j+1, [jT, (j+1)T], for j = 0 .. K-1; ``None`` means zero input
-    throughout.  Policy ``all``
-    harvests every candidate ignoring the budget; ``none`` harvests
-    nothing.  The true state is advanced through every candidate timestamp
-    regardless of selection so that all policies on one seed see the same
-    trajectory; observation values are synthesized only for the chosen
-    sequence.  A non-finite predicted MSE or squared error raises
+    ``inputs`` maps j to the action vector held over cycle j+1,
+    [jT, (j+1)T], for j = 0 .. K-1; each vector has exactly
+    ``model.n_agents`` entries once flattened.  ``None`` means zero input
+    throughout.  Policy ``all`` harvests every candidate ignoring the
+    budget; ``none`` harvests nothing.  The true state is advanced through
+    every candidate timestamp regardless of selection so that all policies
+    on one seed see the same trajectory; observation values are synthesized
+    only for the chosen sequence.  A non-finite predicted MSE or squared error raises
     NumericError; a bad run (``decision_cycles`` lists the checks, and
-    ``inputs`` missing a cycle) raises ConfigError before the initial state
-    is drawn.
+    ``inputs`` missing a cycle or with a vector of the wrong length) raises
+    ConfigError before the initial state is drawn.
     """
     S = model.n_states
     P0 = np.eye(S) if initial_cov is None else np.asarray(initial_cov, dtype=float)
     # Check the run before the initial state is drawn from N(0, P0).
     cycles = decision_cycles(model, cfg, policy, P0, K)
-    missing = [] if inputs is None else [j for j in range(K) if j not in inputs]
-    if missing:
-        shown = ", ".join(map(str, missing[:10])) + (", ..." if len(missing) > 10 else "")
-        raise ConfigError(f"inputs lacks {len(missing)} of cycles 0..{K - 1}: {shown}")
+    if inputs is not None:
+        missing = [j for j in range(K) if j not in inputs]
+        if missing:
+            shown = ", ".join(map(str, missing[:10])) + (", ..." if len(missing) > 10 else "")
+            raise ConfigError(f"inputs lacks {len(missing)} of cycles 0..{K - 1}: {shown}")
+        for j in range(K):
+            if np.size(inputs[j]) != model.n_agents:
+                raise ConfigError(
+                    f"inputs[{j}] has {np.size(inputs[j])} entries, "
+                    f"model has {model.n_agents} agents"
+                )
     xh = np.zeros(S)  # the estimate's mean at the cycle start
     t_true = 0.0
 

@@ -33,31 +33,28 @@ def noise_cov_quadrature(A, Q, dt):
     return val
 
 
-def input_integral_quadrature(A, B, r, s, t):
-    # Constant input over [r, s] propagated to t: int_r^s e^{A(t-sig)} B dsig.
+def input_integral_quadrature(A, B, s, t):
+    # Constant input held over [s, t], evaluated at t: int_s^t e^{A(t-sig)} B dsig.
     def integrand(sig):
         return scipy.linalg.expm(A * (t - sig)) @ B
 
-    val, _ = scipy.integrate.quad_vec(integrand, r, s, epsabs=1e-14)
+    val, _ = scipy.integrate.quad_vec(integrand, s, t, epsabs=1e-14)
     return val
 
 
 class TestMatExp:
     def test_zero_matrix(self):
-        np.testing.assert_array_equal(dynamics.mat_exp(np.zeros((3, 3)), 1.7), np.eye(3))
-
-    def test_zero_time(self):
-        np.testing.assert_array_equal(dynamics.mat_exp(A3, 0.0), np.eye(3))
+        np.testing.assert_array_equal(dynamics.phi(np.zeros((3, 3)), 0.0, 1.7), np.eye(3))
 
     def test_diagonal_closed_form(self):
         D = np.diag([-1.0, 2.5, 0.0])
-        got = dynamics.mat_exp(D, 0.3)
+        got = dynamics.phi(D, 0.0, 0.3)
         np.testing.assert_allclose(got, np.diag(np.exp(0.3 * np.diag(D))), rtol=1e-14)
 
     def test_against_taylor_series(self):
         # Stiff plant needs a small step for the series to be well conditioned.
         for t in (1e-4, 1e-3):
-            got = dynamics.mat_exp(A3, t)
+            got = dynamics.phi(A3, 0.0, t)
             want = expm_taylor(A3 * t)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
 
@@ -67,22 +64,23 @@ class TestMatExp:
             n = int(rng.integers(1, 7))
             A, _ = random_stable_system(rng, n)
             s, u = np.sort(rng.uniform(0.0, 0.5, size=2))
-            full = dynamics.mat_exp(A, s + u)
-            split = dynamics.mat_exp(A, u) @ dynamics.mat_exp(A, s)
+            full = dynamics.phi(A, 0.0, s + u)
+            split = dynamics.phi(A, 0.0, u) @ dynamics.phi(A, 0.0, s)
             np.testing.assert_allclose(full, split, rtol=1e-9, atol=1e-12)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionError):
-            dynamics.mat_exp(np.zeros((2, 3)), 1.0)
+            dynamics.phi(np.zeros((2, 3)), 0.0, 1.0)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
-            dynamics.mat_exp(np.array([[np.nan]]), 1.0)
+            dynamics.phi(np.array([[np.nan]]), 0.0, 1.0)
 
 
 class TestPhi:
     def test_identity_at_equal_times(self):
-        np.testing.assert_array_equal(dynamics.phi(A3, 0.37, 0.37), np.eye(3))
+        for s in (0.0, 0.37):
+            np.testing.assert_array_equal(dynamics.phi(A3, s, s), np.eye(3))
 
     def test_scalar_closed_form(self):
         a = -2.0
@@ -96,45 +94,41 @@ class TestPhi:
 
 class TestInputIntegral:
     def test_empty_hold_interval(self):
-        got = dynamics.input_integral(A3, B3, 0.2, 0.2, 0.5)
+        got = dynamics.input_integral(A3, B3, 0.2, 0.2)
         np.testing.assert_array_equal(got, np.zeros((3, 1)))
 
     def test_scalar_closed_form(self):
-        # d/ds of e^{a(t-s)} integrates to (b/a) e^{a(t-s)} (e^{a(s-r)} - 1).
-        a, b, r, s, t = -3.0, 2.0, 0.1, 0.4, 0.9
-        got = dynamics.input_integral(np.array([[a]]), np.array([[b]]), r, s, t)
-        want = (b / a) * np.exp(a * (t - s)) * (np.exp(a * (s - r)) - 1.0)
+        # int_0^{t-s} e^{a tau} b dtau = (b/a) (e^{a(t-s)} - 1).
+        a, b, s, t = -3.0, 2.0, 0.1, 0.4
+        got = dynamics.input_integral(np.array([[a]]), np.array([[b]]), s, t)
+        want = (b / a) * (np.exp(a * (t - s)) - 1.0)
         np.testing.assert_allclose(got, [[want]], rtol=1e-12)
 
     def test_singular_A(self):
-        # Integrator chain: A = 0 gives exactly (s - r) * B.
+        # Integrator chain: A = 0 gives exactly (t - s) * B.
         A = np.zeros((2, 2))
         B = np.array([[1.0], [3.0]])
-        got = dynamics.input_integral(A, B, 0.0, 0.25, 1.0)
+        got = dynamics.input_integral(A, B, 0.0, 0.25)
         np.testing.assert_allclose(got, 0.25 * B, rtol=1e-13)
 
     def test_against_quadrature(self):
-        got = dynamics.input_integral(A3, B3, 0.001, 0.004, 0.01)
-        want = input_integral_quadrature(A3, B3, 0.001, 0.004, 0.01)
+        got = dynamics.input_integral(A3, B3, 0.001, 0.004)
+        want = input_integral_quadrature(A3, B3, 0.001, 0.004)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
     def test_invertible_closed_form(self):
-        # A^{-1} (e^{A(t-r)} - e^{A(t-s)}) B for invertible A.
+        # A^{-1} (e^{A(t-s)} - I) B for invertible A.
         rng = np.random.default_rng(3)
         A, _ = random_stable_system(rng, 4)
         B = rng.normal(size=(4, 2))
-        r, s, t = 0.0, 0.3, 0.7
-        want = np.linalg.solve(
-            A, (scipy.linalg.expm(A * (t - r)) - scipy.linalg.expm(A * (t - s))) @ B
-        )
-        got = dynamics.input_integral(A, B, r, s, t)
+        s, t = 0.3, 0.7
+        want = np.linalg.solve(A, (scipy.linalg.expm(A * (t - s)) - np.eye(4)) @ B)
+        got = dynamics.input_integral(A, B, s, t)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
 
     def test_rejects_bad_ordering(self):
         with pytest.raises(OrderingError):
-            dynamics.input_integral(A3, B3, 0.5, 0.4, 1.0)
-        with pytest.raises(OrderingError):
-            dynamics.input_integral(A3, B3, 0.0, 0.6, 0.5)
+            dynamics.input_integral(A3, B3, 0.6, 0.5)
 
 
 class TestNoiseCov:
@@ -182,3 +176,18 @@ class TestNoiseCov:
     def test_rejects_asymmetric_Q(self):
         with pytest.raises((DomainError, DimensionError)):
             dynamics.noise_cov(A3, np.array([[1.0, 0.5, 0], [0, 1, 0], [0, 0, 1]]), 0.0, 0.1)
+
+
+@pytest.mark.parametrize("s, t", [(0.0, np.inf), (0.0, np.nan), (np.inf, np.inf), (np.nan, 0.0)])
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda s, t: dynamics.phi(A3, s, t),
+        lambda s, t: dynamics.input_integral(A3, B3, s, t),
+        lambda s, t: dynamics.noise_cov(A3, Q3, s, t),
+    ],
+    ids=["phi", "input_integral", "noise_cov"],
+)
+def test_rejects_nonfinite_endpoints(op, s, t):
+    with pytest.raises(DomainError):
+        op(s, t)

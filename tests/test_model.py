@@ -35,7 +35,7 @@ class TestDiscretize:
             assert np.array_equal(Phi, dynamics.phi(A3, s, t))
             assert np.array_equal(Qd, dynamics.noise_cov(A3, Q3, s, t))
             Lam = model.input_lambda(t - s)
-            assert np.array_equal(Lam, dynamics.input_integral(A3, B3, s, t, t))
+            assert np.array_equal(Lam, dynamics.input_integral(A3, B3, s, t))
 
     def test_zero_length_is_exact(self, model):
         Phi, Qd = model.discretize(0.0)

@@ -220,6 +220,17 @@ class TestRunSimulation:
         with pytest.raises(ConfigError, match=r"inputs lacks 2 of cycles 0\.\.11: 3, 11$"):
             run_simulation(model, chan(6, 1e-4, 2e-4), "bnb", 12, inputs=inputs)
 
+    @pytest.mark.parametrize("bad", [[1.0, 2.0], []])
+    def test_wrong_length_input_raises_before_cycle_one(self, model, bad):
+        # The first offending cycle is named; [[0.1]] flattens to one entry
+        # and is accepted.
+        inputs = {j: [[0.1]] for j in range(5)}
+        inputs[2], inputs[4] = bad, [1.0, 2.0, 3.0]
+        with pytest.raises(
+            ConfigError, match=rf"^inputs\[2\] has {len(bad)} entries, model has 1 agents$"
+        ):
+            run_simulation(model, chan(6, 1e-4, 2e-4), "bnb", 5, inputs=inputs)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_squared_error_raises(self):
         # The predicted MSE stays finite; only the realized error overflows.
