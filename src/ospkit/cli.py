@@ -35,7 +35,7 @@ from .config import (
     read_json_object,
     write_csv,
 )
-from .errors import ConfigError, DomainError, NumericError, OspkitError
+from .errors import ConfigError, DimensionError, DomainError, NumericError, OspkitError
 from .model import check_covariance
 
 log = logging.getLogger("ospkit")
@@ -108,11 +108,9 @@ def _cmd_schedule(args) -> int:
     bad = [c.observer for c in ctx.candidates if c.observer not in range(N)]
     if bad:
         raise ConfigError(f"{path}: candidate observers {bad} not in [0, {N})")
-    if ctx.prior_cov.shape != (S, S):
-        raise ConfigError(f"{path}: prior_cov must be {S}x{S}, got {ctx.prior_cov.shape}")
     try:
-        check_covariance("prior_cov", ctx.prior_cov)
-    except DomainError as exc:
+        check_covariance("prior_cov", ctx.prior_cov, S)
+    except (DimensionError, DomainError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     ev = scheduler.decide(args.policy, ctx, model)
     print(f"policy: {args.policy}")

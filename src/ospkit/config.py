@@ -8,15 +8,17 @@ A config file is a single JSON object with four blocks::
                   "R": [[..]], "T": 0.01, "observer_periods": [..]},
       "channel": {"seed": 0,
                   "obs_airtime": [[lo, hi], ..],     # one pair per observer
-                  "action_airtime": [[lo, hi], ..]}  # one pair per agent
+                  "action_airtime": [[lo, hi], ..]}  # one pair per action
                   # or instead of the two distributions:
                   # "trace_path": "airtimes.txt"
       "run":     {"policy": "bnb", "cycles": 100, "initial_cov_scale": 1.0},
       "output":  {"csv": "out.csv"}                  # optional
     }
 
-A trace file has one line per cycle: comma-separated per-observer airtimes
-followed by per-agent airtimes.
+A trace file has one line per cycle, blank lines skipped, so trace row k is
+the k-th non-blank line: comma-separated observer airtimes, then the action
+airtimes, every line as wide as the first.  ``SystemModel`` checks the
+model block and ``ChannelConfig`` every airtime.
 """
 
 from __future__ import annotations
@@ -61,7 +63,9 @@ class ExperimentConfig:
         return self.initial_cov_scale * np.eye(self.model.n_states)
 
 
-def _read_trace(path: Path, n_obs: int, n_act: int) -> tuple[tuple[float, ...], ...]:
+def _read_trace(path: Path) -> tuple[tuple[float, ...], ...]:
+    """Parse a trace file's non-blank lines; every line must have the first
+    one's width.  Ranges are ``ChannelConfig``'s to check."""
     rows = []
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.strip()
@@ -71,13 +75,11 @@ def _read_trace(path: Path, n_obs: int, n_act: int) -> tuple[tuple[float, ...], 
             vals = tuple(float(v) for v in line.split(","))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: unparseable airtime: {exc}")
-        if len(vals) != n_obs + n_act:
+        if rows and len(vals) != len(rows[0]):
             raise ConfigError(
-                f"{path}:{lineno}: expected {n_obs + n_act} airtimes "
-                f"({n_obs} observations + {n_act} actions), got {len(vals)}"
+                f"{path}:{lineno}: expected {len(rows[0])} airtimes, as on the "
+                f"first line, got {len(vals)}"
             )
-        if any(not v > 0 for v in vals[:n_obs]) or any(v < 0 for v in vals[n_obs:]):
-            raise ConfigError(f"{path}:{lineno}: airtimes out of range")
         rows.append(vals)
     if not rows:
         raise ConfigError(f"{path}: trace file is empty")
@@ -142,14 +144,12 @@ def parse_config_dict(data: dict, base_dir: Path | None = None) -> ExperimentCon
         )
     elif model is not None:
         try:
+            n_obs = model.n_observers
             if has_trace:
-                n_act = int(cb.get("action_count", model.n_agents))
-                trace = _read_trace(
-                    (base_dir / cb["trace_path"]).resolve(), model.n_observers, n_act
-                )
+                trace = _read_trace((base_dir / cb["trace_path"]).resolve())
                 channel = ChannelConfig(
-                    obs_airtime=_trace_bounds(trace, 0, model.n_observers),
-                    action_airtime=_trace_bounds(trace, model.n_observers, None),
+                    obs_airtime=_trace_bounds(trace, 0, n_obs),
+                    action_airtime=_trace_bounds(trace, n_obs, None),
                     seed=seed,
                     trace=trace,
                 )
@@ -159,11 +159,11 @@ def parse_config_dict(data: dict, base_dir: Path | None = None) -> ExperimentCon
                     action_airtime=tuple(tuple(p) for p in cb.get("action_airtime", ())),
                     seed=seed,
                 )
-                if len(channel.obs_airtime) != model.n_observers:
-                    errors.append(
-                        f"channel.obs_airtime: need {model.n_observers} (lo, hi) "
-                        f"pairs, got {len(channel.obs_airtime)}"
-                    )
+            if len(channel.obs_airtime) != n_obs:
+                errors.append(
+                    f"channel: model has {n_obs} observers, channel has airtimes "
+                    f"for {len(channel.obs_airtime)}"
+                )
         except ConfigError as exc:
             errors.append(str(exc))
         except Exception as exc:

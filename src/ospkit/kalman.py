@@ -92,8 +92,6 @@ def cycle_candidates(model: SystemModel, k: int) -> list[Observation]:
 
 def predict_cov(model: SystemModel, P: np.ndarray, t_i: float, t_j: float) -> np.ndarray:
     """A posteriori -> a priori: Phi P Phi^T + Q over [t_i, t_j], symmetrized."""
-    if t_i > t_j:
-        raise OrderingError(f"predict_cov requires t_i <= t_j, got {t_i}, {t_j}")
     Phi, Qd = model.discretize(t_j - t_i)
     return symmetrize(Phi @ P @ Phi.T + Qd)
 
@@ -163,8 +161,6 @@ def propagate_estimate(
     lies inside one decision cycle, whose action vector is held over it.
     No process noise: this is the estimate's mean.
     """
-    if s > t:
-        raise OrderingError(f"propagate_estimate requires s <= t, got {s}, {t}")
     Phi, _ = model.discretize(t - s)
     x = Phi @ np.asarray(xhat, dtype=float).reshape(-1)
     if u is None:

@@ -18,15 +18,20 @@ _PSD_TOL = -1e-10
 DISC_CACHE_SIZE = 1024
 
 
-def check_covariance(name: str, M: np.ndarray) -> None:
-    """Raise DomainError unless the square matrix M is finite, symmetric
-    within ``_SYM_TOL`` and positive semi-definite within ``_PSD_TOL``."""
+def check_covariance(name: str, M, n: int) -> np.ndarray:
+    """M as an n x n float array; raises DimensionError unless M is n x n and
+    DomainError unless it is finite, symmetric within ``_SYM_TOL`` and
+    positive semi-definite within ``_PSD_TOL``."""
+    M = np.asarray(M, dtype=float)
+    if M.shape != (n, n):
+        raise DimensionError(f"{name} must be {n}x{n}, got {M.shape}")
     if not np.all(np.isfinite(M)):
         raise DomainError(f"{name} contains non-finite entries")
     if np.abs(M - M.T).max() > _SYM_TOL:
         raise DomainError(f"{name} must be symmetric")
     if np.linalg.eigvalsh(dynamics.symmetrize(M)).min() < _PSD_TOL:
         raise DomainError(f"{name} must be positive semi-definite")
+    return M
 
 
 @dataclass(frozen=True)
@@ -34,11 +39,10 @@ class SystemModel:
     """LTI plant x' = Ax + Bu + v, y = Cx + w with periodic sampling.
 
     A is S x S, B is S x M, C is N x S (one row per observer), Q is the S x S
-    process-noise intensity, R the N x N observation-noise covariance
-    (diagonal required: the per-observation scalar updates use only the
-    per-observer variance and would be wrong for cross-correlated noise).
-    T is the decision period and ``observer_periods`` holds the N sampling
-    periods.
+    process-noise intensity, R the N x N observation-noise covariance:
+    diagonal, as the per-observation scalar updates use only the
+    per-observer variance, which must be > 0.  T is the decision period and
+    ``observer_periods`` holds the N sampling periods.
     """
 
     A: np.ndarray
@@ -56,7 +60,6 @@ class SystemModel:
         if B.ndim == 1:
             B = B[:, None]
         C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         R = np.atleast_2d(np.asarray(self.R, dtype=float))
         periods = tuple(float(p) for p in self.observer_periods)
 
@@ -71,18 +74,16 @@ class SystemModel:
         if C.shape[1] != S:
             raise DimensionError(f"C must have {S} columns, got {C.shape}")
         N = C.shape[0]
-        if Q.shape != (S, S):
-            raise DimensionError(f"Q must be {S}x{S}, got {Q.shape}")
+        Q = check_covariance("Q", np.atleast_2d(self.Q), S)
         if R.shape != (N, N):
             raise DimensionError(f"R must be {N}x{N}, got {R.shape}")
-        check_covariance("Q", Q)
         if R.size and np.abs(R - np.diag(np.diag(R))).max() > 0.0:
             raise ConfigError(
                 "R must be diagonal: per-observation scalar updates assume "
                 "uncorrelated observation noise"
             )
-        if np.any(np.diag(R) < 0.0):
-            raise DomainError("R must have a nonnegative diagonal")
+        if not np.all(np.diag(R) > 0.0):
+            raise DomainError("R must have a positive diagonal")
         if not self.T > 0.0:
             raise DomainError(f"decision period T must be > 0, got {self.T}")
         if len(periods) != N:
@@ -125,15 +126,18 @@ class SystemModel:
 
         The plant is time-invariant, so both depend only on dt.  The cache
         keeps the ``DISC_CACHE_SIZE`` lengths added last; a full cache
-        evicts the one added first.
+        evicts the one added first.  A negative or non-finite dt is never
+        cached: ``dynamics.phi`` raises OrderingError or DomainError for it,
+        the one interval check for the callers passing dt = t - s.
         """
         entry = self._disc_cache.get(dt)
         if entry is None:
-            if len(self._disc_cache) >= DISC_CACHE_SIZE:
-                del self._disc_cache[next(iter(self._disc_cache))]
-            entry = self._disc_cache[dt] = [
+            entry = [
                 dynamics.phi(self.A, 0.0, dt), dynamics.noise_cov(self.A, self.Q, 0.0, dt), None
             ]
+            if len(self._disc_cache) >= DISC_CACHE_SIZE:
+                del self._disc_cache[next(iter(self._disc_cache))]
+            self._disc_cache[dt] = entry
         return entry[0], entry[1]
 
     def input_lambda(self, dt: float) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kalman, scheduler
-from .errors import ConfigError, DomainError, NumericError
+from .errors import ConfigError, DimensionError, DomainError, NumericError
 from .model import SystemModel, check_covariance
 
 __all__ = [
@@ -42,11 +42,13 @@ _OBS_NOISE_TAG = 103
 @dataclass(frozen=True)
 class ChannelConfig:
     """Per-cycle block-fading airtimes: one uniform draw per observer and
-    per agent per cycle, or an explicit trace bypassing randomness.
+    per action per cycle, or an explicit trace bypassing randomness.
 
     ``obs_airtime`` / ``action_airtime`` hold (lo, hi) bounds per observer
-    and per agent.  ``trace`` is an optional tuple of per-cycle rows, each
-    the per-observer airtimes followed by the per-agent airtimes.
+    and per action.  ``trace`` is an optional tuple of rows, the k-th for
+    cycle k, each the per-observer airtimes followed by the per-action
+    airtimes.  Every airtime and bound must be finite, observations > 0,
+    actions >= 0 and lo <= hi, or construction raises ConfigError.
     """
 
     obs_airtime: tuple[tuple[float, float], ...]
@@ -55,29 +57,31 @@ class ChannelConfig:
     trace: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
-        # Action airtimes may be 0, as CycleContext and trace files allow;
-        # an observation always occupies the channel.
-        for lo, hi in self.obs_airtime:
-            if not (0.0 < lo <= hi):
+        # Trace rows first, so a trace config names its bad row rather than
+        # the (min, max) bounds derived from it.
+        n_obs = len(self.obs_airtime)
+        want = n_obs + len(self.action_airtime)
+        for i, row in enumerate(self.trace or (), start=1):
+            if not (len(row) == want and all(0.0 < v < math.inf for v in row[:n_obs])
+                    and all(0.0 <= v < math.inf for v in row[n_obs:])):
                 raise ConfigError(
-                    f"obs airtime bounds must satisfy 0 < lo <= hi, got ({lo}, {hi})"
+                    f"trace row {i}: need {want} finite airtimes, observations > 0 "
+                    f"and actions >= 0, got {tuple(row)}"
+                )
+        for lo, hi in self.obs_airtime:
+            if not 0.0 < lo <= hi < math.inf:
+                raise ConfigError(
+                    f"obs airtime bounds must satisfy 0 < lo <= hi < inf, got ({lo}, {hi})"
                 )
         for lo, hi in self.action_airtime:
-            if not (0.0 <= lo <= hi):
+            if not 0.0 <= lo <= hi < math.inf:
                 raise ConfigError(
-                    f"action airtime bounds must satisfy 0 <= lo <= hi, got ({lo}, {hi})"
+                    f"action airtime bounds must satisfy 0 <= lo <= hi < inf, got ({lo}, {hi})"
                 )
-        if self.trace is not None:
-            want = len(self.obs_airtime) + len(self.action_airtime)
-            for i, row in enumerate(self.trace):
-                if len(row) != want:
-                    raise ConfigError(
-                        f"trace line {i + 1}: expected {want} airtimes, got {len(row)}"
-                    )
 
 
 def sample_airtimes(cfg: ChannelConfig, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Airtimes for cycle k: (per-observer, per-agent).
+    """Airtimes for cycle k: (per-observer, per-action).
 
     Deterministic under (seed, k).  With a trace configured, row k-1 is
     used instead of random draws (the trace must cover the cycle).  A cycle
@@ -96,20 +100,16 @@ def sample_airtimes(cfg: ChannelConfig, k: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _noise_factor(Q: np.ndarray) -> np.ndarray:
-    """Symmetric factor F with F F^T = Q, with diagonal jitter fallback."""
+    """Factor F with F F^T = Q: Cholesky when Q is positive definite, else
+    from the eigendecomposition, which needs Q positive semi-definite."""
     try:
         return np.linalg.cholesky(Q)
     except np.linalg.LinAlgError:
         pass
-    jitter = 1e-12 * max(float(np.trace(Q)) / Q.shape[0], 1.0)
-    try:
-        return np.linalg.cholesky(Q + jitter * np.eye(Q.shape[0]))
-    except np.linalg.LinAlgError:
-        # Fall back to an eigendecomposition factor for PSD-but-singular Q.
-        w, V = np.linalg.eigh((Q + Q.T) / 2.0)
-        if w.min() < -jitter:
-            raise NumericError("process-noise covariance is not PSD")
-        return V @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+    w, V = np.linalg.eigh((Q + Q.T) / 2.0)
+    if w.min() < -1e-12 * max(float(np.trace(Q)) / Q.shape[0], 1.0):
+        raise NumericError("process-noise covariance is not PSD")
+    return V @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
 
 
 def step_true_state(
@@ -185,13 +185,9 @@ def decision_cycles(
         raise ConfigError(
             f"airtime trace has {len(channel.trace)} rows, run needs {cycles}"
         )
-    P0 = np.asarray(initial_cov, dtype=float)
-    S = model.n_states
-    if P0.shape != (S, S):
-        raise ConfigError(f"initial_cov must be {S}x{S}, got {P0.shape}")
     try:
-        check_covariance("initial_cov", P0)
-    except DomainError as exc:
+        P0 = check_covariance("initial_cov", initial_cov, model.n_states)
+    except (DimensionError, DomainError) as exc:
         raise ConfigError(str(exc)) from None
     return _cycles(model, channel, policy, P0, cycles)
 
@@ -254,8 +250,9 @@ def run_simulation(
     on one seed see the same trajectory; observation values are synthesized
     only for the chosen sequence.  A non-finite predicted MSE or squared error raises
     NumericError; a bad run (``decision_cycles`` lists the checks, and
-    ``inputs`` missing a cycle or with a vector of the wrong length) raises
-    ConfigError before the initial state is drawn.
+    ``inputs`` missing a cycle, or with a vector of the wrong length or
+    with a non-finite entry) raises ConfigError before the initial state
+    is drawn.
     """
     S = model.n_states
     P0 = np.eye(S) if initial_cov is None else np.asarray(initial_cov, dtype=float)
@@ -272,6 +269,8 @@ def run_simulation(
                     f"inputs[{j}] has {np.size(inputs[j])} entries, "
                     f"model has {model.n_agents} agents"
                 )
+            if not np.isfinite(inputs[j]).all():
+                raise ConfigError(f"inputs[{j}] contains non-finite entries")
     xh = np.zeros(S)  # the estimate's mean at the cycle start
     t_true = 0.0
 

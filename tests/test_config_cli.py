@@ -87,7 +87,7 @@ class TestConfigParsing:
         trace = tmp_path / "chan.csv"
         trace.write_text("1.5e-4,1.2e-3\n1.8e-4,1.9e-3\n")
         d = minimal_config_dict()
-        d["channel"] = {"trace_path": trace.name, "seed": 0, "action_count": 1}
+        d["channel"] = {"trace_path": trace.name, "seed": 0}
         cfg = parse_config_dict(d, base_dir=tmp_path)
         obs, act = sim.sample_airtimes(cfg.channel, 2)
         assert obs[0] == 1.8e-4 and act[0] == 1.9e-3
@@ -96,11 +96,41 @@ class TestConfigParsing:
         trace = tmp_path / "chan.csv"
         trace.write_text("1.5e-4,0\n1.8e-4,4e-3\n")
         d = minimal_config_dict()
-        d["channel"] = {"trace_path": trace.name, "seed": 0, "action_count": 1}
+        d["channel"] = {"trace_path": trace.name, "seed": 0}
         cfg = parse_config_dict(d, base_dir=tmp_path)
         assert cfg.channel.action_airtime == ((0.0, 4e-3),)
         logs = run_simulation(cfg.model, cfg.channel, cfg.policy, 2)
         assert [log.budget for log in logs] == [0.01, 0.01 - 4e-3]
+
+    def test_trace_width_sets_the_actions(self, tmp_path):
+        # One observer, so the second column is the one action airtime,
+        # whatever the model's agent count (two here).
+        trace = tmp_path / "chan.csv"
+        trace.write_text("1.5e-4,1.2e-3\n1.8e-4,1.9e-3\n")
+        d = minimal_config_dict()
+        d["model"]["B"] = [[1.0, 0.5]]
+        d["channel"] = {"trace_path": trace.name}
+        cfg = parse_config_dict(d, base_dir=tmp_path)
+        assert cfg.channel.action_airtime == ((1.2e-3, 1.9e-3),)
+        logs = run_simulation(cfg.model, cfg.channel, cfg.policy, 2)
+        assert [log.budget for log in logs] == [0.01 - 1.2e-3, 0.01 - 1.9e-3]
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [("1.5e-4,1.2e-3,1e-3\n1.8e-4,1.9e-3\n", r"chan\.csv:2: expected 3 airtimes"),
+         ("1.5e-4\n1.8e-4\n", "model has 2 observers, channel has airtimes for 1"),
+         ("\n\n", "trace file is empty"),
+         ("1.5e-4,1.2e-3,1e-3\n\n1.8e-4,x,1e-3\n", r"chan\.csv:3: unparseable")],
+        ids=["ragged", "narrower-than-observers", "empty", "unparseable"],
+    )
+    def test_malformed_trace_file(self, tmp_path, text, match):
+        (tmp_path / "chan.csv").write_text(text)
+        d = minimal_config_dict()
+        d["model"].update(C=[[1.0], [1.0]], R=[[0.01, 0.0], [0.0, 0.01]],
+                          observer_periods=[0.01, 0.01])
+        d["channel"] = {"trace_path": "chan.csv"}
+        with pytest.raises(ConfigError, match=match):
+            parse_config_dict(d, base_dir=tmp_path)
 
     def test_channel_requires_one_source(self):
         d = minimal_config_dict()
@@ -273,6 +303,48 @@ class TestCli:
         assert run_cli(["simulate", "--config", str(p)]) == 1
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith(f"config error: {block}")
+
+    def test_infinite_airtime_bound_is_config_error(self, tmp_path, capsys):
+        # JSON reads 1e400 as inf, which the uniform draw cannot take.
+        text = json.dumps(minimal_config_dict()).replace("0.0002", "1e400")
+        assert "1e400" in text
+        p = tmp_path / "cfg.json"
+        p.write_text(text)
+        assert run_cli(["simulate", "--config", str(p)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "config error: obs airtime bounds must satisfy 0 < lo <= hi < inf, "
+            "got (0.0001, inf)\n"
+        )
+
+    def test_infinite_trace_airtime_is_config_error(self, tmp_path, capsys):
+        # An action airtime of inf made the budget -inf in the CSV.
+        # A blank line is skipped, so the bad value is row 2, cycle 2's.
+        (tmp_path / "chan.csv").write_text("1.5e-4,1.2e-3\n\n1.8e-4,inf\n")
+        d = minimal_config_dict()
+        d["channel"] = {"trace_path": "chan.csv"}
+        d["run"]["cycles"] = 2
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(d))
+        out = tmp_path / "run.csv"
+        assert run_cli(["simulate", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: trace row 2: need 2 finite airtimes")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("policy", ["none", "bnb"])
+    def test_zero_observation_noise_rejected_at_load(self, tmp_path, capsys, policy):
+        # Policy none never updates, so R = 0 used to run under it.
+        d = minimal_config_dict()
+        d["model"]["R"] = [[0.0]]
+        d["run"]["policy"] = policy
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(d))
+        assert run_cli(["simulate", "--config", str(p)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "config error: model: R must have a positive diagonal\n"
 
     @pytest.mark.parametrize("command", ["simulate", "oracle"])
     def test_zero_cycles_rejected(self, tmp_path, capsys, command):

@@ -18,6 +18,7 @@ from ospkit import (
     propagate_estimate,
     scalar_update_cov,
     sequence_mse,
+    step_true_state,
     update_estimate,
 )
 
@@ -250,6 +251,34 @@ class TestEstimatePropagation:
         full = propagate_estimate(model, x, None, 0.0, 0.008)
         split = propagate_estimate(model, propagate_estimate(model, x, None, 0.0, 0.003), None, 0.003, 0.008)
         np.testing.assert_allclose(full, split, rtol=1e-9)
+
+
+OPERATORS = {
+    "predict_cov": lambda m, s, t: predict_cov(m, np.eye(3), s, t),
+    "g_step": lambda m, s, t: g_step(m, np.eye(3), s, t, 0),
+    "propagate_estimate": lambda m, s, t: propagate_estimate(m, np.ones(3), [1.0], s, t),
+    "step_true_state": lambda m, s, t: step_true_state(
+        m, np.ones(3), [1.0], s, t, np.random.default_rng(0)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "s, t, error",
+    [(0.004, 0.002, OrderingError), (0.0, np.nan, DomainError),
+     (np.nan, 0.004, DomainError), (0.0, np.inf, DomainError)],
+    ids=["reversed", "nan-end", "nan-start", "inf-end"],
+)
+@pytest.mark.parametrize("op", OPERATORS)
+def test_interval_checked_by_discretize(op, s, t, error):
+    # model.discretize never caches a bad length, so the interval check in
+    # dynamics runs for every caller, on a warm model too.
+    model = make_model(C_MIX, np.diag([1e-2] * 6), (T3,) * 6)
+    OPERATORS[op](model, 0.002, 0.004)
+    cached = set(model._disc_cache)
+    with pytest.raises(error):
+        OPERATORS[op](model, s, t)
+    assert set(model._disc_cache) == cached
 
 
 class TestUpdateEstimate:

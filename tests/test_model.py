@@ -1,6 +1,7 @@
-"""Model-layer tests: discretization memoized by interval length, bit-equal
-to the dynamics primitives on absolute times, in a bounded cache that does
-not change what a run computes."""
+"""Model-layer tests: the checks of the plant's inputs, and discretization
+memoized by interval length, bit-equal to the dynamics primitives on
+absolute times, in a bounded cache that does not change what a run
+computes."""
 from __future__ import annotations
 
 import json
@@ -8,9 +9,9 @@ import json
 import numpy as np
 import pytest
 
-from ospkit import SystemModel, dynamics, run_simulation
+from ospkit import DimensionError, DomainError, SystemModel, dynamics, run_simulation
 from ospkit.config import load_config, preset_config
-from ospkit.model import DISC_CACHE_SIZE
+from ospkit.model import DISC_CACHE_SIZE, check_covariance
 
 from conftest import A3, B3, C_MIX, Q3, T3, make_model, scalar_model
 
@@ -24,6 +25,29 @@ def preset_run(tmp_path, name):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(preset_config(name)))
     return load_config(path)
+
+
+class TestChecks:
+    def test_check_covariance_returns_float_array(self):
+        M = check_covariance("M", [[2, 1], [1, 2]], 2)
+        assert M.dtype == float and np.array_equal(M, [[2.0, 1.0], [1.0, 2.0]])
+
+    @pytest.mark.parametrize(
+        "field, value, error, match",
+        [("Q", np.eye(2), DimensionError, "Q must be 3x3"),
+         ("Q", np.triu(np.ones((3, 3))), DomainError, "Q must be symmetric"),
+         ("Q", -np.eye(3), DomainError, "Q must be positive semi-definite"),
+         ("Q", np.diag([1.0, np.inf, 1.0]), DomainError, "Q contains non-finite"),
+         ("R", np.diag([1e-2] * 5 + [0.0]), DomainError, "R must have a positive diagonal"),
+         ("R", np.diag([1e-2] * 5 + [-1.0]), DomainError, "R must have a positive diagonal")],
+        ids=["Q-shape", "Q-asymmetric", "Q-not-psd", "Q-non-finite", "R-zero", "R-negative"],
+    )
+    def test_model_rejects_bad_noise(self, field, value, error, match):
+        kwargs = dict(A=A3, B=B3, C=C_MIX, Q=Q3, R=np.diag([1e-2] * 6), T=T3,
+                      observer_periods=(T3,) * 6)
+        kwargs[field] = value
+        with pytest.raises(error, match=match):
+            SystemModel(**kwargs)
 
 
 class TestDiscretize:

@@ -71,6 +71,31 @@ class TestSampleAirtimes:
         with pytest.raises(ConfigError):
             ChannelConfig(obs_airtime=((2e-4, 1e-4),), action_airtime=())
 
+    @pytest.mark.parametrize(
+        "obs, act",
+        [((1e-4, np.inf), ()), ((1e-4, 2e-4), ((0.0, np.inf),)), ((np.nan, 2e-4), ())],
+        ids=["obs-inf", "action-inf", "obs-nan"],
+    )
+    def test_rejects_nonfinite_bounds(self, obs, act):
+        with pytest.raises(ConfigError, match="< inf"):
+            ChannelConfig(obs_airtime=(obs,), action_airtime=act)
+
+    @pytest.mark.parametrize(
+        "row",
+        [(-1e-4, 1e-3), (np.nan, 1e-3), (0.0, 1e-3), (1e-4, -1e-3), (1e-4, np.nan),
+         (1e-4, np.inf)],
+        ids=["obs-negative", "obs-nan", "obs-zero", "action-negative", "action-nan",
+             "action-inf"],
+    )
+    def test_rejects_bad_trace_row_at_construction(self, row):
+        # The row is named even though the bounds are fine.
+        with pytest.raises(ConfigError, match=r"^trace row 2: need 2 finite airtimes"):
+            ChannelConfig(
+                obs_airtime=((1e-4, 2e-4),),
+                action_airtime=((1e-3, 2e-3),),
+                trace=((1.5e-4, 1.2e-3), row),
+            )
+
     @pytest.mark.parametrize("trace", [None, ((1.5e-4,), (1.8e-4,))], ids=["random", "trace"])
     @pytest.mark.parametrize("k", [0, -1])
     def test_rejects_cycle_below_one(self, trace, k):
@@ -96,6 +121,19 @@ class TestStepTrueState:
         )
         assert abs(incs.mean()) < 0.01
         assert abs(incs.var() - 0.1) / 0.1 < 0.05
+
+    def test_singular_noise_reaches_only_driven_states(self):
+        # Q drives state 2 alone and A is diagonal, so states 0 and 1 stay
+        # exactly 0: the factor of the singular Qd must not add noise there.
+        model = make_model(
+            np.eye(3), np.diag([1e-2] * 3), (T3,) * 3,
+            A=np.diag([-1.0, -2.0, -3.0]), Q=np.diag([0.0, 0.0, 0.5]),
+        )
+        rng = np.random.default_rng(0)
+        x = np.zeros(3)
+        for i in range(5):
+            x = step_true_state(model, x, None, 0.1 * i, 0.1 * (i + 1), rng)
+        assert x[0] == 0.0 and x[1] == 0.0 and x[2] != 0.0
 
     def test_zero_interval(self):
         model = scalar_model(q=0.5)
@@ -230,6 +268,15 @@ class TestRunSimulation:
             ConfigError, match=rf"^inputs\[2\] has {len(bad)} entries, model has 1 agents$"
         ):
             run_simulation(model, chan(6, 1e-4, 2e-4), "bnb", 5, inputs=inputs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises_before_cycle_one(self, bad):
+        # Used to compute cycle 1 and then fail on a NaN squared error.
+        cfg = parse_config_dict(preset_config("rate-fast"))
+        inputs = {j: [0.1] for j in range(5)}
+        inputs[3] = [bad]
+        with pytest.raises(ConfigError, match=r"^inputs\[3\] contains non-finite entries$"):
+            run_simulation(cfg.model, cfg.channel, "bnb", 5, inputs=inputs)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_squared_error_raises(self):
