@@ -43,6 +43,12 @@ class SystemModel:
     diagonal, as the per-observation scalar updates use only the
     per-observer variance, which must be > 0.  T is the decision period and
     ``observer_periods`` holds the N sampling periods.
+
+    The plant is time-invariant, so its operators over an interval depend
+    only on the interval's length: ``discretize`` (Phi, Qd),
+    ``input_lambda`` (Lambda) and ``boundary_operator`` (M, c), with which
+    ``scheduler.bnb_search`` ranks its nodes by ``<M, P> + c``, share one
+    memoized cache entry per length.
     """
 
     A: np.ndarray
@@ -126,14 +132,19 @@ class SystemModel:
 
         The plant is time-invariant, so both depend only on dt.  The cache
         keeps the ``DISC_CACHE_SIZE`` lengths added last; a full cache
-        evicts the one added first.  A negative or non-finite dt is never
-        cached: ``dynamics.phi`` raises OrderingError or DomainError for it,
-        the one interval check for the callers passing dt = t - s.
+        evicts the one added first, with the ``input_lambda`` and
+        ``boundary_operator`` values computed for it.  A negative or
+        non-finite dt is never cached: ``dynamics.phi`` raises OrderingError
+        or DomainError for it, the one interval check for the callers
+        passing dt = t - s.
         """
         entry = self._disc_cache.get(dt)
         if entry is None:
             entry = [
-                dynamics.phi(self.A, 0.0, dt), dynamics.noise_cov(self.A, self.Q, 0.0, dt), None
+                dynamics.phi(self.A, 0.0, dt),
+                dynamics.noise_cov(self.A, self.Q, 0.0, dt),
+                None,
+                None,
             ]
             if len(self._disc_cache) >= DISC_CACHE_SIZE:
                 del self._disc_cache[next(iter(self._disc_cache))]
@@ -147,3 +158,22 @@ class SystemModel:
         if entry[2] is None:
             entry[2] = dynamics.input_integral(self.A, self.B, 0.0, dt)
         return entry[2]
+
+    def boundary_operator(self, dt: float) -> tuple[np.ndarray, float]:
+        """Boundary pair (M, c) = (Phi^T Phi, trace Qd) over length dt,
+        memoized with ``discretize``.
+
+        For a symmetric P, ``np.vdot(M, P) + c`` is the trace of
+        Phi P Phi^T + Qd, the MSE of P predicted over dt, for one S x S
+        inner product instead of two matrix products.  The two agree to
+        rounding, not bit for bit, so ``scheduler.bnb_search`` ranks with
+        this pair and reports its winner through ``kalman.predict_cov``.
+        """
+        entry = self._disc_cache.get(dt)
+        if entry is None:
+            self.discretize(dt)
+            entry = self._disc_cache[dt]
+        if entry[3] is None:
+            Phi, Qd = entry[0], entry[1]
+            entry[3] = (Phi.T @ Phi, float(np.trace(Qd)))
+        return entry[3]

@@ -81,7 +81,10 @@ class CycleContext:
     ``candidates`` are ordered ascending by (timestamp, observer);
     timestamps are absolute, while feasibility arithmetic uses offsets
     relative to the cycle start (k-1)T.  ``t0``/``prior_cov`` anchor the
-    covariance chain at the latest earlier estimate.
+    covariance chain at the latest earlier estimate.  A non-finite ``t0``,
+    timestamp or airtime, an observation airtime <= 0 or an action airtime
+    < 0 raises DomainError; a candidate before ``t0`` or after the cycle
+    end raises OrderingError.
     """
 
     candidates: tuple[Candidate, ...]
@@ -103,13 +106,27 @@ class CycleContext:
         )
         if self.cycle_index < 1:
             raise DomainError(f"cycle index must be >= 1, got {self.cycle_index}")
-        if any(not c.airtime > 0.0 for c in self.candidates):
-            raise DomainError("all observation airtimes must be > 0")
-        if any(a < 0.0 for a in self.action_airtimes):
-            raise DomainError("action airtimes must be >= 0")
+        if not math.isfinite(self.t0):
+            raise DomainError(f"prior anchor t0 must be finite, got {self.t0}")
+        for c in self.candidates:
+            if not math.isfinite(c.timestamp):
+                raise DomainError(f"candidate timestamps must be finite, got {c.timestamp}")
+            if not 0.0 < c.airtime < math.inf:
+                raise DomainError(
+                    f"observation airtimes must be finite and > 0, got {c.airtime}"
+                )
+        if not all(0.0 <= a < math.inf for a in self.action_airtimes):
+            raise DomainError(
+                f"action airtimes must be finite and >= 0, got {self.action_airtimes}"
+            )
         if self.candidates and self.t0 > self.candidates[0].timestamp:
             raise OrderingError(
                 f"prior anchor t0={self.t0} is later than the first candidate"
+            )
+        if self.candidates and self.candidates[-1].timestamp > self.cycle_end:
+            raise OrderingError(
+                f"candidate at t={self.candidates[-1].timestamp} is after the "
+                f"cycle end {self.cycle_end}"
             )
 
     @property
@@ -218,14 +235,26 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     ``nodes_visited`` counts the non-empty sequences checked for
     feasibility.  The bound needs a positive semi-definite ``prior_cov``,
     which ``decision_cycles`` and ``ospkit schedule`` check.
+
+    Every sequence, the empty one included, and every bound is ranked by
+    ``<M, P> + c`` with ``(M, c) = model.boundary_operator(kT - t)``: the
+    boundary MSE of a covariance P held at time t, up to rounding, without
+    predicting P.  Only the winner is scored the reported way, as the trace
+    of ``predict_cov`` to kT, so its ``mse`` and ``running_cov`` equal
+    ``sequence_mse`` of its ``seq`` bit for bit.
     """
-    best = harvest_none(ctx, model)
     if ctx.budget <= 0.0:
-        return best
+        return harvest_none(ctx, model)
     kT = ctx.cycle_end
     cut = 1.0 - 2.0 * MSE_TIE_RTOL
-    best_key = (best.mse, best.seq, best.running_cov, best.end_of_harvest)
     nodes = ctx.L  # the root checks every candidate
+
+    def boundary_mse(cov, t):
+        """<M, cov> + c: the boundary MSE of ``cov``, held at time t."""
+        M, c = model.boundary_operator(kT - t)
+        return float(np.vdot(M, cov)) + c
+
+    best_key = (boundary_mse(ctx.prior_cov, ctx.t0), (), ctx.prior_cov, 0.0)
 
     def chain_from(cov, t, seq):
         """Running covariances of ``cov``, held at time t, through ``seq``."""
@@ -237,15 +266,13 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
             out.append(cov)
         return out
 
-    def boundary_mse(cov, j):
-        """Trace of ``cov``, held at candidate j's timestamp, predicted to kT."""
-        return float(np.trace(predict_cov(model, cov, ctx.candidates[j].timestamp, kT)))
-
     def bound_of(fol, chain):
         """Boundary MSE at the end of ``chain``; -inf (never cut) for a
         single follower, whose bound is the one child's own MSE: visiting
         that child costs no more than bounding it."""
-        return boundary_mse(chain[-1], fol[-1]) if len(fol) > 1 else -math.inf
+        if len(fol) > 1:
+            return boundary_mse(chain[-1], ctx.candidates[fol[-1]].timestamp)
+        return -math.inf
 
     def expand(seq, d, cov, t, fol, chain, bound):
         """Visit the children seq + (j,), j in fol, and their subtrees.
@@ -265,7 +292,7 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
             else:
                 cov_j = g_step(model, cov, t, cj.timestamp, cj.observer)
             seq_j = seq + (j,)
-            mse_j = boundary_mse(cov_j, j)
+            mse_j = boundary_mse(cov_j, cj.timestamp)
             if _better(mse_j, seq_j, best_key[0], best_key[1]):
                 best_key = (mse_j, seq_j, cov_j, d_j)
             if not kids:
@@ -281,7 +308,9 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     if fol:
         chain = chain_from(ctx.prior_cov, ctx.t0, fol)
         expand((), 0.0, ctx.prior_cov, ctx.t0, fol, chain, bound_of(fol, chain))
-    mse, seq, cov, d = best_key
+    _, seq, cov, d = best_key
+    t = ctx.candidates[seq[-1]].timestamp if seq else ctx.t0
+    mse = float(np.trace(predict_cov(model, cov, t, kT)))
     return ScheduleEvaluation(seq, d, mse, cov, nodes_visited=nodes)
 
 

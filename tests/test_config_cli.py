@@ -277,11 +277,31 @@ class TestCli:
                     "prior_cov": [[-5, 0, 0], [0, 1, 0], [0, 0, 1]],
                 },
             },
+            # json.dumps writes inf and nan as Infinity and NaN, which
+            # json.loads reads back, as it reads 1e400 as inf.
+            {"model": BASELINE_MODEL, "instance": {"candidates": [[0.0, float("inf"), 0]]}},
+            {"model": BASELINE_MODEL, "instance": {"candidates": [[float("nan"), 0.002, 0]]}},
+            {"model": BASELINE_MODEL, "instance": {"candidates": [[float("inf"), 0.002, 0]]}},
+            {
+                "model": BASELINE_MODEL,
+                "instance": {"candidates": [[0.0, 0.002, 0]], "action_airtimes": [float("inf")]},
+            },
+            {
+                "model": BASELINE_MODEL,
+                "instance": {"candidates": [[0.0, 0.002, 0]], "action_airtimes": [float("nan")]},
+            },
+            {
+                "model": BASELINE_MODEL,
+                "instance": {"candidates": [[0.0, 0.002, 0]], "t0": float("nan")},
+            },
+            {"model": BASELINE_MODEL, "instance": {"candidates": [[0.5, 0.002, 0]]}},
         ],
         ids=[
             "no-model", "top-level-array", "no-candidates", "two-field-candidate",
             "observer-out-of-range", "prior-cov-shape", "non-numeric-action-airtime",
             "prior-cov-non-finite", "prior-cov-asymmetric", "prior-cov-not-psd",
+            "airtime-inf", "timestamp-nan", "timestamp-inf", "action-airtime-inf",
+            "action-airtime-nan", "t0-nan", "timestamp-after-cycle-end",
         ],
     )
     def test_schedule_malformed_instance_is_config_error(self, tmp_path, capsys, doc):

@@ -1,6 +1,7 @@
 """Kalman-layer tests: timetable against a grid-enumeration oracle,
 covariance operators against Joseph-form and closed-form scalar oracles,
-sequence MSE closed forms and prefix reuse, estimate propagation chaining."""
+sequence MSE closed forms and prefix reuse, the boundary operator against
+the boundary prediction, estimate propagation chaining."""
 from __future__ import annotations
 
 import numpy as np
@@ -15,12 +16,15 @@ from ospkit import (
     first_obs_timestamp,
     g_step,
     predict_cov,
+    preset_config,
     propagate_estimate,
+    run_simulation,
     scalar_update_cov,
     sequence_mse,
     step_true_state,
     update_estimate,
 )
+from ospkit.config import PRESET_NAMES, parse_config_dict
 
 from conftest import (
     A3,
@@ -230,6 +234,25 @@ class TestSequenceMse:
         seq = [Observation(0, 0.006), Observation(1, 0.002)]
         with pytest.raises(OrderingError):
             sequence_mse(model, np.eye(3), 0.0, seq, 0.01)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_boundary_operator_matches_predict_cov(name):
+    # <M, P> + c is the trace of the boundary prediction up to rounding:
+    # bnb_search ranks with it and reports its winner through predict_cov.
+    # The lengths are every interval a short bnb run of the preset visits.
+    cfg = parse_config_dict(preset_config(name))
+    model = cfg.model
+    run_simulation(model, cfg.channel, "bnb", 20, initial_cov=cfg.initial_cov())
+    rng = np.random.default_rng(47)
+    S = model.n_states
+    for dt in list(model._disc_cache):
+        M, c = model.boundary_operator(dt)
+        for _ in range(20):
+            G = rng.normal(size=(S, S)) * 10.0 ** rng.uniform(-4.0, 2.0, size=S)
+            P = G @ G.T
+            want = float(np.trace(predict_cov(model, P, 0.0, dt)))
+            assert float(np.vdot(M, P)) + c == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestEstimatePropagation:

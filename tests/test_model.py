@@ -1,7 +1,7 @@
 """Model-layer tests: the checks of the plant's inputs, and discretization
 memoized by interval length, bit-equal to the dynamics primitives on
 absolute times, in a bounded cache that does not change what a run
-computes."""
+computes, with the boundary operator kept in the same cache entry."""
 from __future__ import annotations
 
 import json
@@ -9,7 +9,9 @@ import json
 import numpy as np
 import pytest
 
-from ospkit import DimensionError, DomainError, SystemModel, dynamics, run_simulation
+from ospkit import (
+    DimensionError, DomainError, OrderingError, SystemModel, dynamics, run_simulation,
+)
 from ospkit.config import load_config, preset_config
 from ospkit.model import DISC_CACHE_SIZE, check_covariance
 
@@ -102,6 +104,51 @@ class TestDiscretize:
         cfg = preset_run(tmp_path, "unconstrained")
         run_simulation(cfg.model, cfg.channel, "none", 1600, initial_cov=cfg.initial_cov())
         assert 0 < len(cfg.model._disc_cache) <= 32
+
+
+class TestBoundaryOperator:
+    def test_is_phi_gram_and_noise_trace(self, model):
+        rng = np.random.default_rng(5)
+        for dt in [0.0, *rng.uniform(0.0, 0.05, size=30).tolist()]:
+            M, c = model.boundary_operator(dt)
+            Phi, Qd = model.discretize(dt)
+            want = Phi.T @ Phi
+            assert M.tobytes() == want.tobytes() and M.shape == want.shape
+            assert c == float(np.trace(Qd)) and type(c) is float
+
+    def test_shares_the_discretize_entry(self, model):
+        M, c = model.boundary_operator(1e-3)
+        assert list(model._disc_cache) == [1e-3]
+        model.discretize(1e-3)
+        model.input_lambda(1e-3)
+        assert list(model._disc_cache) == [1e-3]
+        assert model.boundary_operator(1e-3)[0] is M
+
+    def test_evicted_with_its_entry(self):
+        model = scalar_model(a=-3.0, q=0.5)
+        lengths = [(i + 1) * 1e-5 for i in range(DISC_CACHE_SIZE + 10)]
+        first = lengths[0]
+        first_M, first_c = model.boundary_operator(first)
+        for dt in lengths[1:]:
+            model.discretize(dt)
+        assert len(model._disc_cache) == DISC_CACHE_SIZE
+        assert first not in model._disc_cache
+        M, c = model.boundary_operator(first)
+        assert M is not first_M
+        assert np.array_equal(M, first_M) and c == first_c
+        assert len(model._disc_cache) == DISC_CACHE_SIZE
+
+    @pytest.mark.parametrize(
+        "dt, error",
+        [(-1e-3, OrderingError), (np.nan, DomainError), (np.inf, DomainError),
+         (-np.inf, DomainError)],
+        ids=["negative", "nan", "inf", "minus-inf"],
+    )
+    def test_bad_length_raises_and_caches_nothing(self, model, dt, error):
+        model.boundary_operator(1e-3)
+        with pytest.raises(error):
+            model.boundary_operator(dt)
+        assert list(model._disc_cache) == [1e-3]
 
 
 class TestWarmCache:

@@ -364,6 +364,20 @@ class TestBound:
             got = bnb_search(ctx, dup_model)
             assert (got.seq, got.mse) == feasibility_dfs(ctx, dup_model), n
 
+    def test_reports_the_winner_through_sequence_mse(self, dup_model):
+        # The search ranks by <M, P> + c but reports the winner's MSE and
+        # running covariance as sequence_mse scores them, bit for bit.
+        rng = np.random.default_rng(89)
+        for n in range(400):
+            ctx = random_context(
+                rng, dup_model, int(rng.integers(1, 9)), loose=n % 2 == 0, ties=True
+            )
+            got = bnb_search(ctx, dup_model)
+            cands = [ctx.candidates[i] for i in got.seq]
+            mse, cov = sequence_mse(dup_model, ctx.prior_cov, ctx.t0, cands, ctx.cycle_end)
+            assert got.mse == mse, n
+            assert got.running_cov.tobytes() == cov.tobytes(), n
+
 
 class TestStats:
     def test_empty_logs_raise(self):
