@@ -109,9 +109,10 @@ def _cmd_schedule(args) -> int:
     if bad:
         raise ConfigError(f"{path}: candidate observers {bad} not in [0, {N})")
     try:
-        check_covariance("prior_cov", ctx.prior_cov, S)
+        prior_cov = check_covariance("prior_cov", ctx.prior_cov, S)
     except (DimensionError, DomainError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    ctx = dataclasses.replace(ctx, prior_cov=prior_cov)
     ev = scheduler.decide(args.policy, ctx, model)
     print(f"policy: {args.policy}")
     print(f"sequence: {format_seq(ev.seq)}")
@@ -181,11 +182,17 @@ def _cmd_timestamps(args) -> int:
         raise ConfigError(
             "timestamps requires --config or both --period and --observer-period"
         )
+    try:
+        rows = [
+            (n, k, kalman.first_obs_timestamp(T, T_n, k))
+            for n, T_n in periods
+            for k in range(1, args.cycles + 1)
+        ]
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
     print("observer,cycle,timestamp")
-    for n, T_n in periods:
-        for k in range(1, args.cycles + 1):
-            t = kalman.first_obs_timestamp(T, T_n, k)
-            print(f"{n},{k},{'-' if t is None else CSV_FLOAT_FMT % t}")
+    for n, k, t in rows:
+        print(f"{n},{k},{'-' if t is None else CSV_FLOAT_FMT % t}")
     return EXIT_OK
 
 

@@ -1,11 +1,14 @@
 """Dense small-matrix numerics for continuous-time LTI discretization.
 
-Provides the three exact operators over one interval [s, t]: the
-state-transition matrix Phi(s, t) = e^{A(t-s)}, the zero-order-hold input
-matrix Lambda(s, t) and the integrated process-noise covariance Q(s, t).
-Each is one exponential of a (block) matrix scaled by t - s (Van Loan,
-IEEE TAC 1978), so a singular state matrix A is supported everywhere and
-a zero-length interval gives exactly I or zeros.
+Provides the exact operators over one interval: ``discretize`` gives the
+state-transition matrix Phi = e^{A d} and the integrated process-noise
+covariance Qd over a length d, both from one Van Loan exponential of a
+block matrix (IEEE TAC 1978); ``phi`` (an independent e^{A(t-s)}),
+``noise_cov`` (the Qd of ``discretize``) and the zero-order-hold input
+matrix ``input_integral`` take an interval [s, t].  Each exponential is
+of a (block) matrix scaled by the length, so a singular state matrix A is
+supported everywhere and a zero-length interval gives exactly I or zeros.
+No operator writes into its arguments.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import scipy.linalg
 from .errors import DimensionError, DomainError, OrderingError
 
 __all__ = [
+    "discretize",
     "phi",
     "input_integral",
     "noise_cov",
@@ -38,7 +42,8 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
 
 
 def _length(name: str, s: float, t: float) -> float:
-    """Length t - s of [s, t]: the one endpoint check of phi, input_integral, noise_cov.
+    """Length t - s of [s, t]: the one endpoint check of every operator
+    (``discretize`` checks its length d as the interval [0, d]).
 
     Raises :class:`DomainError` for a non-finite length (either endpoint
     infinite or NaN) and :class:`OrderingError` for s > t.
@@ -82,33 +87,26 @@ def input_integral(A, B, s: float, t: float) -> np.ndarray:
     return scipy.linalg.expm(aug * d)[:n, n:] @ B
 
 
-# Substep length cap for noise_cov, in units of 1 / ||A||: the Van Loan
+# Substep length cap for discretize, in units of 1 / ||A||: the Van Loan
 # block carries e^{+||A|| d}, so a long stiff interval must be composed
 # from short exact steps or the F22^T F12 product cancels catastrophically.
 _VAN_LOAN_MAX_SCALE = 2.0
 
 
-def _van_loan_step(A: np.ndarray, Q: np.ndarray, d: float) -> np.ndarray:
-    n = A.shape[0]
-    aug = np.zeros((2 * n, 2 * n))
-    aug[:n, :n] = -A
-    aug[:n, n:] = Q
-    aug[n:, n:] = A.T
-    F = scipy.linalg.expm(aug * d)
-    return F[n:, n:].T @ F[:n, n:]
+def discretize(A, Q, d: float) -> tuple[np.ndarray, np.ndarray]:
+    """Transition matrix and integrated process-noise covariance over an
+    interval of length d >= 0: (Phi, Qd) = (e^{A d},
+    int_0^d e^{A u} Q e^{A^T u} du), from one Van Loan exponential
 
+        exp([[-A, Q], [0, A^T]] * h) = [[.., F12], [0, F22]],
+        Ph = e^{A h} = F22^T,  Q over h = Ph F12,
 
-def noise_cov(A, Q, s: float, t: float) -> np.ndarray:
-    """Integrated process-noise covariance int_0^{t-s} e^{A u} Q e^{A^T u} du.
-
-    Uses the Van Loan augmented-exponential method
-
-        exp([[-A, Q], [0, A^T]] * d) = [[.., F12], [0, F22]],
-        Q over d = F22^T F12,
-
-    composed over uniform substeps via the exact semigroup identity
-    Q(s, t) = Phi Q(s, u) Phi^T + Q(u, t) so that stiff systems stay
-    accurate over long intervals.  Output is symmetrized.  Requires s <= t.
+    over ``steps`` uniform substeps of length h = d / steps.  Both are
+    composed over the substeps with the exact semigroup identities
+    Phi(u + h) = Ph Phi(u) and Q(u + h) = Ph Q(u) Ph^T + Q(h), so stiff
+    systems stay accurate over long intervals.  Qd is symmetrized.
+    d = 0 gives exactly (I, 0).  Raises DomainError for a non-finite d
+    and OrderingError for d < 0.
     """
     A = _as_square(A, "A")
     Q = _as_square(Q, "Q")
@@ -117,14 +115,24 @@ def noise_cov(A, Q, s: float, t: float) -> np.ndarray:
         raise DimensionError(f"Q must match A's dimension {n}, got {Q.shape}")
     if np.abs(Q - Q.T).max() > 1e-10 * max(np.abs(Q).max(), 1.0):
         raise DomainError("Q must be symmetric")
-    d = _length("noise_cov", s, t)
+    d = _length("discretize", 0.0, d)
     steps = max(1, int(np.ceil(d * np.linalg.norm(A, np.inf) / _VAN_LOAN_MAX_SCALE)))
     h = d / steps
-    Qh = _van_loan_step(A, Q, h)
-    if steps == 1:
-        return symmetrize(Qh)
-    Ph = scipy.linalg.expm(A * h)
-    acc = Qh
+    aug = np.zeros((2 * n, 2 * n))
+    aug[:n, :n] = -A
+    aug[:n, n:] = Q
+    aug[n:, n:] = A.T
+    F = scipy.linalg.expm(aug * h)
+    Ph = F[n:, n:].T.copy()  # contiguous: every cache hit multiplies by Phi
+    Qh = Ph @ F[:n, n:]
+    Phi, acc = Ph, Qh
     for _ in range(steps - 1):
+        Phi = Ph @ Phi
         acc = Ph @ acc @ Ph.T + Qh
-    return symmetrize(acc)
+    return Phi, symmetrize(acc)
+
+
+def noise_cov(A, Q, s: float, t: float) -> np.ndarray:
+    """Integrated process-noise covariance int_0^{t-s} e^{A u} Q e^{A^T u} du
+    for s <= t: the Qd of ``discretize`` over t - s."""
+    return discretize(A, Q, _length("noise_cov", s, t))[1]

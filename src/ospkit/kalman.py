@@ -6,6 +6,8 @@ a priori over an interval, a scalar measurement update, and their
 composition (a posteriori -> a posteriori), plus prediction to the cycle
 boundary.  The predicted MSE of an observation sequence is the trace of
 the boundary-predicted covariance at the end of its covariance chain.
+Covariances are never mutated in place: each operator returns a new
+array, except that a zero-length predict returns its input.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ def first_obs_timestamp(T: float, T_n: float, k: int) -> float | None:
       T_n > T  ->  floor(k T / T_n) T_n, or None when that grid point
                    falls more than T before the cycle end.
     """
-    if not (T > 0.0 and T_n > 0.0):
-        raise DomainError(f"periods must be positive, got T={T}, T_n={T_n}")
+    if not (0.0 < T < math.inf and 0.0 < T_n < math.inf):
+        raise DomainError(f"periods must be finite and > 0, got T={T}, T_n={T_n}")
     if k < 1:
         raise DomainError(f"cycle index must be >= 1, got {k}")
     if abs(T_n - T) <= _GRID_EPS * T:
@@ -91,7 +93,15 @@ def cycle_candidates(model: SystemModel, k: int) -> list[Observation]:
 
 
 def predict_cov(model: SystemModel, P: np.ndarray, t_i: float, t_j: float) -> np.ndarray:
-    """A posteriori -> a priori: Phi P Phi^T + Q over [t_i, t_j], symmetrized."""
+    """A posteriori -> a priori: Phi P Phi^T + Q over [t_i, t_j], symmetrized.
+
+    A zero-length interval returns ``P`` itself: for a symmetric P, as
+    every anchor (``model.check_covariance``) and every operator result
+    here is, the formula with Phi = I and Qd = 0 gives the same bits.  No
+    operator writes into a covariance in place, so the alias is safe.
+    """
+    if t_j == t_i:
+        return P
     Phi, Qd = model.discretize(t_j - t_i)
     return symmetrize(Phi @ P @ Phi.T + Qd)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,9 +20,15 @@ DISC_CACHE_SIZE = 1024
 
 
 def check_covariance(name: str, M, n: int) -> np.ndarray:
-    """M as an n x n float array; raises DimensionError unless M is n x n and
-    DomainError unless it is finite, symmetric within ``_SYM_TOL`` and
-    positive semi-definite within ``_PSD_TOL``."""
+    """``symmetrize(M)``: M as a new, exactly symmetric n x n float array.
+    Raises DimensionError unless M is n x n and DomainError unless it is
+    finite, symmetric within ``_SYM_TOL`` and positive semi-definite within
+    ``_PSD_TOL``.
+
+    Every covariance anchor passes through here, so it is exactly
+    symmetric, as ``kalman.predict_cov`` needs to return its input for a
+    zero-length interval.  Covariances are never mutated in place.
+    """
     M = np.asarray(M, dtype=float)
     if M.shape != (n, n):
         raise DimensionError(f"{name} must be {n}x{n}, got {M.shape}")
@@ -29,7 +36,8 @@ def check_covariance(name: str, M, n: int) -> np.ndarray:
         raise DomainError(f"{name} contains non-finite entries")
     if np.abs(M - M.T).max() > _SYM_TOL:
         raise DomainError(f"{name} must be symmetric")
-    if np.linalg.eigvalsh(dynamics.symmetrize(M)).min() < _PSD_TOL:
+    M = dynamics.symmetrize(M)
+    if np.linalg.eigvalsh(M).min() < _PSD_TOL:
         raise DomainError(f"{name} must be positive semi-definite")
     return M
 
@@ -90,14 +98,14 @@ class SystemModel:
             )
         if not np.all(np.diag(R) > 0.0):
             raise DomainError("R must have a positive diagonal")
-        if not self.T > 0.0:
-            raise DomainError(f"decision period T must be > 0, got {self.T}")
+        if not 0.0 < self.T < math.inf:
+            raise DomainError(f"decision period T must be finite and > 0, got {self.T}")
         if len(periods) != N:
             raise DimensionError(
                 f"need one observer period per C row ({N}), got {len(periods)}"
             )
-        if any(not p > 0.0 for p in periods):
-            raise DomainError("all observer periods must be > 0")
+        if not all(0.0 < p < math.inf for p in periods):
+            raise DomainError(f"observer periods must be finite and > 0, got {periods}")
 
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -130,22 +138,19 @@ class SystemModel:
     def discretize(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """(Phi, Qd) over an interval of length dt >= 0, memoized per length.
 
-        The plant is time-invariant, so both depend only on dt.  The cache
-        keeps the ``DISC_CACHE_SIZE`` lengths added last; a full cache
-        evicts the one added first, with the ``input_lambda`` and
-        ``boundary_operator`` values computed for it.  A negative or
-        non-finite dt is never cached: ``dynamics.phi`` raises OrderingError
-        or DomainError for it, the one interval check for the callers
-        passing dt = t - s.
+        The plant is time-invariant, so both depend only on dt.  A miss
+        costs one ``dynamics.discretize`` call, one Van Loan exponential
+        giving both.  The cache keeps the ``DISC_CACHE_SIZE`` lengths added
+        last; a full cache evicts the one added first, with the
+        ``input_lambda`` and ``boundary_operator`` values computed for it.
+        A negative or non-finite dt is never cached: ``dynamics.discretize``
+        raises OrderingError or DomainError for it, the one interval check
+        for the callers passing dt = t - s.  The cached arrays are shared
+        by every caller and never written into.
         """
         entry = self._disc_cache.get(dt)
         if entry is None:
-            entry = [
-                dynamics.phi(self.A, 0.0, dt),
-                dynamics.noise_cov(self.A, self.Q, 0.0, dt),
-                None,
-                None,
-            ]
+            entry = [*dynamics.discretize(self.A, self.Q, dt), None, None]
             if len(self._disc_cache) >= DISC_CACHE_SIZE:
                 del self._disc_cache[next(iter(self._disc_cache))]
             self._disc_cache[dt] = entry

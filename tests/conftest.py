@@ -1,6 +1,7 @@
 """Shared fixtures and oracle helpers for the ospkit test suite."""
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -148,3 +149,27 @@ def random_stable_system(rng, n):
     G = rng.normal(size=(n, n))
     Q = G @ G.T / n
     return A, Q
+
+
+def mp_phi(A, d: float, dps: int = 40) -> np.ndarray:
+    """Reference e^{A d}: mpmath's exponential at ``dps`` digits, rounded
+    once to float.  Independent of scipy and of ``dynamics``."""
+    with mpmath.workdps(dps):
+        E = mpmath.expm(mpmath.matrix(np.asarray(A, dtype=float).tolist()) * mpmath.mpf(d))
+        return np.array(E.tolist(), dtype=float)
+
+
+def mp_noise_cov(A, Q, d: float, dps: int = 80) -> np.ndarray:
+    """Reference int_0^d e^{A u} Q e^{A^T u} du: the Van Loan block
+    exponential in mpmath at ``dps`` digits, in one step.  F22^T F12
+    cancels at most about 2 ||A|| d / ln 10 digits, which ``dps`` covers for the
+    reference plant up to d = 0.05."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    aug = np.zeros((2 * n, 2 * n))
+    aug[:n, :n] = -A
+    aug[:n, n:] = Q
+    aug[n:, n:] = A.T
+    with mpmath.workdps(dps):
+        F = mpmath.expm(mpmath.matrix(aug.tolist()) * mpmath.mpf(d))
+        return np.array((F[n:, n:].T * F[:n, n:]).tolist(), dtype=float)

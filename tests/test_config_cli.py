@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ospkit import ConfigError, run_simulation, sim
-from ospkit.cli import run_cli
+from ospkit.cli import EXIT_CONFIG, run_cli
 from ospkit.config import (
     PRESET_NAMES,
     format_seq,
@@ -352,6 +352,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: trace row 2: need 2 finite airtimes")
         assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["T", "observer_periods"])
+    @pytest.mark.parametrize("command", ["simulate", "schedule", "timestamps"])
+    def test_infinite_period_is_config_error(self, tmp_path, capsys, command, field):
+        # Infinite periods used to reach a NaN timetable: a traceback from
+        # simulate, and "t0 must be finite, got nan" from schedule.
+        d = preset_config("baseline-compare-diff")
+        if field == "T":
+            d["model"]["T"] = float("inf")
+        else:
+            d["model"]["observer_periods"][0] = float("inf")
+        argv = [command, "--config", str(tmp_path / "cfg.json")]
+        if command == "schedule":
+            d = {"model": d["model"], "instance": {"candidates": [[0.0, 0.002, 0]]}}
+        else:
+            argv += ["--cycles", "3"]
+        (tmp_path / "cfg.json").write_text(json.dumps(d))
+        assert "Infinity" in (tmp_path / "cfg.json").read_text()
+        assert run_cli(argv) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("config error: model: ") and "finite and > 0" in out.err
+
+    @pytest.mark.parametrize("T, T_n", [("inf", "0.01"), ("0.01", "inf"), ("0.01", "nan")])
+    def test_timestamps_non_finite_period_flag_is_config_error(self, capsys, T, T_n):
+        assert run_cli(["timestamps", "-T", T, "--observer-period", T_n]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("config error: periods must be finite and > 0")
 
     @pytest.mark.parametrize("policy", ["none", "bnb"])
     def test_zero_observation_noise_rejected_at_load(self, tmp_path, capsys, policy):

@@ -10,7 +10,7 @@ import scipy.linalg
 
 from ospkit import DimensionError, DomainError, OrderingError, dynamics
 
-from conftest import A3, B3, Q3, random_stable_system
+from conftest import A3, B3, Q3, mp_noise_cov, mp_phi, random_stable_system
 
 
 def expm_taylor(M, terms=60):
@@ -90,6 +90,34 @@ class TestPhi:
     def test_rejects_reversed_interval(self):
         with pytest.raises(OrderingError):
             dynamics.phi(A3, 1.0, 0.5)
+
+
+class TestDiscretize:
+    def test_against_mpmath(self):
+        # Every entry, zeros included, over lengths of 1 to 25 substeps.
+        # scipy.linalg.expm(A3 * d) is off by up to 5.4e-12 on these lengths.
+        rng = np.random.default_rng(41)
+        lengths = 0.05 - rng.uniform(0.0, 0.05, size=200)
+        for i, d in enumerate(lengths):
+            Phi, Qd = dynamics.discretize(A3, Q3, float(d))
+            np.testing.assert_allclose(Phi, mp_phi(A3, d), rtol=1e-12, atol=0)
+            if i % 10 == 0:
+                np.testing.assert_allclose(Qd, mp_noise_cov(A3, Q3, d), rtol=1e-12, atol=0)
+
+    def test_zero_length_is_exact(self):
+        Phi, Qd = dynamics.discretize(A3, Q3, 0.0)
+        np.testing.assert_array_equal(Phi, np.eye(3))
+        np.testing.assert_array_equal(Qd, np.zeros((3, 3)))
+
+    def test_noise_cov_is_its_Qd(self):
+        for s, t in ((0.0, 0.004), (0.3, 0.35), (1.0, 3.5)):
+            np.testing.assert_array_equal(
+                dynamics.noise_cov(A3, Q3, s, t), dynamics.discretize(A3, Q3, t - s)[1]
+            )
+
+    def test_rejects_negative_length(self):
+        with pytest.raises(OrderingError):
+            dynamics.discretize(A3, Q3, -1e-3)
 
 
 class TestInputIntegral:
@@ -185,8 +213,9 @@ class TestNoiseCov:
         lambda s, t: dynamics.phi(A3, s, t),
         lambda s, t: dynamics.input_integral(A3, B3, s, t),
         lambda s, t: dynamics.noise_cov(A3, Q3, s, t),
+        lambda s, t: dynamics.discretize(A3, Q3, t - s),
     ],
-    ids=["phi", "input_integral", "noise_cov"],
+    ids=["phi", "input_integral", "noise_cov", "discretize"],
 )
 def test_rejects_nonfinite_endpoints(op, s, t):
     with pytest.raises(DomainError):

@@ -12,7 +12,6 @@ from ospkit import (
     Observation,
     OrderingError,
     cycle_candidates,
-    dynamics,
     first_obs_timestamp,
     g_step,
     predict_cov,
@@ -33,6 +32,8 @@ from conftest import (
     T3,
     first_obs_grid_oracle,
     make_model,
+    mp_noise_cov,
+    mp_phi,
     scalar_model,
 )
 
@@ -95,6 +96,9 @@ class TestFirstObsTimestamp:
             first_obs_timestamp(0.01, 0.003, 0)
         with pytest.raises(DomainError):
             first_obs_timestamp(0.01, -1.0, 1)
+        for T, T_n in ((np.inf, 0.003), (0.01, np.inf), (np.nan, 0.01)):
+            with pytest.raises(DomainError, match="finite and > 0"):
+                first_obs_timestamp(T, T_n, 1)
 
 
 class TestCycleCandidates:
@@ -118,6 +122,13 @@ class TestCovarianceOperators:
         P = np.diag([1.0, 2.0, 3.0])
         np.testing.assert_array_equal(predict_cov(model, P, 0.2, 0.2), P)
 
+    def test_zero_length_predict_returns_its_input(self):
+        model = make_model(C_MIX, np.eye(6), (T3,) * 6)
+        P = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]])
+        for t in (0.0, 0.37):
+            assert predict_cov(model, P, t, t) is P
+        assert not model._disc_cache
+
     def test_predict_scalar_integrator(self):
         model = scalar_model(a=0.0, q=0.5)
         got = predict_cov(model, np.array([[2.0]]), 0.0, 3.0)
@@ -127,8 +138,8 @@ class TestCovarianceOperators:
         model = make_model(C_MIX, np.eye(6), (T3,) * 6)
         P = np.diag([1.0, 2.0, 3.0])
         got = predict_cov(model, P, 0.0, 0.004)
-        F = dynamics.phi(A3, 0.0, 0.004)
-        want = F @ P @ F.T + dynamics.noise_cov(A3, Q3, 0.0, 0.004)
+        F = mp_phi(A3, 0.004)
+        want = F @ P @ F.T + mp_noise_cov(A3, Q3, 0.004)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_update_zero_row_is_identity(self):
@@ -260,7 +271,7 @@ class TestEstimatePropagation:
         model = make_model(C_MIX, np.diag([1e-2] * 6), (T3,) * 6)
         x = np.array([1.0, -2.0, 0.5])
         got = propagate_estimate(model, x, None, 0.0, 0.004)
-        np.testing.assert_allclose(got, dynamics.phi(A3, 0.0, 0.004) @ x, rtol=1e-13)
+        np.testing.assert_allclose(got, mp_phi(A3, 0.004) @ x, rtol=1e-13)
 
     def test_scalar_integrator_with_input(self):
         # a = 0, b = 2: x(t) = x(s) + b u (t - s) within one cycle.

@@ -8,12 +8,13 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ospkit import (
     DimensionError, DomainError, OrderingError, SystemModel, dynamics, run_simulation,
 )
 from ospkit.config import load_config, preset_config
-from ospkit.model import DISC_CACHE_SIZE, check_covariance
+from ospkit.model import _SYM_TOL, DISC_CACHE_SIZE, check_covariance
 
 from conftest import A3, B3, C_MIX, Q3, T3, make_model, scalar_model
 
@@ -33,6 +34,23 @@ class TestChecks:
     def test_check_covariance_returns_float_array(self):
         M = check_covariance("M", [[2, 1], [1, 2]], 2)
         assert M.dtype == float and np.array_equal(M, [[2.0, 1.0], [1.0, 2.0]])
+
+    def test_check_covariance_symmetrizes_a_near_symmetric_input(self):
+        M = np.array([[2.0, 1.0], [1.0 + 0.5 * _SYM_TOL, 2.0]])
+        got = check_covariance("M", M, 2)
+        assert np.array_equal(got, got.T) and np.array_equal(got, (M + M.T) / 2.0)
+        assert got is not M and M[1, 0] != M[0, 1]
+
+    @pytest.mark.parametrize(
+        "T, periods",
+        [(np.inf, (T3,) * 6), (np.nan, (T3,) * 6), (T3, (T3,) * 5 + (np.inf,)),
+         (T3, (np.nan,) + (T3,) * 5)],
+        ids=["T-inf", "T-nan", "period-inf", "period-nan"],
+    )
+    def test_model_rejects_non_finite_periods(self, T, periods):
+        with pytest.raises(DomainError, match="finite and > 0"):
+            SystemModel(A=A3, B=B3, C=C_MIX, Q=Q3, R=np.diag([1e-2] * 6), T=T,
+                        observer_periods=periods)
 
     @pytest.mark.parametrize(
         "field, value, error, match",
@@ -58,10 +76,27 @@ class TestDiscretize:
         for _ in range(50):
             s, t = np.sort(rng.uniform(0.0, 0.05, size=2)).tolist()
             Phi, Qd = model.discretize(t - s)
-            assert np.array_equal(Phi, dynamics.phi(A3, s, t))
+            want_Phi, want_Qd = dynamics.discretize(A3, Q3, t - s)
+            assert np.array_equal(Phi, want_Phi) and np.array_equal(Qd, want_Qd)
             assert np.array_equal(Qd, dynamics.noise_cov(A3, Q3, s, t))
             Lam = model.input_lambda(t - s)
             assert np.array_equal(Lam, dynamics.input_integral(A3, B3, s, t))
+
+    @pytest.mark.parametrize("dt", [0.0, 0.004, 0.05], ids=["zero", "one-substep", "25-substeps"])
+    def test_miss_is_one_exponential(self, model, monkeypatch, dt):
+        calls = []
+        expm = scipy.linalg.expm
+
+        def counted_expm(M):
+            calls.append(M)
+            return expm(M)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counted_expm)
+        model.discretize(dt)
+        assert len(calls) == 1
+        model.discretize(dt)
+        model.boundary_operator(dt)
+        assert len(calls) == 1
 
     def test_zero_length_is_exact(self, model):
         Phi, Qd = model.discretize(0.0)

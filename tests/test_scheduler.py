@@ -5,6 +5,7 @@ tie-break determinism, and the soundness of both pruning rules."""
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ospkit import (
     sequence_mse,
 )
 from ospkit.kalman import g_step, predict_cov
-from ospkit.scheduler import _better, _finish, harvest_none
+from ospkit.scheduler import _better, _finish, harvest_all, harvest_none
 
 from conftest import T3, harvest_closed_form, make_model, random_context
 
@@ -146,6 +147,18 @@ class TestSearches:
             got = search(ctx, model6)
             assert got.seq == ()
             assert got.forced_empty
+
+    @pytest.mark.parametrize(
+        "search", [bnb_search, greedy_search, harvest_all, harvest_none, exhaustive_oracle]
+    )
+    def test_read_only_prior_is_never_written(self, model6, search):
+        # Synchronous candidates at t0: every first predict is zero-length
+        # and returns the prior itself, so a write through it would raise.
+        P = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]])
+        P.setflags(write=False)
+        ctx = replace(ctx_from([(0.0, 1e-3)] * 6, actions=(4e-3,)), prior_cov=P)
+        search(ctx, model6)
+        sequence_mse(model6, P, ctx.t0, ctx.candidates, ctx.cycle_end)
 
     def test_bnb_matches_exhaustive(self, search_model):
         rng = np.random.default_rng(61)

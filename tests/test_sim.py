@@ -19,6 +19,7 @@ from ospkit import (
     dynamics,
     run_simulation,
     sample_airtimes,
+    scheduler,
     selection_stats,
     step_true_state,
 )
@@ -110,7 +111,8 @@ class TestStepTrueState:
         rng = np.random.default_rng(0)
         x = np.array([1.0, -1.0, 0.5])
         got = step_true_state(model, x, None, 0.0, 0.004, rng)
-        np.testing.assert_array_equal(got, dynamics.phi(A3, 0.0, 0.004) @ x)
+        Phi, _ = dynamics.discretize(A3, np.zeros((3, 3)), 0.004)
+        np.testing.assert_array_equal(got, Phi @ x)
 
     def test_integrator_noise_variance(self):
         # a = 0, q = 0.5 over dt = 0.2: increments ~ N(0, 0.1).
@@ -205,6 +207,26 @@ class TestRunSimulation:
         g = run_simulation(model, cfg, "greedy", 50)
         for lb, lg in zip(b, g):
             assert lb.mse_pred <= lg.mse_pred * (1 + 1e-12)
+
+    def test_read_only_covariances_are_never_written(self, model, monkeypatch):
+        # Every cycle's anchor and running covariance is made read-only
+        # before the search and the fusion use it, so a write through the
+        # zero-length predict's alias would raise.
+        decide = scheduler.decide
+
+        def frozen_decide(policy, ctx, model):
+            ctx.prior_cov.setflags(write=False)
+            ev = decide(policy, ctx, model)
+            ev.running_cov.setflags(write=False)
+            return ev
+
+        monkeypatch.setattr(scheduler, "decide", frozen_decide)
+        P0 = np.diag([1.0, 2.0, 3.0])
+        P0.setflags(write=False)
+        cfg = chan(6, 1e-3, 1.2e-3, actions=((4e-3, 5e-3),), seed=11)
+        for policy in ("bnb", "greedy", "all", "none"):
+            logs = run_simulation(model, cfg, policy, 5, initial_cov=P0)
+            assert len(logs) == 5 and (policy == "none" or any(log.seq for log in logs))
 
     def test_explicit_initial_state(self, model):
         cfg = chan(6, 1e-4, 2e-4, seed=23)
