@@ -35,7 +35,7 @@ from .config import (
     read_json_object,
     write_csv,
 )
-from .errors import ConfigError, DimensionError, DomainError, NumericError, OspkitError
+from .errors import ConfigError, DomainError, NumericError, OspkitError
 from .model import check_covariance
 
 log = logging.getLogger("ospkit")
@@ -90,8 +90,9 @@ def _cmd_schedule(args) -> int:
         raise ConfigError(f"{path}: missing 'instance' block")
     S, N = model.n_states, model.n_observers
     try:
-        k = int(inst.get("cycle_index", 1))
+        k = inst.get("cycle_index", 1)
         scale = float(inst.get("prior_cov_scale", 1.0))
+        prior_cov = check_covariance("prior_cov", inst.get("prior_cov", scale * np.eye(S)), S)
         ctx = scheduler.CycleContext(
             candidates=tuple(
                 scheduler.Candidate(float(t), float(a), operator.index(n))
@@ -101,18 +102,13 @@ def _cmd_schedule(args) -> int:
             T=model.T,
             cycle_index=k,
             t0=float(inst.get("t0", (k - 1) * model.T)),
-            prior_cov=inst.get("prior_cov", scale * np.eye(S)),
+            prior_cov=prior_cov,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed instance: {type(exc).__name__}: {exc}")
     bad = [c.observer for c in ctx.candidates if c.observer not in range(N)]
     if bad:
         raise ConfigError(f"{path}: candidate observers {bad} not in [0, {N})")
-    try:
-        prior_cov = check_covariance("prior_cov", ctx.prior_cov, S)
-    except (DimensionError, DomainError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    ctx = dataclasses.replace(ctx, prior_cov=prior_cov)
     ev = scheduler.decide(args.policy, ctx, model)
     print(f"policy: {args.policy}")
     print(f"sequence: {format_seq(ev.seq)}")

@@ -133,7 +133,7 @@ def parse_config_dict(data: dict, base_dir: Path | None = None) -> ExperimentCon
     cb = data["channel"]
     channel = None
     seed = cb.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         errors.append("channel.seed: must be an integer")
         seed = 0
     has_dists = "obs_airtime" in cb or "action_airtime" in cb
@@ -174,7 +174,7 @@ def parse_config_dict(data: dict, base_dir: Path | None = None) -> ExperimentCon
     if not isinstance(policy, str) or policy not in POLICIES:
         errors.append(f"run.policy: {policy!r} not one of {tuple(POLICIES)}")
     cycles = rb.get("cycles", 100)
-    if not (isinstance(cycles, int) and cycles >= 1):
+    if isinstance(cycles, bool) or not (isinstance(cycles, int) and cycles >= 1):
         errors.append(f"run.cycles: must be an integer >= 1, got {cycles!r}")
         cycles = 1
     scale = rb.get("initial_cov_scale", 1.0)

@@ -10,17 +10,25 @@ search prunes on two rules.  Feasibility: any extension of a
 non-schedulable sequence is non-schedulable.  The objective: adding an
 observation never raises the predicted MSE, so the MSE of a sequence
 extended by every candidate that could still follow it bounds all its
-extensions from below, and a subtree whose bound exceeds the incumbent by
-more than the tie tolerance is skipped (Vitus, Zhang, Abate, Hu & Tomlin,
+extensions from below, and a subtree whose bound exceeds every rank
+that could still win is skipped (Vitus, Zhang, Abate, Hu & Tomlin,
 "On efficient sensor scheduling for linear dynamical systems",
 Automatica 2012).
+
+The winner depends on the instance alone, not on the order in which
+sequences are scored: with m the least rank over all schedulable
+sequences, it is the least ``(len(seq), seq)`` among the sequences ranked
+within ``MSE_TIE_RTOL`` of m (``_winner``).  ``bnb_search`` and
+``exhaustive_oracle`` rank with the same ``_rank`` and pick with the same
+``_winner``, so they agree by construction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,8 +53,9 @@ __all__ = [
     "decide",
 ]
 
-# Two MSE values within this relative tolerance are treated as tied and the
-# tie broken by (fewer observations, lexicographically smaller indices).
+# A rank within this relative tolerance of the least rank ties it; among
+# the tied sequences the fewest observations, then the lexicographically
+# smallest indices, win (``_winner``).
 MSE_TIE_RTOL = 1e-12
 
 _ORACLE_MAX_L = 20
@@ -81,7 +90,8 @@ class CycleContext:
     ``candidates`` are ordered ascending by (timestamp, observer);
     timestamps are absolute, while feasibility arithmetic uses offsets
     relative to the cycle start (k-1)T.  ``t0``/``prior_cov`` anchor the
-    covariance chain at the latest earlier estimate.  A non-finite ``t0``,
+    covariance chain at the latest earlier estimate.  A ``cycle_index``
+    that is not an integer >= 1 (a bool included), a non-finite ``t0``,
     timestamp or airtime, an observation airtime <= 0 or an action airtime
     < 0 raises DomainError; a candidate before ``t0`` or after the cycle
     end raises OrderingError.
@@ -104,8 +114,9 @@ class CycleContext:
         object.__setattr__(
             self, "budget", harvesting_budget(self.T, self.action_airtimes)
         )
-        if self.cycle_index < 1:
-            raise DomainError(f"cycle index must be >= 1, got {self.cycle_index}")
+        k = self.cycle_index
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise DomainError(f"cycle index must be an integer >= 1, got {k!r}")
         if not math.isfinite(self.t0):
             raise DomainError(f"prior anchor t0 must be finite, got {self.t0}")
         for c in self.candidates:
@@ -187,14 +198,28 @@ def is_schedulable(seq, ctx: CycleContext) -> bool:
     return end_of_harvest(seq, ctx) < ctx.budget
 
 
-def _better(mse_a: float, seq_a, mse_b: float, seq_b) -> bool:
-    """Comparator for (mse, seq) pairs with deterministic tie-breaking."""
-    scale = max(abs(mse_a), abs(mse_b), 1e-300)
-    if abs(mse_a - mse_b) > MSE_TIE_RTOL * scale:
-        return mse_a < mse_b
-    if len(seq_a) != len(seq_b):
-        return len(seq_a) < len(seq_b)
-    return seq_a < seq_b
+def _rank(model: SystemModel, cov: np.ndarray, t: float, kT: float) -> float:
+    """``<M, cov> + c`` with ``(M, c) = model.boundary_operator(kT - t)``:
+    the boundary MSE of ``cov``, held at time t, up to rounding, without
+    predicting ``cov``."""
+    M, c = model.boundary_operator(kT - t)
+    return float(np.vdot(M, cov)) + c
+
+
+def _tie_edge(m: float) -> float:
+    """The greatest rank that ties the least rank m."""
+    return m + abs(m) * MSE_TIE_RTOL
+
+
+def _winner(entries):
+    """The winning entry of ``(rank, seq, ...)`` tuples: with m the least
+    rank, the least ``(len(seq), seq)`` among the entries ranked at or
+    below ``_tie_edge(m)``.  The result does not depend on the order of
+    ``entries``."""
+    if len(entries) == 1:  # the search's usual window, without two passes
+        return entries[0]
+    edge = _tie_edge(min(e[0] for e in entries))
+    return min((e for e in entries if e[0] <= edge), key=lambda e: (len(e[1]), e[1]))
 
 
 def _evaluate(
@@ -216,9 +241,9 @@ def harvest_none(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
 def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     """Depth-first branch-and-bound over the subset forest.
 
-    Returns the MSE-minimizing schedulable sequence (the empty sequence
-    included whenever budget > 0): the sequence that scoring every
-    schedulable sequence in depth-first order under ``_better`` picks.
+    Returns the ``_winner`` over the schedulable sequences, the empty
+    sequence included whenever budget > 0; it is the sequence
+    ``exhaustive_oracle`` returns.
 
     The children of a node ``seq`` with end of harvest d are its followers,
     the later candidates i with ``_finish(d, ctx, i) < B``; d only grows
@@ -226,21 +251,22 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     The node's bound is the boundary MSE of its covariance chained through
     all its followers.  An update never raises a covariance in the Loewner
     order, so the bound is at most the MSE of every descendant.  The search
-    skips the rest of a node's subtree as soon as ``bound * (1 - 2 *
-    MSE_TIE_RTOL)`` exceeds the incumbent's MSE: no descendant can then
-    beat the incumbent or tie it and win the tie-break.  The first child's
-    covariance heads its parent's chain; when none of the parent's later
-    followers drops out of the child's, the rest of the chain is the
-    child's chain and its bound is the same, so both are reused.
-    ``nodes_visited`` counts the non-empty sequences checked for
+    keeps m, the least rank scored so far, and the window of scored
+    sequences ranked at or below ``_tie_edge(m)``, from which it drops
+    sequences when m falls.  It skips the rest of a node's subtree as soon
+    as ``bound * (1 - 2 * MSE_TIE_RTOL)`` exceeds ``_tie_edge(m)``: m is at
+    least the least rank of all, so no descendant can then tie the least
+    rank, and the slack covers the rounding between a bound and a rank.
+    The first child's covariance heads its parent's chain; when none of the
+    parent's later followers drops out of the child's, the rest of the
+    chain is the child's chain and its bound is the same, so both are
+    reused.  ``nodes_visited`` counts the non-empty sequences checked for
     feasibility.  The bound needs a positive semi-definite ``prior_cov``,
     which ``decision_cycles`` and ``ospkit schedule`` check.
 
     Every sequence, the empty one included, and every bound is ranked by
-    ``<M, P> + c`` with ``(M, c) = model.boundary_operator(kT - t)``: the
-    boundary MSE of a covariance P held at time t, up to rounding, without
-    predicting P.  Only the winner is scored the reported way, as the trace
-    of ``predict_cov`` to kT, so its ``mse`` and ``running_cov`` equal
+    ``_rank``.  Only the winner is scored the reported way, as the trace of
+    ``predict_cov`` to kT, so its ``mse`` and ``running_cov`` equal
     ``sequence_mse`` of its ``seq`` bit for bit.
     """
     if ctx.budget <= 0.0:
@@ -248,13 +274,9 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     kT = ctx.cycle_end
     cut = 1.0 - 2.0 * MSE_TIE_RTOL
     nodes = ctx.L  # the root checks every candidate
-
-    def boundary_mse(cov, t):
-        """<M, cov> + c: the boundary MSE of ``cov``, held at time t."""
-        M, c = model.boundary_operator(kT - t)
-        return float(np.vdot(M, cov)) + c
-
-    best_key = (boundary_mse(ctx.prior_cov, ctx.t0), (), ctx.prior_cov, 0.0)
+    m = _rank(model, ctx.prior_cov, ctx.t0, kT)
+    edge = _tie_edge(m)
+    window = [(m, (), ctx.prior_cov, 0.0)]
 
     def chain_from(cov, t, seq):
         """Running covariances of ``cov``, held at time t, through ``seq``."""
@@ -267,20 +289,20 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
         return out
 
     def bound_of(fol, chain):
-        """Boundary MSE at the end of ``chain``; -inf (never cut) for a
-        single follower, whose bound is the one child's own MSE: visiting
-        that child costs no more than bounding it."""
+        """Rank of the end of ``chain``; -inf (never cut) for a single
+        follower, whose bound is the one child's own rank: visiting that
+        child costs no more than bounding it."""
         if len(fol) > 1:
-            return boundary_mse(chain[-1], ctx.candidates[fol[-1]].timestamp)
+            return _rank(model, chain[-1], ctx.candidates[fol[-1]].timestamp, kT)
         return -math.inf
 
     def expand(seq, d, cov, t, fol, chain, bound):
         """Visit the children seq + (j,), j in fol, and their subtrees.
         ``chain`` is ``cov`` (held at t) chained through ``fol``, and
         ``bound`` is ``bound_of(fol, chain)``."""
-        nonlocal best_key, nodes
+        nonlocal m, edge, window, nodes
         for n, j in enumerate(fol):
-            if bound * cut > best_key[0]:
+            if bound * cut > edge:
                 return
             cj = ctx.candidates[j]
             d_j = _finish(d, ctx, j)
@@ -292,9 +314,12 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
             else:
                 cov_j = g_step(model, cov, t, cj.timestamp, cj.observer)
             seq_j = seq + (j,)
-            mse_j = boundary_mse(cov_j, cj.timestamp)
-            if _better(mse_j, seq_j, best_key[0], best_key[1]):
-                best_key = (mse_j, seq_j, cov_j, d_j)
+            rank_j = _rank(model, cov_j, cj.timestamp, kT)
+            if rank_j <= edge:
+                if rank_j < m:
+                    m, edge = rank_j, _tie_edge(rank_j)
+                    window = [e for e in window if e[0] <= edge]
+                window.append((rank_j, seq_j, cov_j, d_j))
             if not kids:
                 continue
             if n == 0 and kids == rest:  # the child's chain is the rest of ours
@@ -308,7 +333,7 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     if fol:
         chain = chain_from(ctx.prior_cov, ctx.t0, fol)
         expand((), 0.0, ctx.prior_cov, ctx.t0, fol, chain, bound_of(fol, chain))
-    _, seq, cov, d = best_key
+    _, seq, cov, d = _winner(window)
     t = ctx.candidates[seq[-1]].timestamp if seq else ctx.t0
     mse = float(np.trace(predict_cov(model, cov, t, kT)))
     return ScheduleEvaluation(seq, d, mse, cov, nodes_visited=nodes)
@@ -336,22 +361,31 @@ def harvest_all(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
 
 
 def exhaustive_oracle(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
-    """Ground truth: enumerate all 2^L subsets, evaluate each from scratch
-    (no pruning, no running-covariance reuse), and return the argmin under
-    the same tie-break.  Guarded to L <= 20."""
+    """Ground truth: enumerate all 2^L subsets, chain each schedulable one
+    from scratch with ``sequence_mse`` (no pruning, no running-covariance
+    reuse), rank its running covariance with ``_rank``, and return the
+    ``_winner``, scored like every policy's answer.  Guarded to L <= 20."""
     if ctx.L > _ORACLE_MAX_L:
         raise DomainError(f"exhaustive oracle limited to L <= {_ORACLE_MAX_L}")
-    best = harvest_none(ctx, model)
     if ctx.budget <= 0.0:
-        return best
-    for size in range(1, ctx.L + 1):
+        return harvest_none(ctx, model)
+    kT = ctx.cycle_end
+    m = math.inf
+    # Each sequence that tied the least rank seen when it was scored;
+    # _winner drops those that do not tie the final least rank.
+    entries = []
+    for size in range(ctx.L + 1):
         for seq in itertools.combinations(range(ctx.L), size):
             if not is_schedulable(seq, ctx):
                 continue
-            ev = _evaluate(ctx, model, seq)
-            if _better(ev.mse, seq, best.mse, best.seq):
-                best = ev
-    return replace(best, nodes_visited=2**ctx.L)
+            cands = [ctx.candidates[i] for i in seq]
+            _, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, cands, kT)
+            t = cands[-1].timestamp if seq else ctx.t0
+            rank = _rank(model, cov, t, kT)
+            if rank <= _tie_edge(m):
+                m = min(m, rank)
+                entries.append((rank, seq))
+    return _evaluate(ctx, model, _winner(entries)[1], nodes_visited=2**ctx.L)
 
 
 # Policy name -> decision rule (ctx, model) -> ScheduleEvaluation.  Each entry

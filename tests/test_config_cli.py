@@ -132,6 +132,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=match):
             parse_config_dict(d, base_dir=tmp_path)
 
+    @pytest.mark.parametrize(
+        "block, key, value", [("run", "cycles", True), ("channel", "seed", False)]
+    )
+    def test_rejects_bool_for_integer(self, block, key, value):
+        d = minimal_config_dict()
+        d[block][key] = value
+        with pytest.raises(ConfigError, match=f"{block}.{key}: must be an integer"):
+            parse_config_dict(d)
+
     def test_channel_requires_one_source(self):
         d = minimal_config_dict()
         d["channel"]["trace_path"] = "whatever.csv"
@@ -295,6 +304,16 @@ class TestCli:
                 "instance": {"candidates": [[0.0, 0.002, 0]], "t0": float("nan")},
             },
             {"model": BASELINE_MODEL, "instance": {"candidates": [[0.5, 0.002, 0]]}},
+            # A candidate inside cycle 2, so that truncating to cycle 2 would
+            # solve the instance.
+            {
+                "model": BASELINE_MODEL,
+                "instance": {"candidates": [[0.0175, 0.002, 0]], "cycle_index": 2.7},
+            },
+            {
+                "model": BASELINE_MODEL,
+                "instance": {"candidates": [[0.005, 0.002, 0]], "cycle_index": True},
+            },
         ],
         ids=[
             "no-model", "top-level-array", "no-candidates", "two-field-candidate",
@@ -302,6 +321,7 @@ class TestCli:
             "prior-cov-non-finite", "prior-cov-asymmetric", "prior-cov-not-psd",
             "airtime-inf", "timestamp-nan", "timestamp-inf", "action-airtime-inf",
             "action-airtime-nan", "t0-nan", "timestamp-after-cycle-end",
+            "cycle-index-fractional", "cycle-index-bool",
         ],
     )
     def test_schedule_malformed_instance_is_config_error(self, tmp_path, capsys, doc):

@@ -1,7 +1,7 @@
 """Scheduler tests: harvest recursion against a closed-form oracle,
-schedulability edge cases, branch-and-bound vs exhaustive enumeration and
-vs a feasibility-only depth-first search, greedy baseline behavior,
-tie-break determinism, and the soundness of both pruning rules."""
+schedulability edge cases, branch-and-bound vs exhaustive enumeration,
+greedy baseline behavior, an order-independent tie rule, and the soundness
+of both pruning rules."""
 from __future__ import annotations
 
 import itertools
@@ -23,8 +23,7 @@ from ospkit import (
     order_observations,
     sequence_mse,
 )
-from ospkit.kalman import g_step, predict_cov
-from ospkit.scheduler import _better, _finish, harvest_all, harvest_none
+from ospkit.scheduler import MSE_TIE_RTOL, _finish, _winner, harvest_all, harvest_none
 
 from conftest import T3, harvest_closed_form, make_model, random_context
 
@@ -191,6 +190,16 @@ class TestSearches:
         assert got.seq == ()
         assert not got.forced_empty
 
+    def test_winner_ignores_the_order_of_a_tie_chain(self):
+        # a ties b and b ties c, but a does not tie c.  Folding pairwise,
+        # the order decides: (a, b, c) leaves c, (a, c, b) leaves b.  The
+        # winner is the shortest sequence tied with the least rank: b.
+        a = (1.0, (0, 1, 2))
+        b = (1.0 + 0.7 * MSE_TIE_RTOL, (0, 2))
+        c = (1.0 + 1.4 * MSE_TIE_RTOL, (1,))
+        for entries in itertools.permutations([a, b, c]):
+            assert _winner(list(entries)) is b, entries
+
     def test_greedy_takes_feasible_prefix(self, model6):
         ctx = ctx_from([(0.001, 0.004), (0.002, 0.004), (0.003, 0.004)])
         # Budget 0.01: after two transfers the drain is at 0.009; adding the
@@ -263,30 +272,6 @@ class TestSearches:
         )
         with pytest.raises(DomainError):
             exhaustive_oracle(ctx, search_model)
-
-
-def feasibility_dfs(ctx, model):
-    """Reference search: score every schedulable sequence in depth-first
-    order, pruning on feasibility only; returns (seq, mse)."""
-    best = harvest_none(ctx, model)
-    if ctx.budget <= 0.0:
-        return best.seq, best.mse
-    key = [best.mse, best.seq]
-
-    def extend(seq, d, cov, t_prev, first_next):
-        for j in range(first_next, ctx.L):
-            cj = ctx.candidates[j]
-            dj = _finish(d, ctx, j)
-            if not dj < ctx.budget:
-                continue
-            cov_j = g_step(model, cov, t_prev, cj.timestamp, cj.observer)
-            mse_j = float(np.trace(predict_cov(model, cov_j, cj.timestamp, ctx.cycle_end)))
-            if _better(mse_j, seq + (j,), key[0], key[1]):
-                key[:] = [mse_j, seq + (j,)]
-            extend(seq + (j,), dj, cov_j, cj.timestamp, j + 1)
-
-    extend((), 0.0, ctx.prior_cov, ctx.t0, 0)
-    return key[1], key[0]
 
 
 def seq_mse(ctx, model, seq):
@@ -365,17 +350,20 @@ class TestBound:
             ctx = random_context(rng, search_model, 12, loose=True)
             assert bnb_search(ctx, search_model).nodes_visited < 2**12 // 8
 
-    def test_bound_never_changes_the_tied_winner(self, dup_model):
-        # Many subsets of this model tie within MSE_TIE_RTOL, and _better's
-        # tie rule is not transitive, so the answer depends on the order the
-        # sequences are scored in.  The cuts must not change it.
-        rng = np.random.default_rng(89)
+    @pytest.mark.parametrize("seed", [89, 90, 91])
+    def test_bnb_matches_exhaustive_on_ties(self, seed, dup_model):
+        # Many subsets of this model tie within MSE_TIE_RTOL, and ties do
+        # not chain: the depth-first search and the oracle, which scores by
+        # size, must still pick the same sequence.  Both score it with
+        # sequence_mse's arithmetic, so the MSEs are equal bit for bit.
+        rng = np.random.default_rng(seed)
         for n in range(400):
             ctx = random_context(
                 rng, dup_model, int(rng.integers(1, 9)), loose=n % 2 == 0, ties=True
             )
             got = bnb_search(ctx, dup_model)
-            assert (got.seq, got.mse) == feasibility_dfs(ctx, dup_model), n
+            want = exhaustive_oracle(ctx, dup_model)
+            assert (got.seq, got.mse) == (want.seq, want.mse), n
 
     def test_reports_the_winner_through_sequence_mse(self, dup_model):
         # The search ranks by <M, P> + c but reports the winner's MSE and
