@@ -90,7 +90,6 @@ def _cmd_schedule(args) -> int:
         raise ConfigError(f"{path}: missing 'instance' block")
     S, N = model.n_states, model.n_observers
     try:
-        k = inst.get("cycle_index", 1)
         scale = float(inst.get("prior_cov_scale", 1.0))
         prior_cov = check_covariance("prior_cov", inst.get("prior_cov", scale * np.eye(S)), S)
         ctx = scheduler.CycleContext(
@@ -100,8 +99,8 @@ def _cmd_schedule(args) -> int:
             ),
             action_airtimes=inst.get("action_airtimes", ()),
             T=model.T,
-            cycle_index=k,
-            t0=float(inst.get("t0", (k - 1) * model.T)),
+            cycle_index=inst.get("cycle_index", 1),
+            t0=float(inst["t0"]) if "t0" in inst else None,
             prior_cov=prior_cov,
         )
     except (KeyError, TypeError, ValueError) as exc:

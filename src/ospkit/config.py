@@ -178,8 +178,8 @@ def parse_config_dict(data: dict, base_dir: Path | None = None) -> ExperimentCon
         errors.append(f"run.cycles: must be an integer >= 1, got {cycles!r}")
         cycles = 1
     scale = rb.get("initial_cov_scale", 1.0)
-    if not (isinstance(scale, (int, float)) and scale > 0):
-        errors.append(f"run.initial_cov_scale: must be > 0, got {scale!r}")
+    if isinstance(scale, bool) or not (isinstance(scale, (int, float)) and scale > 0):
+        errors.append(f"run.initial_cov_scale: must be a number > 0, got {scale!r}")
         scale = 1.0
 
     output = data.get("output", {})

@@ -107,6 +107,11 @@ def discretize(A, Q, d: float) -> tuple[np.ndarray, np.ndarray]:
     systems stay accurate over long intervals.  Qd is symmetrized.
     d = 0 gives exactly (I, 0).  Raises DomainError for a non-finite d
     and OrderingError for d < 0.
+
+    The checks of A and Q and the block built by ``_van_loan`` depend on
+    the plant alone; the check of d, the exponential and the substeps are
+    the kernel ``_discretize``.  ``SystemModel`` builds the block once and
+    pays only the kernel per length.
     """
     A = _as_square(A, "A")
     Q = _as_square(Q, "Q")
@@ -115,13 +120,29 @@ def discretize(A, Q, d: float) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionError(f"Q must match A's dimension {n}, got {Q.shape}")
     if np.abs(Q - Q.T).max() > 1e-10 * max(np.abs(Q).max(), 1.0):
         raise DomainError("Q must be symmetric")
-    d = _length("discretize", 0.0, d)
-    steps = max(1, int(np.ceil(d * np.linalg.norm(A, np.inf) / _VAN_LOAN_MAX_SCALE)))
-    h = d / steps
+    return _discretize(_van_loan(A, Q), d)
+
+
+def _van_loan(A: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, float]:
+    """The Van Loan block [[-A, Q], [0, A^T]] of ``discretize`` and
+    ||A||_inf, which sets its substep count, for a checked S x S A and a
+    checked symmetric Q."""
+    n = A.shape[0]
     aug = np.zeros((2 * n, 2 * n))
     aug[:n, :n] = -A
     aug[:n, n:] = Q
     aug[n:, n:] = A.T
+    return aug, np.linalg.norm(A, np.inf)
+
+
+def _discretize(block, d: float) -> tuple[np.ndarray, np.ndarray]:
+    """``discretize`` over length d from ``block = _van_loan(A, Q)``: the
+    check of d, the one exponential and the substeps, bit for bit."""
+    aug, norm = block
+    d = _length("discretize", 0.0, d)
+    n = aug.shape[0] // 2
+    steps = max(1, int(np.ceil(d * norm / _VAN_LOAN_MAX_SCALE)))
+    h = d / steps
     F = scipy.linalg.expm(aug * h)
     Ph = F[n:, n:].T.copy()  # contiguous: every cache hit multiplies by Phi
     Qh = Ph @ F[:n, n:]

@@ -50,7 +50,8 @@ class SystemModel:
     process-noise intensity, R the N x N observation-noise covariance:
     diagonal, as the per-observation scalar updates use only the
     per-observer variance, which must be > 0.  T is the decision period and
-    ``observer_periods`` holds the N sampling periods.
+    ``observer_periods`` holds the N sampling periods, each finite and > 0
+    and not a bool.
 
     The plant is time-invariant, so its operators over an interval depend
     only on the interval's length: ``discretize`` (Phi, Qd),
@@ -67,6 +68,8 @@ class SystemModel:
     T: float
     observer_periods: tuple[float, ...]
     _disc_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # dynamics._van_loan(A, Q): what a discretization depends on besides dt.
+    _van_loan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -75,6 +78,12 @@ class SystemModel:
             B = B[:, None]
         C = np.atleast_2d(np.asarray(self.C, dtype=float))
         R = np.atleast_2d(np.asarray(self.R, dtype=float))
+        if isinstance(self.T, bool):
+            raise DomainError(f"decision period T must be a number, got {self.T!r}")
+        if any(isinstance(p, bool) for p in self.observer_periods):
+            raise DomainError(
+                f"observer_periods must be numbers, got {tuple(self.observer_periods)!r}"
+            )
         periods = tuple(float(p) for p in self.observer_periods)
 
         for name, M in (("A", A), ("B", B), ("C", C), ("R", R)):
@@ -114,6 +123,7 @@ class SystemModel:
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "observer_periods", periods)
+        object.__setattr__(self, "_van_loan", dynamics._van_loan(A, Q))
 
     @property
     def n_states(self) -> int:
@@ -139,18 +149,20 @@ class SystemModel:
         """(Phi, Qd) over an interval of length dt >= 0, memoized per length.
 
         The plant is time-invariant, so both depend only on dt.  A miss
-        costs one ``dynamics.discretize`` call, one Van Loan exponential
-        giving both.  The cache keeps the ``DISC_CACHE_SIZE`` lengths added
-        last; a full cache evicts the one added first, with the
-        ``input_lambda`` and ``boundary_operator`` values computed for it.
-        A negative or non-finite dt is never cached: ``dynamics.discretize``
-        raises OrderingError or DomainError for it, the one interval check
-        for the callers passing dt = t - s.  The cached arrays are shared
-        by every caller and never written into.
+        gives what ``dynamics.discretize(A, Q, dt)`` gives, bit for bit,
+        from the Van Loan block the model built once from its checked A
+        and Q: it costs the check of dt, one exponential and its substeps.
+        The cache keeps the ``DISC_CACHE_SIZE`` lengths added last; a full
+        cache evicts the one added first, with the ``input_lambda`` and
+        ``boundary_operator`` values computed for it.  A negative or
+        non-finite dt is never cached: the check of dt raises
+        OrderingError or DomainError for it before the exponential, the
+        one interval check for the callers passing dt = t - s.  The cached
+        arrays are shared by every caller and never written into.
         """
         entry = self._disc_cache.get(dt)
         if entry is None:
-            entry = [*dynamics.discretize(self.A, self.Q, dt), None, None]
+            entry = [*dynamics._discretize(self._van_loan, dt), None, None]
             if len(self._disc_cache) >= DISC_CACHE_SIZE:
                 del self._disc_cache[next(iter(self._disc_cache))]
             self._disc_cache[dt] = entry

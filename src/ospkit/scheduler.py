@@ -13,7 +13,10 @@ extended by every candidate that could still follow it bounds all its
 extensions from below, and a subtree whose bound exceeds every rank
 that could still win is skipped (Vitus, Zhang, Abate, Hu & Tomlin,
 "On efficient sensor scheduling for linear dynamical systems",
-Automatica 2012).
+Automatica 2012).  The same bound cuts across siblings: when a child
+can reach every later follower of its parent, each later sibling's
+subtree uses a subset of the child's observations, so a bound that cuts
+the child cuts those siblings too.
 
 The winner depends on the instance alone, not on the order in which
 sequences are scored: with m the least rank over all schedulable
@@ -90,18 +93,19 @@ class CycleContext:
     ``candidates`` are ordered ascending by (timestamp, observer);
     timestamps are absolute, while feasibility arithmetic uses offsets
     relative to the cycle start (k-1)T.  ``t0``/``prior_cov`` anchor the
-    covariance chain at the latest earlier estimate.  A ``cycle_index``
-    that is not an integer >= 1 (a bool included), a non-finite ``t0``,
-    timestamp or airtime, an observation airtime <= 0 or an action airtime
-    < 0 raises DomainError; a candidate before ``t0`` or after the cycle
-    end raises OrderingError.
+    covariance chain at the latest earlier estimate; a ``t0`` of None
+    anchors it at the cycle start.  A ``cycle_index`` that is not an
+    integer >= 1 (a bool included), a non-finite ``t0``, timestamp or
+    airtime, an observation airtime <= 0 or an action airtime < 0 raises
+    DomainError; a candidate before ``t0`` or after the cycle end raises
+    OrderingError.
     """
 
     candidates: tuple[Candidate, ...]
     action_airtimes: tuple[float, ...]
     T: float
     cycle_index: int
-    t0: float
+    t0: float | None
     prior_cov: np.ndarray
     budget: float = field(init=False)
 
@@ -117,6 +121,8 @@ class CycleContext:
         k = self.cycle_index
         if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
             raise DomainError(f"cycle index must be an integer >= 1, got {k!r}")
+        if self.t0 is None:
+            object.__setattr__(self, "t0", self.cycle_start)
         if not math.isfinite(self.t0):
             raise DomainError(f"prior anchor t0 must be finite, got {self.t0}")
         for c in self.candidates:
@@ -260,7 +266,16 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     The first child's covariance heads its parent's chain; when none of the
     parent's later followers drops out of the child's, the rest of the
     chain is the child's chain and its bound is the same, so both are
-    reused.  ``nodes_visited`` counts the non-empty sequences checked for
+    reused.
+
+    A cut child also cuts its later siblings when its followers are all of
+    its parent's later followers (``kids == rest``): every later sibling's
+    subtree then holds ``seq`` plus a subset of those followers, which is a
+    subset of the child's bound chain, so its rank is at least the child's
+    bound.  The search then leaves the parent's loop without bounding the
+    later siblings.  Without the guard a later sibling could reach a
+    follower that the child cannot, and the cut would be unsound.
+    ``nodes_visited`` counts the non-empty sequences checked for
     feasibility.  The bound needs a positive semi-definite ``prior_cov``,
     which ``decision_cycles`` and ``ospkit schedule`` check.
 
@@ -327,6 +342,8 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
             else:
                 chain_j = chain_from(cov_j, cj.timestamp, kids)
                 bound_j = bound_of(kids, chain_j)
+            if kids == rest and bound_j * cut > edge:
+                return  # the child's subtree and every later sibling's
             expand(seq_j, d_j, cov_j, cj.timestamp, kids, chain_j, bound_j)
 
     fol = [i for i in range(ctx.L) if _finish(0.0, ctx, i) < ctx.budget]

@@ -141,6 +141,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"{block}.{key}: must be an integer"):
             parse_config_dict(d)
 
+    @pytest.mark.parametrize(
+        "block, key, value, match",
+        [("model", "T", True, "model: decision period T must be a number"),
+         ("model", "observer_periods", [True], "model: observer_periods must be numbers"),
+         ("run", "initial_cov_scale", True, "run.initial_cov_scale: must be a number")],
+        ids=["T", "observer_periods", "initial_cov_scale"],
+    )
+    def test_rejects_bool_for_number(self, block, key, value, match):
+        d = minimal_config_dict()
+        d[block][key] = value
+        with pytest.raises(ConfigError, match=match):
+            parse_config_dict(d)
+
     def test_channel_requires_one_source(self):
         d = minimal_config_dict()
         d["channel"]["trace_path"] = "whatever.csv"
@@ -329,6 +342,20 @@ class TestCli:
         p.write_text(json.dumps(doc))
         assert run_cli(["schedule", "--config", str(p)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_schedule_string_cycle_index_names_the_rule(self, tmp_path, capsys):
+        # Without t0 the anchor defaults to the cycle start, which must not
+        # be computed from a cycle index that is not yet checked.
+        doc = {
+            "model": BASELINE_MODEL,
+            "instance": {"candidates": [[0.015, 0.002, 0]], "cycle_index": "2"},
+        }
+        p = tmp_path / "inst.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["schedule", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "cycle index must be an integer >= 1, got '2'" in err
 
     @pytest.mark.parametrize(
         "block, value",

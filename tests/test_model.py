@@ -98,6 +98,17 @@ class TestDiscretize:
         model.boundary_operator(dt)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("steps", [1, 2, 3, 8, 25, 200])
+    def test_miss_is_bit_equal_to_dynamics(self, model, steps):
+        # ||A3||_inf = 1000 caps a Van Loan substep at 2e-3, so this length
+        # takes `steps` substeps; the model builds its block once and must
+        # still give what the checked public operator gives.
+        dt = (steps - 0.5) * 2e-3
+        assert dt not in model._disc_cache
+        Phi, Qd = model.discretize(dt)
+        want_Phi, want_Qd = dynamics.discretize(A3, Q3, dt)
+        assert Phi.tobytes() == want_Phi.tobytes() and Qd.tobytes() == want_Qd.tobytes()
+
     def test_zero_length_is_exact(self, model):
         Phi, Qd = model.discretize(0.0)
         assert np.array_equal(Phi, np.eye(3)) and not Qd.any()

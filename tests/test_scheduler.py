@@ -23,6 +23,7 @@ from ospkit import (
     order_observations,
     sequence_mse,
 )
+from ospkit import scheduler
 from ospkit.scheduler import MSE_TIE_RTOL, _finish, _winner, harvest_all, harvest_none
 
 from conftest import T3, harvest_closed_form, make_model, random_context
@@ -349,6 +350,36 @@ class TestBound:
         for _ in range(3):
             ctx = random_context(rng, search_model, 12, loose=True)
             assert bnb_search(ctx, search_model).nodes_visited < 2**12 // 8
+
+    @pytest.mark.parametrize("L", [8, 12])
+    def test_sibling_cut_bounds_the_g_steps(self, L, search_model, monkeypatch):
+        # When the winner is every candidate, each node's first child heads
+        # the bound chain and its second child's bound cuts it and all its
+        # later siblings: one chain of L steps, then one chain per depth.
+        # Bounding every later sibling took 92 and 298 steps here.
+        calls = []
+        g_step = scheduler.g_step
+        monkeypatch.setattr(
+            scheduler, "g_step", lambda *a: calls.append(1) or g_step(*a)
+        )
+        rng = np.random.default_rng(86)
+        for _ in range(3):
+            ctx = random_context(rng, search_model, L, loose=True)
+            calls.clear()
+            assert bnb_search(ctx, search_model).seq == tuple(range(L))
+            assert len(calls) <= L * (L + 1) // 2 + 1, len(calls)
+
+    def test_bnb_matches_exhaustive_on_large_ties(self, dup_model):
+        # The sibling cut skips whole runs of tied siblings; the search must
+        # still find the oracle's winner on instances deep enough to cut.
+        rng = np.random.default_rng(92)
+        for n in range(30):
+            ctx = random_context(
+                rng, dup_model, int(rng.integers(9, 13)), loose=n % 2 == 0, ties=True
+            )
+            got = bnb_search(ctx, dup_model)
+            want = exhaustive_oracle(ctx, dup_model)
+            assert (got.seq, got.mse) == (want.seq, want.mse), n
 
     @pytest.mark.parametrize("seed", [89, 90, 91])
     def test_bnb_matches_exhaustive_on_ties(self, seed, dup_model):
