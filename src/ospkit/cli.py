@@ -170,13 +170,15 @@ def _cmd_timestamps(args) -> int:
         model = load_config(args.config).model
         T = model.T
         periods = list(enumerate(model.observer_periods))
-    elif args.period and args.observer_period:
+    elif args.period is not None and args.observer_period is not None:
         T = args.period
         periods = [(0, args.observer_period)]
     else:
         raise ConfigError(
             "timestamps requires --config or both --period and --observer-period"
         )
+    if args.cycles < 1:
+        raise ConfigError(f"cycle count must be >= 1, got {args.cycles}")
     try:
         rows = [
             (n, k, kalman.first_obs_timestamp(T, T_n, k))

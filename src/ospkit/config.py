@@ -18,7 +18,7 @@ A config file is a single JSON object with four blocks::
 A trace file has one line per cycle, blank lines skipped, so trace row k is
 the k-th non-blank line: comma-separated observer airtimes, then the action
 airtimes, every line as wide as the first.  ``SystemModel`` checks the
-model block and ``ChannelConfig`` every airtime.
+model block and ``ChannelConfig`` the seed and every airtime.
 """
 
 from __future__ import annotations
@@ -133,9 +133,6 @@ def parse_config_dict(data: dict, base_dir: Path | None = None) -> ExperimentCon
     cb = data["channel"]
     channel = None
     seed = cb.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        errors.append("channel.seed: must be an integer")
-        seed = 0
     has_dists = "obs_airtime" in cb or "action_airtime" in cb
     has_trace = "trace_path" in cb
     if has_dists == has_trace:

@@ -1,14 +1,13 @@
 """Dense small-matrix numerics for continuous-time LTI discretization.
 
-Provides the exact operators over one interval: ``discretize`` gives the
-state-transition matrix Phi = e^{A d} and the integrated process-noise
-covariance Qd over a length d, both from one Van Loan exponential of a
-block matrix (IEEE TAC 1978); ``phi`` (an independent e^{A(t-s)}),
-``noise_cov`` (the Qd of ``discretize``) and the zero-order-hold input
-matrix ``input_integral`` take an interval [s, t].  Each exponential is
-of a (block) matrix scaled by the length, so a singular state matrix A is
-supported everywhere and a zero-length interval gives exactly I or zeros.
-No operator writes into its arguments.
+The plant is time-invariant, so every operator depends only on the length
+d of an interval: ``discretize`` gives the state-transition matrix
+Phi = e^{A d} and the integrated process-noise covariance Qd, both from
+one Van Loan exponential of a block matrix (IEEE TAC 1978), and
+``input_integral`` gives the zero-order-hold input matrix.  Each
+exponential is of a block matrix scaled by the length, so a singular state
+matrix A is supported everywhere and a zero length gives exactly I or
+zeros.  No operator writes into its arguments.
 """
 
 from __future__ import annotations
@@ -18,13 +17,7 @@ import scipy.linalg
 
 from .errors import DimensionError, DomainError, OrderingError
 
-__all__ = [
-    "discretize",
-    "phi",
-    "input_integral",
-    "noise_cov",
-    "symmetrize",
-]
+__all__ = ["discretize", "input_integral", "symmetrize"]
 
 
 def _as_square(M, name: str = "M") -> np.ndarray:
@@ -41,29 +34,20 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
     return (M + M.T) / 2.0
 
 
-def _length(name: str, s: float, t: float) -> float:
-    """Length t - s of [s, t]: the one endpoint check of every operator
-    (``discretize`` checks its length d as the interval [0, d]).
+def _length(name: str, d: float) -> None:
+    """The one check of an interval length d, for every operator.
 
-    Raises :class:`DomainError` for a non-finite length (either endpoint
-    infinite or NaN) and :class:`OrderingError` for s > t.
+    Raises :class:`DomainError` for a non-finite d and
+    :class:`OrderingError` for d < 0.
     """
-    d = t - s
     if not np.isfinite(d):
-        raise DomainError(f"{name} requires finite s and t, got s={s}, t={t}")
-    if s > t:
-        raise OrderingError(f"{name} requires s <= t, got s={s}, t={t}")
-    return d
+        raise DomainError(f"{name} requires a finite length, got d={d}")
+    if d < 0:
+        raise OrderingError(f"{name} requires a length d >= 0, got d={d}")
 
 
-def phi(A, s: float, t: float) -> np.ndarray:
-    """State-transition matrix e^{A(t-s)} for s <= t; Phi(s, s) = I exactly."""
-    A = _as_square(A, "A")
-    return scipy.linalg.expm(A * _length("phi", s, t))
-
-
-def input_integral(A, B, s: float, t: float) -> np.ndarray:
-    """ZOH input matrix Lambda(s, t) = (int_0^{t-s} e^{A tau} dtau) B for s <= t.
+def input_integral(A, B, d: float) -> np.ndarray:
+    """ZOH input matrix Lambda(d) = (int_0^d e^{A tau} dtau) B for d >= 0.
 
     Computed with the augmented block exponential
 
@@ -71,7 +55,8 @@ def input_integral(A, B, s: float, t: float) -> np.ndarray:
                                      [0,       I]],
 
     which supports singular A and coincides with A^{-1}(e^{A d} - I) when A
-    is invertible.  Lambda(s, s) = 0 exactly.
+    is invertible.  Lambda(0) = 0 exactly.  Raises DomainError for a
+    non-finite d and OrderingError for d < 0.
     """
     A = _as_square(A, "A")
     B = np.asarray(B, dtype=float)
@@ -80,7 +65,7 @@ def input_integral(A, B, s: float, t: float) -> np.ndarray:
     n = A.shape[0]
     if B.shape[0] != n:
         raise DimensionError(f"B must have {n} rows, got shape {B.shape}")
-    d = _length("input_integral", s, t)
+    _length("input_integral", d)
     aug = np.zeros((2 * n, 2 * n))
     aug[:n, :n] = A
     aug[:n, n:] = np.eye(n)
@@ -139,7 +124,7 @@ def _discretize(block, d: float) -> tuple[np.ndarray, np.ndarray]:
     """``discretize`` over length d from ``block = _van_loan(A, Q)``: the
     check of d, the one exponential and the substeps, bit for bit."""
     aug, norm = block
-    d = _length("discretize", 0.0, d)
+    _length("discretize", d)
     n = aug.shape[0] // 2
     steps = max(1, int(np.ceil(d * norm / _VAN_LOAN_MAX_SCALE)))
     h = d / steps
@@ -152,8 +137,3 @@ def _discretize(block, d: float) -> tuple[np.ndarray, np.ndarray]:
         acc = Ph @ acc @ Ph.T + Qh
     return Phi, symmetrize(acc)
 
-
-def noise_cov(A, Q, s: float, t: float) -> np.ndarray:
-    """Integrated process-noise covariance int_0^{t-s} e^{A u} Q e^{A^T u} du
-    for s <= t: the Qd of ``discretize`` over t - s."""
-    return discretize(A, Q, _length("noise_cov", s, t))[1]

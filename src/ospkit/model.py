@@ -54,10 +54,11 @@ class SystemModel:
     and not a bool.
 
     The plant is time-invariant, so its operators over an interval depend
-    only on the interval's length: ``discretize`` (Phi, Qd),
-    ``input_lambda`` (Lambda) and ``boundary_operator`` (M, c), with which
-    ``scheduler.bnb_search`` ranks its nodes by ``<M, P> + c``, share one
-    memoized cache entry per length.
+    only on the interval's length, and every caller reaches them by length
+    alone: ``discretize`` (Phi, Qd), ``input_lambda`` (Lambda) and
+    ``boundary_operator`` (M, c), with which ``scheduler.bnb_search`` ranks
+    its nodes by ``<M, P> + c``, share one memoized cache entry per length.
+    A miss calls ``dynamics``, whose operators take the length alone.
     """
 
     A: np.ndarray
@@ -155,7 +156,7 @@ class SystemModel:
         The cache keeps the ``DISC_CACHE_SIZE`` lengths added last; a full
         cache evicts the one added first, with the ``input_lambda`` and
         ``boundary_operator`` values computed for it.  A negative or
-        non-finite dt is never cached: the check of dt raises
+        non-finite dt is never cached: ``dynamics._length`` raises
         OrderingError or DomainError for it before the exponential, the
         one interval check for the callers passing dt = t - s.  The cached
         arrays are shared by every caller and never written into.
@@ -169,11 +170,12 @@ class SystemModel:
         return entry[0], entry[1]
 
     def input_lambda(self, dt: float) -> np.ndarray:
-        """ZOH input matrix Lambda over length dt, memoized with ``discretize``."""
+        """ZOH input matrix Lambda = ``dynamics.input_integral(A, B, dt)``
+        over length dt, memoized with ``discretize``."""
         self.discretize(dt)
         entry = self._disc_cache[dt]
         if entry[2] is None:
-            entry[2] = dynamics.input_integral(self.A, self.B, 0.0, dt)
+            entry[2] = dynamics.input_integral(self.A, self.B, dt)
         return entry[2]
 
     def boundary_operator(self, dt: float) -> tuple[np.ndarray, float]:

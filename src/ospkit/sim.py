@@ -47,8 +47,9 @@ class ChannelConfig:
     ``obs_airtime`` / ``action_airtime`` hold (lo, hi) bounds per observer
     and per action.  ``trace`` is an optional tuple of rows, the k-th for
     cycle k, each the per-observer airtimes followed by the per-action
-    airtimes.  Every airtime and bound must be finite, observations > 0,
-    actions >= 0 and lo <= hi, or construction raises ConfigError.
+    airtimes.  ``seed`` must be an int >= 0, not a bool, and every airtime
+    and bound finite, observations > 0, actions >= 0 and lo <= hi, or
+    construction (``dataclasses.replace`` included) raises ConfigError.
     """
 
     obs_airtime: tuple[tuple[float, float], ...]
@@ -57,6 +58,8 @@ class ChannelConfig:
     trace: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ConfigError(f"channel.seed: must be an integer >= 0, got {self.seed!r}")
         # Trace rows first, so a trace config names its bad row rather than
         # the (min, max) bounds derived from it.
         n_obs = len(self.obs_airtime)

@@ -136,32 +136,33 @@ def test_criterion_5_optimal_vs_greedy():
 
 
 def test_criterion_6_numerics():
-    # Integrated noise covariance vs adaptive quadrature on the reference
-    # stiff plant.
+    # The operator the program runs: dynamics.discretize's Van Loan
+    # exponential, by interval length.  Integrated noise covariance vs
+    # adaptive quadrature on the reference stiff plant.
     def integrand(u):
         E = scipy.linalg.expm(A3 * u)
         return E @ Q3 @ E.T
 
     want, _ = scipy.integrate.quad_vec(integrand, 0.0, 0.01, epsabs=1e-14, epsrel=1e-13)
-    got = dynamics.noise_cov(A3, Q3, 0.0, 0.01)
+    got = dynamics.discretize(A3, Q3, 0.01)[1]
     rel = np.linalg.norm(got - want) / np.linalg.norm(want)
     assert rel <= 1e-8, f"quadrature disagreement {rel:.2e}"
 
     # Transition semigroup and noise-composition identities on 1000
-    # randomized stable systems of dimension <= 6.
+    # randomized stable systems of dimension <= 6, over the lengths of
+    # [s, u], [u, t] and [s, t].
     rng = np.random.default_rng(106)
     worst_phi, worst_q = 0.0, 0.0
     for _ in range(1000):
         n = int(rng.integers(1, 7))
         A, Q = random_stable_system(rng, n)
         s, u, t = np.sort(rng.uniform(0.0, 1.0, size=3))
-        F_su = dynamics.phi(A, s, u)
-        F_ut = dynamics.phi(A, u, t)
-        F_st = dynamics.phi(A, s, t)
+        F_su, Q_su = dynamics.discretize(A, Q, u - s)
+        F_ut, Q_ut = dynamics.discretize(A, Q, t - u)
+        F_st, Q_st = dynamics.discretize(A, Q, t - s)
         dphi = np.linalg.norm(F_st - F_ut @ F_su) / max(np.linalg.norm(F_st), 1e-300)
-        lhs = dynamics.noise_cov(A, Q, s, t)
-        rhs = F_ut @ dynamics.noise_cov(A, Q, s, u) @ F_ut.T + dynamics.noise_cov(A, Q, u, t)
-        dq = np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-300)
+        rhs = F_ut @ Q_su @ F_ut.T + Q_ut
+        dq = np.linalg.norm(Q_st - rhs) / max(np.linalg.norm(Q_st), 1e-300)
         worst_phi = max(worst_phi, dphi)
         worst_q = max(worst_q, dq)
     assert worst_phi <= 1e-9, f"worst semigroup residual {worst_phi:.2e}"

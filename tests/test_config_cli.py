@@ -422,12 +422,35 @@ class TestCli:
         assert out.out == ""
         assert out.err.startswith("config error: model: ") and "finite and > 0" in out.err
 
-    @pytest.mark.parametrize("T, T_n", [("inf", "0.01"), ("0.01", "inf"), ("0.01", "nan")])
+    @pytest.mark.parametrize(
+        "T, T_n",
+        [("inf", "0.01"), ("0.01", "inf"), ("0.01", "nan"),
+         # A zero flag used to count as missing: "requires --config or both ...".
+         ("0", "0.003"), ("0.01", "0")],
+    )
     def test_timestamps_non_finite_period_flag_is_config_error(self, capsys, T, T_n):
         assert run_cli(["timestamps", "-T", T, "--observer-period", T_n]) == EXIT_CONFIG
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("config error: periods must be finite and > 0")
+
+    @pytest.mark.parametrize(
+        "argv, seed",
+        [(["simulate", "--seed", "-1"], None), (["oracle", "--seed", "-3"], None),
+         (["simulate"], -5)],
+        ids=["simulate-flag", "oracle-flag", "config"],
+    )
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, argv, seed):
+        # These used to end in a ValueError traceback from numpy's generator.
+        d = minimal_config_dict()
+        if seed is not None:
+            d["channel"]["seed"] = seed
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(d))
+        assert run_cli(argv + ["--config", str(p), "--cycles", "2"]) == EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("config error: channel.seed: must be an integer >= 0")
 
     @pytest.mark.parametrize("policy", ["none", "bnb"])
     def test_zero_observation_noise_rejected_at_load(self, tmp_path, capsys, policy):
@@ -442,7 +465,7 @@ class TestCli:
         assert out.out == ""
         assert out.err == "config error: model: R must have a positive diagonal\n"
 
-    @pytest.mark.parametrize("command", ["simulate", "oracle"])
+    @pytest.mark.parametrize("command", ["simulate", "oracle", "timestamps"])
     def test_zero_cycles_rejected(self, tmp_path, capsys, command):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(preset_config("unconstrained")))

@@ -1,9 +1,10 @@
-"""The README's examples run as written: the library example executes, and
-the cycle-instance example solves under `ospkit schedule` with the
-sequences the README states."""
+"""The README's examples run as written: the library example executes, the
+cycle-instance example solves under `ospkit schedule` with the sequences
+the README states, and every `ospkit` command of the CLI block exits 0."""
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -32,3 +33,19 @@ def test_instance_example_schedules(tmp_path, capsys, policy, seq):
     path.write_text(instance)
     assert run_cli(["schedule", "--config", str(path), "--policy", policy]) == 0
     assert f"sequence: {seq}\n" in capsys.readouterr().out
+
+
+def test_cli_block_runs(tmp_path, monkeypatch, capsys):
+    commands = [
+        shlex.split(line)
+        for block in fenced("sh")
+        for line in block.splitlines()
+        if line.startswith("ospkit ")
+    ]
+    assert len(commands) == 5
+    (instance,) = fenced("json")
+    (tmp_path / "instance.json").write_text(instance)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run_cli(argv[1:]) == 0, argv
+    assert capsys.readouterr().err == ""

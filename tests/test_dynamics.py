@@ -1,6 +1,8 @@
-"""Continuous-to-discrete operator tests with independent oracles:
-Taylor series for the matrix exponential, adaptive quadrature for the input
-and noise integrals, and closed forms for scalar/invertible special cases."""
+"""Tests of the length operators ``dynamics.discretize`` (Phi and Qd) and
+``dynamics.input_integral`` (Lambda) with independent oracles: Taylor
+series and mpmath for the matrix exponential, adaptive quadrature for the
+input and noise integrals, closed forms for scalar, diagonal and invertible
+special cases, and the semigroup and composition identities."""
 from __future__ import annotations
 
 import numpy as np
@@ -33,28 +35,38 @@ def noise_cov_quadrature(A, Q, dt):
     return val
 
 
-def input_integral_quadrature(A, B, s, t):
-    # Constant input held over [s, t], evaluated at t: int_s^t e^{A(t-sig)} B dsig.
+def input_integral_quadrature(A, B, d):
+    # Constant input held over [0, d], evaluated at d: int_0^d e^{A(d-sig)} B dsig.
     def integrand(sig):
-        return scipy.linalg.expm(A * (t - sig)) @ B
+        return scipy.linalg.expm(A * (d - sig)) @ B
 
-    val, _ = scipy.integrate.quad_vec(integrand, s, t, epsabs=1e-14)
+    val, _ = scipy.integrate.quad_vec(integrand, 0.0, d, epsabs=1e-14)
     return val
+
+
+def phi_of(A, Q, d):
+    """Phi of ``discretize`` over length d."""
+    return dynamics.discretize(A, Q, d)[0]
+
+
+def qd_of(A, Q, d):
+    """Qd of ``discretize`` over length d."""
+    return dynamics.discretize(A, Q, d)[1]
 
 
 class TestMatExp:
     def test_zero_matrix(self):
-        np.testing.assert_array_equal(dynamics.phi(np.zeros((3, 3)), 0.0, 1.7), np.eye(3))
+        np.testing.assert_array_equal(phi_of(np.zeros((3, 3)), Q3, 1.7), np.eye(3))
 
     def test_diagonal_closed_form(self):
         D = np.diag([-1.0, 2.5, 0.0])
-        got = dynamics.phi(D, 0.0, 0.3)
+        got = phi_of(D, Q3, 0.3)
         np.testing.assert_allclose(got, np.diag(np.exp(0.3 * np.diag(D))), rtol=1e-14)
 
     def test_against_taylor_series(self):
         # Stiff plant needs a small step for the series to be well conditioned.
         for t in (1e-4, 1e-3):
-            got = dynamics.phi(A3, 0.0, t)
+            got = phi_of(A3, Q3, t)
             want = expm_taylor(A3 * t)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
 
@@ -62,34 +74,37 @@ class TestMatExp:
         rng = np.random.default_rng(11)
         for _ in range(100):
             n = int(rng.integers(1, 7))
-            A, _ = random_stable_system(rng, n)
+            A, Q = random_stable_system(rng, n)
             s, u = np.sort(rng.uniform(0.0, 0.5, size=2))
-            full = dynamics.phi(A, 0.0, s + u)
-            split = dynamics.phi(A, 0.0, u) @ dynamics.phi(A, 0.0, s)
+            full = phi_of(A, Q, s + u)
+            split = phi_of(A, Q, u) @ phi_of(A, Q, s)
             np.testing.assert_allclose(full, split, rtol=1e-9, atol=1e-12)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionError):
-            dynamics.phi(np.zeros((2, 3)), 0.0, 1.0)
+            dynamics.discretize(np.zeros((2, 3)), np.zeros((2, 2)), 1.0)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(DomainError):
-            dynamics.phi(np.array([[np.nan]]), 0.0, 1.0)
+            dynamics.discretize(np.array([[np.nan]]), np.zeros((1, 1)), 1.0)
 
 
 class TestPhi:
     def test_identity_at_equal_times(self):
-        for s in (0.0, 0.37):
-            np.testing.assert_array_equal(dynamics.phi(A3, s, s), np.eye(3))
+        # Exactly I for any plant, not only the reference one.
+        rng = np.random.default_rng(12)
+        for A, Q in [(A3, Q3)] + [random_stable_system(rng, n) for n in range(1, 7)]:
+            np.testing.assert_array_equal(phi_of(A, Q, 0.0), np.eye(A.shape[0]))
 
     def test_scalar_closed_form(self):
         a = -2.0
-        got = dynamics.phi(np.array([[a]]), 0.1, 0.6)
+        got = phi_of(np.array([[a]]), np.array([[0.3]]), 0.6 - 0.1)
         np.testing.assert_allclose(got, [[np.exp(a * 0.5)]], rtol=1e-14)
 
     def test_rejects_reversed_interval(self):
+        # A caller's t - s for s = 1.0 > t = 0.5.
         with pytest.raises(OrderingError):
-            dynamics.phi(A3, 1.0, 0.5)
+            dynamics.discretize(A3, Q3, 0.5 - 1.0)
 
 
 class TestDiscretize:
@@ -109,12 +124,6 @@ class TestDiscretize:
         np.testing.assert_array_equal(Phi, np.eye(3))
         np.testing.assert_array_equal(Qd, np.zeros((3, 3)))
 
-    def test_noise_cov_is_its_Qd(self):
-        for s, t in ((0.0, 0.004), (0.3, 0.35), (1.0, 3.5)):
-            np.testing.assert_array_equal(
-                dynamics.noise_cov(A3, Q3, s, t), dynamics.discretize(A3, Q3, t - s)[1]
-            )
-
     def test_rejects_negative_length(self):
         with pytest.raises(OrderingError):
             dynamics.discretize(A3, Q3, -1e-3)
@@ -122,61 +131,64 @@ class TestDiscretize:
 
 class TestInputIntegral:
     def test_empty_hold_interval(self):
-        got = dynamics.input_integral(A3, B3, 0.2, 0.2)
+        got = dynamics.input_integral(A3, B3, 0.0)
         np.testing.assert_array_equal(got, np.zeros((3, 1)))
 
     def test_scalar_closed_form(self):
-        # int_0^{t-s} e^{a tau} b dtau = (b/a) (e^{a(t-s)} - 1).
-        a, b, s, t = -3.0, 2.0, 0.1, 0.4
-        got = dynamics.input_integral(np.array([[a]]), np.array([[b]]), s, t)
-        want = (b / a) * (np.exp(a * (t - s)) - 1.0)
+        # int_0^d e^{a tau} b dtau = (b/a) (e^{a d} - 1).
+        a, b, d = -3.0, 2.0, 0.3
+        got = dynamics.input_integral(np.array([[a]]), np.array([[b]]), d)
+        want = (b / a) * (np.exp(a * d) - 1.0)
         np.testing.assert_allclose(got, [[want]], rtol=1e-12)
 
     def test_singular_A(self):
-        # Integrator chain: A = 0 gives exactly (t - s) * B.
+        # Integrator chain: A = 0 gives exactly d * B.
         A = np.zeros((2, 2))
         B = np.array([[1.0], [3.0]])
-        got = dynamics.input_integral(A, B, 0.0, 0.25)
+        got = dynamics.input_integral(A, B, 0.25)
         np.testing.assert_allclose(got, 0.25 * B, rtol=1e-13)
 
     def test_against_quadrature(self):
-        got = dynamics.input_integral(A3, B3, 0.001, 0.004)
-        want = input_integral_quadrature(A3, B3, 0.001, 0.004)
+        got = dynamics.input_integral(A3, B3, 0.003)
+        want = input_integral_quadrature(A3, B3, 0.003)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
     def test_invertible_closed_form(self):
-        # A^{-1} (e^{A(t-s)} - I) B for invertible A.
+        # A^{-1} (e^{A d} - I) B for invertible A.
         rng = np.random.default_rng(3)
         A, _ = random_stable_system(rng, 4)
         B = rng.normal(size=(4, 2))
-        s, t = 0.3, 0.7
-        want = np.linalg.solve(A, (scipy.linalg.expm(A * (t - s)) - np.eye(4)) @ B)
-        got = dynamics.input_integral(A, B, s, t)
+        d = 0.4
+        want = np.linalg.solve(A, (scipy.linalg.expm(A * d) - np.eye(4)) @ B)
+        got = dynamics.input_integral(A, B, d)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
 
     def test_rejects_bad_ordering(self):
         with pytest.raises(OrderingError):
-            dynamics.input_integral(A3, B3, 0.6, 0.5)
+            dynamics.input_integral(A3, B3, 0.5 - 0.6)
 
 
 class TestNoiseCov:
     def test_zero_interval(self):
-        np.testing.assert_array_equal(dynamics.noise_cov(A3, Q3, 0.4, 0.4), np.zeros((3, 3)))
+        # Exactly zeros for any plant, not only the reference one.
+        rng = np.random.default_rng(13)
+        for A, Q in [(A3, Q3)] + [random_stable_system(rng, n) for n in range(1, 7)]:
+            np.testing.assert_array_equal(qd_of(A, Q, 0.0), np.zeros_like(Q))
 
     def test_scalar_integrator(self):
-        # a = 0 gives exactly q * (t - s).
-        got = dynamics.noise_cov(np.zeros((1, 1)), np.array([[0.5]]), 1.0, 3.0)
+        # a = 0 gives exactly q * d.
+        got = qd_of(np.zeros((1, 1)), np.array([[0.5]]), 2.0)
         np.testing.assert_allclose(got, [[1.0]], rtol=1e-13)
 
     def test_scalar_closed_form(self):
         a, q, dt = -2.0, 0.3, 0.8
-        got = dynamics.noise_cov(np.array([[a]]), np.array([[q]]), 0.0, dt)
+        got = qd_of(np.array([[a]]), np.array([[q]]), dt)
         want = q * (np.exp(2 * a * dt) - 1.0) / (2 * a)
         np.testing.assert_allclose(got, [[want]], rtol=1e-12)
 
     @pytest.mark.parametrize("dt", [0.01, 0.06, 0.5, 2.5])
     def test_stiff_plant_against_quadrature(self, dt):
-        got = dynamics.noise_cov(A3, Q3, 0.0, dt)
+        got = qd_of(A3, Q3, dt)
         want = noise_cov_quadrature(A3, Q3, dt)
         np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-15)
 
@@ -185,38 +197,37 @@ class TestNoiseCov:
         for _ in range(50):
             n = int(rng.integers(1, 7))
             A, Q = random_stable_system(rng, n)
-            got = dynamics.noise_cov(A, Q, 0.0, float(rng.uniform(0.01, 1.0)))
+            got = qd_of(A, Q, float(rng.uniform(0.01, 1.0)))
             np.testing.assert_array_equal(got, got.T)
             assert np.linalg.eigvalsh(got).min() >= -1e-12
 
     def test_composition_identity(self):
-        # Q(s, t) = Phi(u, t) Q(s, u) Phi(u, t)^T + Q(u, t).
+        # Qd(t - s) = Phi(t - u) Qd(u - s) Phi(t - u)^T + Qd(t - u).
         rng = np.random.default_rng(9)
         for _ in range(50):
             n = int(rng.integers(1, 7))
             A, Q = random_stable_system(rng, n)
             s, u, t = np.sort(rng.uniform(0.0, 1.0, size=3))
-            F = dynamics.phi(A, u, t)
-            lhs = dynamics.noise_cov(A, Q, s, t)
-            rhs = F @ dynamics.noise_cov(A, Q, s, u) @ F.T + dynamics.noise_cov(A, Q, u, t)
+            F, Q_ut = dynamics.discretize(A, Q, t - u)
+            lhs = qd_of(A, Q, t - s)
+            rhs = F @ qd_of(A, Q, u - s) @ F.T + Q_ut
             np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-13)
 
     def test_rejects_asymmetric_Q(self):
         with pytest.raises((DomainError, DimensionError)):
-            dynamics.noise_cov(A3, np.array([[1.0, 0.5, 0], [0, 1, 0], [0, 0, 1]]), 0.0, 0.1)
+            dynamics.discretize(A3, np.array([[1.0, 0.5, 0], [0, 1, 0], [0, 0, 1]]), 0.1)
 
 
 @pytest.mark.parametrize("s, t", [(0.0, np.inf), (0.0, np.nan), (np.inf, np.inf), (np.nan, 0.0)])
 @pytest.mark.parametrize(
     "op",
     [
-        lambda s, t: dynamics.phi(A3, s, t),
-        lambda s, t: dynamics.input_integral(A3, B3, s, t),
-        lambda s, t: dynamics.noise_cov(A3, Q3, s, t),
-        lambda s, t: dynamics.discretize(A3, Q3, t - s),
+        lambda d: dynamics.input_integral(A3, B3, d),
+        lambda d: dynamics.discretize(A3, Q3, d),
     ],
-    ids=["phi", "input_integral", "noise_cov", "discretize"],
+    ids=["input_integral", "discretize"],
 )
 def test_rejects_nonfinite_endpoints(op, s, t):
+    # Callers pass the length t - s; a non-finite endpoint makes it non-finite.
     with pytest.raises(DomainError):
-        op(s, t)
+        op(t - s)

@@ -4,6 +4,7 @@ policy comparisons, the decision-cycle pipeline shared with the oracle
 command, and selection statistics."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -67,6 +68,14 @@ class TestSampleAirtimes:
         )
         obs, act = sample_airtimes(cfg, 2)
         assert obs[0] == 1.8e-4 and act[0] == 1.9e-3
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "0", None])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ConfigError, match="channel.seed: must be an integer >= 0"):
+            ChannelConfig(obs_airtime=((1e-4, 2e-4),), action_airtime=(), seed=seed)
+        # dataclasses.replace runs the same check, as the CLI's --seed does.
+        with pytest.raises(ConfigError, match="channel.seed"):
+            dataclasses.replace(chan(1, 1e-4, 2e-4), seed=seed)
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ConfigError):
