@@ -81,6 +81,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# The numeric fields of a cycle instance.
+_INSTANCE_FIELDS = (
+    "candidates", "action_airtimes", "cycle_index", "t0", "prior_cov", "prior_cov_scale",
+)
+
+
+def _has_bool(x) -> bool:
+    """Whether a parsed JSON value is, or holds in its lists, a boolean,
+    which Python would otherwise read as the number 0 or 1."""
+    if isinstance(x, list):
+        return any(_has_bool(v) for v in x)
+    return isinstance(x, bool)
+
+
 def _cmd_schedule(args) -> int:
     path = Path(args.config)
     data = read_json_object(path)
@@ -88,6 +102,9 @@ def _cmd_schedule(args) -> int:
     inst = data.get("instance")
     if not isinstance(inst, dict):
         raise ConfigError(f"{path}: missing 'instance' block")
+    for key in _INSTANCE_FIELDS:
+        if _has_bool(inst.get(key)):
+            raise ConfigError(f"{path}: instance.{key}: a boolean is not a number")
     S, N = model.n_states, model.n_observers
     try:
         scale = float(inst.get("prior_cov_scale", 1.0))
@@ -134,8 +151,12 @@ def _cmd_simulate(args) -> int:
         ))
     out = args.out or cfg.csv_path
     if out:
-        with open(out, "w", newline="\n") as fh:
-            write_csv(logs, cfg.model.n_states, fh)
+        # Opened only after the run, so a failed run writes no CSV.
+        try:
+            with open(out, "w", newline="\n") as fh:
+                write_csv(logs, cfg.model.n_states, fh)
+        except OSError as exc:
+            raise ConfigError(f"{out}: {exc.strerror or exc}") from None
         log.info("wrote %d rows to %s", len(logs), out)
     else:
         write_csv(logs, cfg.model.n_states, sys.stdout)
@@ -196,7 +217,10 @@ def _cmd_timestamps(args) -> int:
 def _cmd_preset(args) -> int:
     text = json.dumps(preset_config(args.name), indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        try:
+            Path(args.out).write_text(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"{args.out}: {exc.strerror or exc}") from None
     else:
         print(text)
     return EXIT_OK
@@ -212,13 +236,16 @@ _COMMANDS = {
 
 
 def run_cli(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("OSPKIT_LOG", "WARNING").upper())
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
+        level = os.environ.get("OSPKIT_LOG", "WARNING").upper()
+        if not isinstance(logging.getLevelName(level), int):
+            raise ConfigError(f"OSPKIT_LOG: unknown level {level!r}")
+        logging.basicConfig(level=level)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

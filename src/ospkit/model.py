@@ -53,12 +53,13 @@ class SystemModel:
     ``observer_periods`` holds the N sampling periods, each finite and > 0
     and not a bool.
 
-    The plant is time-invariant, so its operators over an interval depend
-    only on the interval's length, and every caller reaches them by length
-    alone: ``discretize`` (Phi, Qd), ``input_lambda`` (Lambda) and
-    ``boundary_operator`` (M, c), with which ``scheduler.bnb_search`` ranks
-    its nodes by ``<M, P> + c``, share one memoized cache entry per length.
-    A miss calls ``dynamics``, whose operators take the length alone.
+    The model is the one checked entry to the plant's operators.  The plant
+    is time-invariant, so they depend only on an interval's length, and
+    every caller reaches them by length alone: ``discretize`` (Phi, Qd),
+    ``input_lambda`` (Lambda) and ``boundary_operator`` (M, c), with which
+    ``scheduler.bnb_search`` ranks its nodes by ``<M, P> + c``, share one
+    memoized cache entry per length.  A miss runs the unchecked
+    ``dynamics`` kernels on the A, B and Q checked here.
     """
 
     A: np.ndarray
@@ -150,9 +151,9 @@ class SystemModel:
         """(Phi, Qd) over an interval of length dt >= 0, memoized per length.
 
         The plant is time-invariant, so both depend only on dt.  A miss
-        gives what ``dynamics.discretize(A, Q, dt)`` gives, bit for bit,
-        from the Van Loan block the model built once from its checked A
-        and Q: it costs the check of dt, one exponential and its substeps.
+        runs ``dynamics._discretize`` on the Van Loan block the model built
+        once from its checked A and Q: it costs the check of dt, one
+        exponential and its substeps.
         The cache keeps the ``DISC_CACHE_SIZE`` lengths added last; a full
         cache evicts the one added first, with the ``input_lambda`` and
         ``boundary_operator`` values computed for it.  A negative or
@@ -170,12 +171,13 @@ class SystemModel:
         return entry[0], entry[1]
 
     def input_lambda(self, dt: float) -> np.ndarray:
-        """ZOH input matrix Lambda = ``dynamics.input_integral(A, B, dt)``
-        over length dt, memoized with ``discretize``."""
+        """ZOH input matrix Lambda = (int_0^dt e^{A tau} dtau) B over length
+        dt, from ``dynamics._input_integral`` on the checked A and B,
+        memoized with ``discretize``."""
         self.discretize(dt)
         entry = self._disc_cache[dt]
         if entry[2] is None:
-            entry[2] = dynamics.input_integral(self.A, self.B, dt)
+            entry[2] = dynamics._input_integral(self.A, self.B, dt)
         return entry[2]
 
     def boundary_operator(self, dt: float) -> tuple[np.ndarray, float]:

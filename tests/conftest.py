@@ -49,6 +49,15 @@ def make_model(C, R, periods, *, A=A3, B=B3, Q=Q3, T=T3) -> SystemModel:
     )
 
 
+def plant(A, Q, B=None) -> SystemModel:
+    """One-observer model over the plant (A, Q, B), the checked entry to its
+    operators ``discretize`` and ``input_lambda``.  B defaults to one zero
+    input column."""
+    n = np.atleast_2d(A).shape[0]
+    B = np.zeros((n, 1)) if B is None else B
+    return make_model(np.ones((1, n)), [[1.0]], (1.0,), A=A, B=B, Q=Q, T=1.0)
+
+
 def scalar_model(a=0.0, b=1.0, q=0.0, r=1e-2, T=1.0, period=1.0) -> SystemModel:
     return make_model(
         [[1.0]], [[r]], (period,), A=[[a]], B=[[b]], Q=[[q]], T=T
@@ -153,7 +162,7 @@ def random_stable_system(rng, n):
 
 def mp_phi(A, d: float, dps: int = 40) -> np.ndarray:
     """Reference e^{A d}: mpmath's exponential at ``dps`` digits, rounded
-    once to float.  Independent of scipy and of ``dynamics``."""
+    once to float.  Independent of scipy and of ``SystemModel``."""
     with mpmath.workdps(dps):
         E = mpmath.expm(mpmath.matrix(np.asarray(A, dtype=float).tolist()) * mpmath.mpf(d))
         return np.array(E.tolist(), dtype=float)

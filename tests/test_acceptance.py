@@ -26,7 +26,6 @@ from ospkit import (
     Candidate,
     CycleContext,
     bnb_search,
-    dynamics,
     end_of_harvest,
     exhaustive_oracle,
     first_obs_timestamp,
@@ -41,6 +40,7 @@ from conftest import (
     Q3,
     first_obs_grid_oracle,
     harvest_closed_form,
+    plant,
     random_context,
     random_stable_system,
 )
@@ -136,15 +136,16 @@ def test_criterion_5_optimal_vs_greedy():
 
 
 def test_criterion_6_numerics():
-    # The operator the program runs: dynamics.discretize's Van Loan
-    # exponential, by interval length.  Integrated noise covariance vs
-    # adaptive quadrature on the reference stiff plant.
+    # The operator the program runs: SystemModel.discretize, one Van Loan
+    # exponential by interval length, on one-observer models of each plant.
+    # Integrated noise covariance vs adaptive quadrature on the reference
+    # stiff plant.
     def integrand(u):
         E = scipy.linalg.expm(A3 * u)
         return E @ Q3 @ E.T
 
     want, _ = scipy.integrate.quad_vec(integrand, 0.0, 0.01, epsabs=1e-14, epsrel=1e-13)
-    got = dynamics.discretize(A3, Q3, 0.01)[1]
+    got = plant(A3, Q3).discretize(0.01)[1]
     rel = np.linalg.norm(got - want) / np.linalg.norm(want)
     assert rel <= 1e-8, f"quadrature disagreement {rel:.2e}"
 
@@ -157,9 +158,10 @@ def test_criterion_6_numerics():
         n = int(rng.integers(1, 7))
         A, Q = random_stable_system(rng, n)
         s, u, t = np.sort(rng.uniform(0.0, 1.0, size=3))
-        F_su, Q_su = dynamics.discretize(A, Q, u - s)
-        F_ut, Q_ut = dynamics.discretize(A, Q, t - u)
-        F_st, Q_st = dynamics.discretize(A, Q, t - s)
+        model = plant(A, Q)
+        F_su, Q_su = model.discretize(u - s)
+        F_ut, Q_ut = model.discretize(t - u)
+        F_st, Q_st = model.discretize(t - s)
         dphi = np.linalg.norm(F_st - F_ut @ F_su) / max(np.linalg.norm(F_st), 1e-300)
         rhs = F_ut @ Q_su @ F_ut.T + Q_ut
         dq = np.linalg.norm(Q_st - rhs) / max(np.linalg.norm(Q_st), 1e-300)

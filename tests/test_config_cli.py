@@ -540,3 +540,59 @@ class TestCli:
 
     def test_missing_file_exit_code(self):
         assert run_cli(["simulate", "--config", "/nonexistent/nope.json"]) == 1
+
+    @pytest.mark.parametrize("how", ["simulate-flag", "simulate-config", "preset"])
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, how):
+        out = tmp_path / "missing" / "out.txt"
+        d = minimal_config_dict()
+        if how == "simulate-config":
+            d["output"] = {"csv": str(out)}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(d))
+        argv = {
+            "simulate-flag": ["simulate", "--config", str(cfg_path), "--out", str(out)],
+            "simulate-config": ["simulate", "--config", str(cfg_path)],
+            "preset": ["preset", "rate-fast", "--out", str(out)],
+        }[how]
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {out}: No such file or directory\n"
+
+    def test_unknown_log_level_is_config_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("OSPKIT_LOG", "bogus")
+        assert run_cli(["preset", "rate-fast"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: OSPKIT_LOG: unknown level 'BOGUS'\n"
+
+    # The README's instance with one field holding a JSON boolean, which
+    # would otherwise be read as 1: each variant still solves at cycle 100,
+    # which spans (0.99, 1.0].
+    @pytest.mark.parametrize(
+        "field, instance",
+        [
+            ("candidates", {"candidates": [[0.0, 0.003, True], [0.001, 0.003, 0]]}),
+            ("candidates", {"candidates": [[True, 0.003, 0]], "cycle_index": 100}),
+            ("candidates", {"candidates": [[0.0, True, 0]]}),
+            ("action_airtimes", {"candidates": [[0.0, 0.003, 0]], "action_airtimes": [True]}),
+            ("t0", {"candidates": [[1.0, 0.003, 0]], "cycle_index": 100, "t0": True}),
+            ("prior_cov_scale", {"candidates": [[0.0, 0.003, 0]], "prior_cov_scale": True}),
+            ("prior_cov", {"candidates": [[0.0, 0.003, 0]], "prior_cov": [[True]]}),
+        ],
+        ids=["observer", "timestamp", "airtime", "action-airtime", "t0",
+             "prior-cov-scale", "prior-cov"],
+    )
+    def test_schedule_rejects_booleans(self, tmp_path, capsys, field, instance):
+        model = {
+            "A": [[-1.0]], "B": [[1.0]], "C": [[1.0], [1.0]], "Q": [[0.01]],
+            "R": [[0.01, 0.0], [0.0, 1.0]], "T": 0.01, "observer_periods": [0.01, 0.01],
+        }
+        p = tmp_path / "inst.json"
+        p.write_text(json.dumps({"model": model, "instance": instance}))
+        assert run_cli(["schedule", "--config", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: {p}: instance.{field}: a boolean is not a number\n"
+        )

@@ -1,8 +1,10 @@
-"""Tests of the length operators ``dynamics.discretize`` (Phi and Qd) and
-``dynamics.input_integral`` (Lambda) with independent oracles: Taylor
+"""Tests of the plant's length operators through their one checked entry,
+``SystemModel``: ``discretize`` (Phi and Qd) and ``input_lambda`` (Lambda),
+on models built by ``plant(A, Q, B)``, with independent oracles: Taylor
 series and mpmath for the matrix exponential, adaptive quadrature for the
 input and noise integrals, closed forms for scalar, diagonal and invertible
-special cases, and the semigroup and composition identities."""
+special cases, and the semigroup and composition identities.  The model
+checks A, B and Q; ``test_model.py`` tests those checks."""
 from __future__ import annotations
 
 import numpy as np
@@ -10,9 +12,9 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from ospkit import DimensionError, DomainError, OrderingError, dynamics
+from ospkit import DomainError, OrderingError
 
-from conftest import A3, B3, Q3, mp_noise_cov, mp_phi, random_stable_system
+from conftest import A3, B3, Q3, mp_noise_cov, mp_phi, plant, random_stable_system
 
 
 def expm_taylor(M, terms=60):
@@ -46,12 +48,12 @@ def input_integral_quadrature(A, B, d):
 
 def phi_of(A, Q, d):
     """Phi of ``discretize`` over length d."""
-    return dynamics.discretize(A, Q, d)[0]
+    return plant(A, Q).discretize(d)[0]
 
 
 def qd_of(A, Q, d):
     """Qd of ``discretize`` over length d."""
-    return dynamics.discretize(A, Q, d)[1]
+    return plant(A, Q).discretize(d)[1]
 
 
 class TestMatExp:
@@ -80,14 +82,6 @@ class TestMatExp:
             split = phi_of(A, Q, u) @ phi_of(A, Q, s)
             np.testing.assert_allclose(full, split, rtol=1e-9, atol=1e-12)
 
-    def test_rejects_nonsquare(self):
-        with pytest.raises(DimensionError):
-            dynamics.discretize(np.zeros((2, 3)), np.zeros((2, 2)), 1.0)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(DomainError):
-            dynamics.discretize(np.array([[np.nan]]), np.zeros((1, 1)), 1.0)
-
 
 class TestPhi:
     def test_identity_at_equal_times(self):
@@ -104,7 +98,7 @@ class TestPhi:
     def test_rejects_reversed_interval(self):
         # A caller's t - s for s = 1.0 > t = 0.5.
         with pytest.raises(OrderingError):
-            dynamics.discretize(A3, Q3, 0.5 - 1.0)
+            plant(A3, Q3).discretize(0.5 - 1.0)
 
 
 class TestDiscretize:
@@ -113,31 +107,32 @@ class TestDiscretize:
         # scipy.linalg.expm(A3 * d) is off by up to 5.4e-12 on these lengths.
         rng = np.random.default_rng(41)
         lengths = 0.05 - rng.uniform(0.0, 0.05, size=200)
+        model = plant(A3, Q3)
         for i, d in enumerate(lengths):
-            Phi, Qd = dynamics.discretize(A3, Q3, float(d))
+            Phi, Qd = model.discretize(float(d))
             np.testing.assert_allclose(Phi, mp_phi(A3, d), rtol=1e-12, atol=0)
             if i % 10 == 0:
                 np.testing.assert_allclose(Qd, mp_noise_cov(A3, Q3, d), rtol=1e-12, atol=0)
 
     def test_zero_length_is_exact(self):
-        Phi, Qd = dynamics.discretize(A3, Q3, 0.0)
+        Phi, Qd = plant(A3, Q3).discretize(0.0)
         np.testing.assert_array_equal(Phi, np.eye(3))
         np.testing.assert_array_equal(Qd, np.zeros((3, 3)))
 
     def test_rejects_negative_length(self):
         with pytest.raises(OrderingError):
-            dynamics.discretize(A3, Q3, -1e-3)
+            plant(A3, Q3).discretize(-1e-3)
 
 
 class TestInputIntegral:
     def test_empty_hold_interval(self):
-        got = dynamics.input_integral(A3, B3, 0.0)
+        got = plant(A3, Q3, B3).input_lambda(0.0)
         np.testing.assert_array_equal(got, np.zeros((3, 1)))
 
     def test_scalar_closed_form(self):
         # int_0^d e^{a tau} b dtau = (b/a) (e^{a d} - 1).
         a, b, d = -3.0, 2.0, 0.3
-        got = dynamics.input_integral(np.array([[a]]), np.array([[b]]), d)
+        got = plant([[a]], [[0.0]], [[b]]).input_lambda(d)
         want = (b / a) * (np.exp(a * d) - 1.0)
         np.testing.assert_allclose(got, [[want]], rtol=1e-12)
 
@@ -145,27 +140,27 @@ class TestInputIntegral:
         # Integrator chain: A = 0 gives exactly d * B.
         A = np.zeros((2, 2))
         B = np.array([[1.0], [3.0]])
-        got = dynamics.input_integral(A, B, 0.25)
+        got = plant(A, np.zeros((2, 2)), B).input_lambda(0.25)
         np.testing.assert_allclose(got, 0.25 * B, rtol=1e-13)
 
     def test_against_quadrature(self):
-        got = dynamics.input_integral(A3, B3, 0.003)
+        got = plant(A3, Q3, B3).input_lambda(0.003)
         want = input_integral_quadrature(A3, B3, 0.003)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
     def test_invertible_closed_form(self):
         # A^{-1} (e^{A d} - I) B for invertible A.
         rng = np.random.default_rng(3)
-        A, _ = random_stable_system(rng, 4)
+        A, Q = random_stable_system(rng, 4)
         B = rng.normal(size=(4, 2))
         d = 0.4
         want = np.linalg.solve(A, (scipy.linalg.expm(A * d) - np.eye(4)) @ B)
-        got = dynamics.input_integral(A, B, d)
+        got = plant(A, Q, B).input_lambda(d)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
 
     def test_rejects_bad_ordering(self):
         with pytest.raises(OrderingError):
-            dynamics.input_integral(A3, B3, 0.5 - 0.6)
+            plant(A3, Q3, B3).input_lambda(0.5 - 0.6)
 
 
 class TestNoiseCov:
@@ -208,22 +203,19 @@ class TestNoiseCov:
             n = int(rng.integers(1, 7))
             A, Q = random_stable_system(rng, n)
             s, u, t = np.sort(rng.uniform(0.0, 1.0, size=3))
-            F, Q_ut = dynamics.discretize(A, Q, t - u)
-            lhs = qd_of(A, Q, t - s)
-            rhs = F @ qd_of(A, Q, u - s) @ F.T + Q_ut
+            model = plant(A, Q)
+            F, Q_ut = model.discretize(t - u)
+            lhs = model.discretize(t - s)[1]
+            rhs = F @ model.discretize(u - s)[1] @ F.T + Q_ut
             np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-13)
-
-    def test_rejects_asymmetric_Q(self):
-        with pytest.raises((DomainError, DimensionError)):
-            dynamics.discretize(A3, np.array([[1.0, 0.5, 0], [0, 1, 0], [0, 0, 1]]), 0.1)
 
 
 @pytest.mark.parametrize("s, t", [(0.0, np.inf), (0.0, np.nan), (np.inf, np.inf), (np.nan, 0.0)])
 @pytest.mark.parametrize(
     "op",
     [
-        lambda d: dynamics.input_integral(A3, B3, d),
-        lambda d: dynamics.discretize(A3, Q3, d),
+        lambda d: plant(A3, Q3, B3).input_lambda(d),
+        lambda d: plant(A3, Q3).discretize(d),
     ],
     ids=["input_integral", "discretize"],
 )

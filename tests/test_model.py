@@ -1,7 +1,9 @@
-"""Model-layer tests: the checks of the plant's inputs, and discretization
-memoized by interval length, bit-equal to the dynamics primitives on
-absolute times, in a bounded cache that does not change what a run
-computes, with the boundary operator kept in the same cache entry."""
+"""Model-layer tests: the checks of the plant's inputs (the model is the one
+checked entry to the plant's operators), and discretization memoized by
+interval length, bit-equal to the ``dynamics`` kernels it runs on absolute
+times, in a bounded cache that does not change what a run computes, with
+the boundary operator kept in the same cache entry.  The operators'
+accuracy is tested through the model in ``test_dynamics.py``."""
 from __future__ import annotations
 
 import json
@@ -59,10 +61,18 @@ class TestChecks:
          ("Q", -np.eye(3), DomainError, "Q must be positive semi-definite"),
          ("Q", np.diag([1.0, np.inf, 1.0]), DomainError, "Q contains non-finite"),
          ("R", np.diag([1e-2] * 5 + [0.0]), DomainError, "R must have a positive diagonal"),
-         ("R", np.diag([1e-2] * 5 + [-1.0]), DomainError, "R must have a positive diagonal")],
-        ids=["Q-shape", "Q-asymmetric", "Q-not-psd", "Q-non-finite", "R-zero", "R-negative"],
+         ("R", np.diag([1e-2] * 5 + [-1.0]), DomainError, "R must have a positive diagonal"),
+         ("A", np.ones((3, 2)), DimensionError, "A must be square"),
+         ("A", np.where(np.eye(3) > 0, np.nan, A3), DomainError, "A contains non-finite"),
+         ("B", np.ones((2, 1)), DimensionError, "B must have 3 rows"),
+         ("C", np.ones((6, 2)), DimensionError, "C must have 3 columns"),
+         ("R", np.diag([1e-2] * 5), DimensionError, "R must be 6x6"),
+         ("observer_periods", (T3,) * 5, DimensionError, "one observer period per C row")],
+        ids=["Q-shape", "Q-asymmetric", "Q-not-psd", "Q-non-finite", "R-zero", "R-negative",
+             "A-non-square", "A-non-finite", "B-rows", "C-columns", "R-shape", "periods-count"],
     )
     def test_model_rejects_bad_noise(self, field, value, error, match):
+        # Named for its first cases, the noise covariances; it covers every plant input.
         kwargs = dict(A=A3, B=B3, C=C_MIX, Q=Q3, R=np.diag([1e-2] * 6), T=T3,
                       observer_periods=(T3,) * 6)
         kwargs[field] = value
@@ -72,14 +82,18 @@ class TestChecks:
 
 class TestDiscretize:
     def test_matches_dynamics_on_absolute_times(self, model):
+        # What the cache returns for the length t - s is what the kernels
+        # give for it, on every call.
         rng = np.random.default_rng(3)
         for _ in range(50):
             s, t = np.sort(rng.uniform(0.0, 0.05, size=2)).tolist()
-            Phi, Qd = model.discretize(t - s)
-            want_Phi, want_Qd = dynamics.discretize(A3, Q3, t - s)
-            assert np.array_equal(Phi, want_Phi) and np.array_equal(Qd, want_Qd)
-            Lam = model.input_lambda(t - s)
-            assert np.array_equal(Lam, dynamics.input_integral(A3, B3, t - s))
+            for _ in range(2):
+                Phi, Qd = model.discretize(t - s)
+                want_Phi, want_Qd = dynamics._discretize(model._van_loan, t - s)
+                assert Phi.tobytes() == want_Phi.tobytes()
+                assert Qd.tobytes() == want_Qd.tobytes()
+                Lam = model.input_lambda(t - s)
+                assert Lam.tobytes() == dynamics._input_integral(A3, B3, t - s).tobytes()
 
     @pytest.mark.parametrize("dt", [0.0, 0.004, 0.05], ids=["zero", "one-substep", "25-substeps"])
     def test_miss_is_one_exponential(self, model, monkeypatch, dt):
@@ -96,17 +110,6 @@ class TestDiscretize:
         model.discretize(dt)
         model.boundary_operator(dt)
         assert len(calls) == 1
-
-    @pytest.mark.parametrize("steps", [1, 2, 3, 8, 25, 200])
-    def test_miss_is_bit_equal_to_dynamics(self, model, steps):
-        # ||A3||_inf = 1000 caps a Van Loan substep at 2e-3, so this length
-        # takes `steps` substeps; the model builds its block once and must
-        # still give what the checked public operator gives.
-        dt = (steps - 0.5) * 2e-3
-        assert dt not in model._disc_cache
-        Phi, Qd = model.discretize(dt)
-        want_Phi, want_Qd = dynamics.discretize(A3, Q3, dt)
-        assert Phi.tobytes() == want_Phi.tobytes() and Qd.tobytes() == want_Qd.tobytes()
 
     def test_zero_length_is_exact(self, model):
         Phi, Qd = model.discretize(0.0)

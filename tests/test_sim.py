@@ -17,7 +17,6 @@ from ospkit import (
     NumericError,
     cycle_candidates,
     decision_cycles,
-    dynamics,
     run_simulation,
     sample_airtimes,
     scheduler,
@@ -27,7 +26,7 @@ from ospkit import (
 from ospkit.cli import run_cli
 from ospkit.config import PRESET_NAMES, parse_config_dict, preset_config
 from ospkit.sim import _fuse
-from conftest import A3, C_MIX, T3, make_model, scalar_model
+from conftest import A3, C_MIX, T3, make_model, plant, scalar_model
 
 
 def chan(n_obs, lo, hi, *, actions=(), seed=0):
@@ -120,7 +119,7 @@ class TestStepTrueState:
         rng = np.random.default_rng(0)
         x = np.array([1.0, -1.0, 0.5])
         got = step_true_state(model, x, None, 0.0, 0.004, rng)
-        Phi, _ = dynamics.discretize(A3, np.zeros((3, 3)), 0.004)
+        Phi, _ = plant(A3, np.zeros((3, 3))).discretize(0.004)
         np.testing.assert_array_equal(got, Phi @ x)
 
     def test_integrator_noise_variance(self):
