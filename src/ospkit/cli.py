@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import operator
 import os
 import sys
 from pathlib import Path
@@ -30,13 +29,11 @@ from .config import (
     CSV_FLOAT_FMT,
     format_seq,
     load_config,
-    parse_model,
+    load_instance,
     preset_config,
-    read_json_object,
     write_csv,
 )
 from .errors import ConfigError, DomainError, NumericError, OspkitError
-from .model import check_covariance
 
 log = logging.getLogger("ospkit")
 
@@ -81,50 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# The numeric fields of a cycle instance.
-_INSTANCE_FIELDS = (
-    "candidates", "action_airtimes", "cycle_index", "t0", "prior_cov", "prior_cov_scale",
-)
-
-
-def _has_bool(x) -> bool:
-    """Whether a parsed JSON value is, or holds in its lists, a boolean,
-    which Python would otherwise read as the number 0 or 1."""
-    if isinstance(x, list):
-        return any(_has_bool(v) for v in x)
-    return isinstance(x, bool)
-
-
 def _cmd_schedule(args) -> int:
-    path = Path(args.config)
-    data = read_json_object(path)
-    model = parse_model(data.get("model"))
-    inst = data.get("instance")
-    if not isinstance(inst, dict):
-        raise ConfigError(f"{path}: missing 'instance' block")
-    for key in _INSTANCE_FIELDS:
-        if _has_bool(inst.get(key)):
-            raise ConfigError(f"{path}: instance.{key}: a boolean is not a number")
-    S, N = model.n_states, model.n_observers
-    try:
-        scale = float(inst.get("prior_cov_scale", 1.0))
-        prior_cov = check_covariance("prior_cov", inst.get("prior_cov", scale * np.eye(S)), S)
-        ctx = scheduler.CycleContext(
-            candidates=tuple(
-                scheduler.Candidate(float(t), float(a), operator.index(n))
-                for t, a, n in inst["candidates"]
-            ),
-            action_airtimes=inst.get("action_airtimes", ()),
-            T=model.T,
-            cycle_index=inst.get("cycle_index", 1),
-            t0=float(inst["t0"]) if "t0" in inst else None,
-            prior_cov=prior_cov,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: malformed instance: {type(exc).__name__}: {exc}")
-    bad = [c.observer for c in ctx.candidates if c.observer not in range(N)]
-    if bad:
-        raise ConfigError(f"{path}: candidate observers {bad} not in [0, {N})")
+    model, ctx = load_instance(args.config)
     ev = scheduler.decide(args.policy, ctx, model)
     print(f"policy: {args.policy}")
     print(f"sequence: {format_seq(ev.seq)}")

@@ -1,7 +1,7 @@
-"""Experiment configuration: JSON loading/validation, named scenario presets,
+"""Experiment configuration: the two JSON documents, named scenario presets,
 and CSV log output.
 
-A config file is a single JSON object with four blocks::
+A config file (``load_config``) is a single JSON object with four blocks::
 
     {
       "model":   {"A": [[..]], "B": [[..]], "C": [[..]], "Q": [[..]],
@@ -15,28 +15,43 @@ A config file is a single JSON object with four blocks::
       "output":  {"csv": "out.csv"}                  # optional
     }
 
+A cycle-instance file (``load_instance``, for ``ospkit schedule``) has the
+same ``model`` block and one decision cycle::
+
+    {"model": {..},
+     "instance": {"candidates": [[timestamp, airtime, observer], ..],
+                  "action_airtimes": [..], "cycle_index": 1, "t0": 0.0,
+                  "prior_cov": [[..]]}}              # or "prior_cov_scale"
+
+``_FIELDS`` lists each block's number and string fields, and
+``_check_document`` checks either document against it first: an unlisted
+key or a leaf of the wrong kind (in a number field, through nested lists,
+a JSON boolean, string or null) is a ConfigError naming its JSON path.
+
 A trace file has one line per cycle, blank lines skipped, so trace row k is
 the k-th non-blank line: comma-separated observer airtimes, then the action
-airtimes, every line as wide as the first.  ``SystemModel`` checks the
-model block and ``ChannelConfig`` the seed and every airtime.
+airtimes, every line as wide as the first.  ``SystemModel``,
+``ChannelConfig`` and ``CycleContext`` check the values.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import SystemModel
-from .scheduler import POLICIES
+from .model import SystemModel, check_covariance
+from .scheduler import POLICIES, Candidate, CycleContext
 from .sim import ChannelConfig, CycleLog
 
 __all__ = [
     "ExperimentConfig",
     "load_config",
+    "load_instance",
     "parse_config_dict",
     "preset_config",
     "PRESET_NAMES",
@@ -93,18 +108,57 @@ def _trace_bounds(trace, lo_col: int, hi_col: int):
     return tuple((float(c.min()), float(c.max())) for c in cols.T)
 
 
-def parse_model(mb) -> SystemModel:
-    """Validate a config's ``model`` block; raises ConfigError on the first problem."""
-    if not isinstance(mb, dict):
-        raise ConfigError("model: missing or not an object")
-    missing = [f for f in ("A", "B", "C", "Q", "R", "T", "observer_periods") if f not in mb]
+_NUMBER, _STRING = "a number", "a string"
+_TYPES = {_NUMBER: (int, float), _STRING: str}
+_FIELDS = {
+    "model": dict.fromkeys(("A", "B", "C", "Q", "R", "T", "observer_periods"), _NUMBER),
+    "channel": {"seed": _NUMBER, "obs_airtime": _NUMBER, "action_airtime": _NUMBER,
+                "trace_path": _STRING},
+    "run": {"policy": _STRING, "cycles": _NUMBER, "initial_cov_scale": _NUMBER,
+            "preset": _STRING},
+    "output": {"csv": _STRING},
+    "instance": dict.fromkeys(("candidates", "action_airtimes", "cycle_index", "t0",
+                               "prior_cov", "prior_cov_scale"), _NUMBER),
+}
+
+
+def _leaf_errors(path: str, value, kind: str):
+    """Messages for the leaves of ``value`` that are not of ``kind``."""
+    if kind == _NUMBER and isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaf_errors(f"{path}[{i}]", v, kind)
+    elif isinstance(value, bool) or not isinstance(value, _TYPES[kind]):
+        yield f"{path}: expected {kind}, got {json.dumps(value, default=repr)}"
+
+
+def _check_document(data: dict, required: tuple, optional: tuple = ()) -> None:
+    """One ConfigError listing each of the blocks that is missing or not an
+    object, each key its block does not list and each leaf of the wrong kind."""
+    errors = []
+    for block in required + optional:
+        fields = data.get(block)
+        if not isinstance(fields, dict):
+            if block in data or block in required:
+                errors.append(f"{block}: missing or not an object")
+            continue
+        for key, value in fields.items():
+            kind = _FIELDS[block].get(key)
+            if kind is None:
+                errors.append(f"{block}.{key}: unknown key; {block} takes "
+                              + ", ".join(_FIELDS[block]))
+            else:
+                errors.extend(_leaf_errors(f"{block}.{key}", value, kind))
+    if errors:
+        raise ConfigError("\n".join(errors))
+
+
+def parse_model(mb: dict) -> SystemModel:
+    """Build a checked ``model`` block; raises ConfigError on the first problem."""
+    missing = [f for f in _FIELDS["model"] if f not in mb]
     if missing:
         raise ConfigError("model: missing fields: " + ", ".join(missing))
     try:
-        return SystemModel(
-            A=mb["A"], B=mb["B"], C=mb["C"], Q=mb["Q"], R=mb["R"],
-            T=mb["T"], observer_periods=mb["observer_periods"],
-        )
+        return SystemModel(**mb)
     except Exception as exc:
         raise ConfigError(f"model: {exc}")
 
@@ -112,17 +166,12 @@ def parse_model(mb) -> SystemModel:
 def parse_config_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     """Validate a parsed JSON object into an ExperimentConfig.
 
-    Collects every violation it can find before raising a single
-    :class:`ConfigError` listing them all.
+    ``_check_document`` runs first; then every violation it can find is
+    collected before raising a single :class:`ConfigError` listing them all.
     """
+    _check_document(data, ("model", "channel", "run"), ("output",))
     errors: list[str] = []
     base_dir = base_dir or Path.cwd()
-
-    for block in ("model", "channel", "run"):
-        if block not in data or not isinstance(data[block], dict):
-            errors.append(f"{block}: missing or not an object")
-    if errors:
-        raise ConfigError("\n".join(errors))
 
     model = None
     try:
@@ -168,21 +217,16 @@ def parse_config_dict(data: dict, base_dir: Path | None = None) -> ExperimentCon
 
     rb = data["run"]
     policy = rb.get("policy", "bnb")
-    if not isinstance(policy, str) or policy not in POLICIES:
+    if policy not in POLICIES:
         errors.append(f"run.policy: {policy!r} not one of {tuple(POLICIES)}")
     cycles = rb.get("cycles", 100)
-    if isinstance(cycles, bool) or not (isinstance(cycles, int) and cycles >= 1):
+    if not (isinstance(cycles, int) and cycles >= 1):
         errors.append(f"run.cycles: must be an integer >= 1, got {cycles!r}")
         cycles = 1
     scale = rb.get("initial_cov_scale", 1.0)
-    if isinstance(scale, bool) or not (isinstance(scale, (int, float)) and scale > 0):
+    if not (isinstance(scale, (int, float)) and scale > 0):
         errors.append(f"run.initial_cov_scale: must be a number > 0, got {scale!r}")
         scale = 1.0
-
-    output = data.get("output", {})
-    csv_path = output.get("csv") if isinstance(output, dict) else None
-    if not (isinstance(output, dict) and isinstance(csv_path, (str, type(None)))):
-        errors.append(f"output: must be an object with a string 'csv', got {output!r}")
 
     if errors:
         raise ConfigError("\n".join(errors))
@@ -192,7 +236,7 @@ def parse_config_dict(data: dict, base_dir: Path | None = None) -> ExperimentCon
         policy=policy,
         cycles=cycles,
         initial_cov_scale=float(scale),
-        csv_path=csv_path,
+        csv_path=data.get("output", {}).get("csv"),
     )
 
 
@@ -215,6 +259,35 @@ def read_json_object(path) -> dict:
 def load_config(path) -> ExperimentConfig:
     """Load and validate a JSON experiment config file."""
     return parse_config_dict(read_json_object(path), base_dir=Path(path).parent)
+
+
+def load_instance(path) -> tuple[SystemModel, CycleContext]:
+    """A checked cycle-instance file: the model and the cycle it poses."""
+    data = read_json_object(path)
+    _check_document(data, ("model", "instance"))
+    model = parse_model(data["model"])
+    inst = data["instance"]
+    S, N = model.n_states, model.n_observers
+    try:
+        scale = float(inst.get("prior_cov_scale", 1.0))
+        prior_cov = check_covariance("prior_cov", inst.get("prior_cov", scale * np.eye(S)), S)
+        ctx = CycleContext(
+            candidates=tuple(
+                Candidate(float(t), float(a), operator.index(n))
+                for t, a, n in inst["candidates"]
+            ),
+            action_airtimes=inst.get("action_airtimes", ()),
+            T=model.T,
+            cycle_index=inst.get("cycle_index", 1),
+            t0=float(inst["t0"]) if "t0" in inst else None,
+            prior_cov=prior_cov,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: malformed instance: {type(exc).__name__}: {exc}")
+    bad = [c.observer for c in ctx.candidates if c.observer not in range(N)]
+    if bad:
+        raise ConfigError(f"{path}: candidate observers {bad} not in [0, {N})")
+    return model, ctx
 
 
 # -- named scenario presets --------------------------------------------------

@@ -87,11 +87,13 @@ def sample_airtimes(cfg: ChannelConfig, k: int) -> tuple[np.ndarray, np.ndarray]
     """Airtimes for cycle k: (per-observer, per-action).
 
     Deterministic under (seed, k).  With a trace configured, row k-1 is
-    used instead of random draws (the trace must cover the cycle).  A cycle
-    index below 1 raises DomainError.
+    used instead of random draws.  A cycle index below 1 or past the
+    trace's last row raises DomainError.
     """
     if k < 1:
         raise DomainError(f"cycle index must be >= 1, got {k}")
+    if cfg.trace is not None and k > len(cfg.trace):
+        raise DomainError(f"cycle {k} is past the trace's {len(cfg.trace)} rows")
     n_obs = len(cfg.obs_airtime)
     if cfg.trace is not None:
         row = cfg.trace[k - 1]

@@ -132,27 +132,65 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=match):
             parse_config_dict(d, base_dir=tmp_path)
 
+    # A JSON boolean, string or null where a number belongs; Python would
+    # read a boolean as 0 or 1.
     @pytest.mark.parametrize(
-        "block, key, value", [("run", "cycles", True), ("channel", "seed", False)]
+        "block, key, value",
+        [("run", "cycles", True), ("channel", "seed", False), ("run", "cycles", "5"),
+         ("channel", "seed", None)],
     )
     def test_rejects_bool_for_integer(self, block, key, value):
         d = minimal_config_dict()
         d[block][key] = value
-        with pytest.raises(ConfigError, match=f"{block}.{key}: must be an integer"):
+        with pytest.raises(ConfigError) as err:
             parse_config_dict(d)
+        assert str(err.value) == f"{block}.{key}: expected a number, got {json.dumps(value)}"
 
     @pytest.mark.parametrize(
-        "block, key, value, match",
-        [("model", "T", True, "model: decision period T must be a number"),
-         ("model", "observer_periods", [True], "model: observer_periods must be numbers"),
-         ("run", "initial_cov_scale", True, "run.initial_cov_scale: must be a number")],
-        ids=["T", "observer_periods", "initial_cov_scale"],
+        "block, key, value, message",
+        [("model", "T", True, "model.T: expected a number, got true"),
+         ("model", "observer_periods", [True], "model.observer_periods[0]: expected a number, got true"),
+         ("run", "initial_cov_scale", True, "run.initial_cov_scale: expected a number, got true"),
+         ("model", "A", [[True]], "model.A[0][0]: expected a number, got true"),
+         ("model", "R", [[True]], "model.R[0][0]: expected a number, got true"),
+         ("channel", "obs_airtime", [[True, True]],
+          "channel.obs_airtime[0][0]: expected a number, got true\n"
+          "channel.obs_airtime[0][1]: expected a number, got true"),
+         ("channel", "action_airtime", [[1e-4, None]],
+          "channel.action_airtime[0][1]: expected a number, got null"),
+         ("model", "A", [["-1"]], 'model.A[0][0]: expected a number, got "-1"'),
+         ("model", "T", "0.01", 'model.T: expected a number, got "0.01"'),
+         ("model", "observer_periods", ["0.01"],
+          'model.observer_periods[0]: expected a number, got "0.01"'),
+         ("channel", "action_airtime", "0", 'channel.action_airtime: expected a number, got "0"'),
+         ("run", "initial_cov_scale", {"x": 1},
+          'run.initial_cov_scale: expected a number, got {"x": 1}')],
+        ids=["T", "observer_periods", "initial_cov_scale", "A-leaf", "R-leaf",
+             "obs-airtime-pair", "action-airtime-null", "A-string", "T-string",
+             "period-string", "action-airtime-string", "scale-object"],
     )
-    def test_rejects_bool_for_number(self, block, key, value, match):
+    def test_rejects_bool_for_number(self, block, key, value, message):
         d = minimal_config_dict()
         d[block][key] = value
-        with pytest.raises(ConfigError, match=match):
+        with pytest.raises(ConfigError) as err:
             parse_config_dict(d)
+        assert str(err.value) == message
+
+    def test_rejects_unknown_keys(self):
+        # Every unknown key and every bad leaf, in one error.
+        d = minimal_config_dict()
+        d["run"] = {"polcy": "greedy", "cycle": 5}
+        d["channel"]["sed"] = 3
+        d["output"] = {"csv": 1}
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict(d)
+        assert str(err.value).split("\n") == [
+            "channel.sed: unknown key; channel takes seed, obs_airtime, action_airtime, "
+            "trace_path",
+            "run.polcy: unknown key; run takes policy, cycles, initial_cov_scale, preset",
+            "run.cycle: unknown key; run takes policy, cycles, initial_cov_scale, preset",
+            "output.csv: expected a string, got 1",
+        ]
 
     def test_channel_requires_one_source(self):
         d = minimal_config_dict()
@@ -354,8 +392,7 @@ class TestCli:
         p.write_text(json.dumps(doc))
         assert run_cli(["schedule", "--config", str(p)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: ")
-        assert "cycle index must be an integer >= 1, got '2'" in err
+        assert err == 'config error: instance.cycle_index: expected a number, got "2"\n'
 
     @pytest.mark.parametrize(
         "block, value",
@@ -566,33 +603,77 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "config error: OSPKIT_LOG: unknown level 'BOGUS'\n"
 
-    # The README's instance with one field holding a JSON boolean, which
-    # would otherwise be read as 1: each variant still solves at cycle 100,
-    # which spans (0.99, 1.0].
+    # The README's instance with one leaf that is not a JSON number: a
+    # boolean, which would otherwise be read as 1 (each variant still
+    # solves at cycle 100, which spans (0.99, 1.0]), a string or null.
     @pytest.mark.parametrize(
-        "field, instance",
+        "block, fields, message",
         [
-            ("candidates", {"candidates": [[0.0, 0.003, True], [0.001, 0.003, 0]]}),
-            ("candidates", {"candidates": [[True, 0.003, 0]], "cycle_index": 100}),
-            ("candidates", {"candidates": [[0.0, True, 0]]}),
-            ("action_airtimes", {"candidates": [[0.0, 0.003, 0]], "action_airtimes": [True]}),
-            ("t0", {"candidates": [[1.0, 0.003, 0]], "cycle_index": 100, "t0": True}),
-            ("prior_cov_scale", {"candidates": [[0.0, 0.003, 0]], "prior_cov_scale": True}),
-            ("prior_cov", {"candidates": [[0.0, 0.003, 0]], "prior_cov": [[True]]}),
+            ("instance", {"candidates": [[0.0, 0.003, True], [0.001, 0.003, 0]]},
+             "instance.candidates[0][2]: expected a number, got true"),
+            ("instance", {"candidates": [[True, 0.003, 0]], "cycle_index": 100},
+             "instance.candidates[0][0]: expected a number, got true"),
+            ("instance", {"candidates": [[0.0, True, 0]]},
+             "instance.candidates[0][1]: expected a number, got true"),
+            ("instance", {"candidates": [[0.0, 0.003, 0]], "action_airtimes": [True]},
+             "instance.action_airtimes[0]: expected a number, got true"),
+            ("instance", {"candidates": [[1.0, 0.003, 0]], "cycle_index": 100, "t0": True},
+             "instance.t0: expected a number, got true"),
+            ("instance", {"candidates": [[0.0, 0.003, 0]], "prior_cov_scale": True},
+             "instance.prior_cov_scale: expected a number, got true"),
+            ("instance", {"candidates": [[0.0, 0.003, 0]], "prior_cov": [[True]]},
+             "instance.prior_cov[0][0]: expected a number, got true"),
+            ("model", {"A": [[True]]}, "model.A[0][0]: expected a number, got true"),
+            ("model", {"R": [[True, 0.0], [0.0, 1.0]]},
+             "model.R[0][0]: expected a number, got true"),
+            ("model", {"A": [["-1"]]}, 'model.A[0][0]: expected a number, got "-1"'),
+            ("model", {"T": "0.01"}, 'model.T: expected a number, got "0.01"'),
+            ("model", {"observer_periods": ["0.01", 0.01]},
+             'model.observer_periods[0]: expected a number, got "0.01"'),
+            ("instance", {"candidates": [["0.0", "0.003", 0]]},
+             'instance.candidates[0][0]: expected a number, got "0.0"\n'
+             'instance.candidates[0][1]: expected a number, got "0.003"'),
+            ("instance", {"candidates": [[0.0, 0.003, 0]], "action_airtimes": "0"},
+             'instance.action_airtimes: expected a number, got "0"'),
+            ("instance", {"candidates": [[0.0, 0.003, 0]], "t0": None},
+             "instance.t0: expected a number, got null"),
         ],
         ids=["observer", "timestamp", "airtime", "action-airtime", "t0",
-             "prior-cov-scale", "prior-cov"],
+             "prior-cov-scale", "prior-cov", "A-leaf", "R-leaf", "A-string", "T-string",
+             "period-string", "candidate-strings", "action-airtimes-string", "t0-null"],
     )
-    def test_schedule_rejects_booleans(self, tmp_path, capsys, field, instance):
-        model = {
-            "A": [[-1.0]], "B": [[1.0]], "C": [[1.0], [1.0]], "Q": [[0.01]],
-            "R": [[0.01, 0.0], [0.0, 1.0]], "T": 0.01, "observer_periods": [0.01, 0.01],
+    def test_schedule_rejects_booleans(self, tmp_path, capsys, block, fields, message):
+        doc = {
+            "model": {
+                "A": [[-1.0]], "B": [[1.0]], "C": [[1.0], [1.0]], "Q": [[0.01]],
+                "R": [[0.01, 0.0], [0.0, 1.0]], "T": 0.01, "observer_periods": [0.01, 0.01],
+            },
+            "instance": {"candidates": [[0.0, 0.003, 0]]},
         }
+        doc[block].update(fields)
         p = tmp_path / "inst.json"
-        p.write_text(json.dumps({"model": model, "instance": instance}))
+        p.write_text(json.dumps(doc))
         assert run_cli(["schedule", "--config", str(p)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"config error: {p}: instance.{field}: a boolean is not a number\n"
-        )
+        assert captured.err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "command, block, key",
+        [("simulate", "run", "polcy"), ("simulate", "channel", "sed"),
+         ("schedule", "instance", "cycle"), ("schedule", "model", "a")],
+    )
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, command, block, key):
+        # "polcy" used to run bnb silently, and "sed" seed 0.
+        if command == "simulate":
+            doc = minimal_config_dict()
+        else:
+            doc = {"model": minimal_config_dict()["model"],
+                   "instance": {"candidates": [[0.0, 0.003, 0]]}}
+        doc[block][key] = 1
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli([command, "--config", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {block}.{key}: unknown key; {block} takes ")

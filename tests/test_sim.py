@@ -112,6 +112,13 @@ class TestSampleAirtimes:
         with pytest.raises(DomainError, match="cycle index must be >= 1"):
             sample_airtimes(cfg, k)
 
+    def test_rejects_cycle_past_trace(self):
+        # Used to be a bare IndexError.
+        cfg = ChannelConfig(obs_airtime=((1e-4, 2e-4),), action_airtime=(), trace=((1.5e-4,),))
+        assert sample_airtimes(cfg, 1)[0][0] == 1.5e-4
+        with pytest.raises(DomainError, match="^cycle 2 is past the trace's 1 rows$"):
+            sample_airtimes(cfg, 2)
+
 
 class TestStepTrueState:
     def test_noiseless_is_exact_transition(self):
