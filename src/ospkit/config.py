@@ -23,10 +23,15 @@ same ``model`` block and one decision cycle::
                   "action_airtimes": [..], "cycle_index": 1, "t0": 0.0,
                   "prior_cov": [[..]]}}              # or "prior_cov_scale"
 
-``_FIELDS`` lists each block's number and string fields, and
-``_check_document`` checks either document against it first: an unlisted
-key or a leaf of the wrong kind (in a number field, through nested lists,
-a JSON boolean, string or null) is a ConfigError naming its JSON path.
+``_FIELDS`` lists each block's string fields and number fields, and how
+deeply a number field nests its numbers: 0 for a scalar such as ``T``, 1
+for a list such as ``observer_periods``, 2 for a matrix, the airtime
+ranges and the candidate triples.  ``_check_document`` checks either
+document against it first: a top-level key that names no block of either
+document, a key its block does not list, a list where a number belongs, a
+number where a list belongs, or a leaf of the wrong kind (in a number
+field, a JSON boolean, string or null) is a ConfigError naming its JSON
+path.
 
 A trace file has one line per cycle, blank lines skipped, so trace row k is
 the k-th non-blank line: comma-separated observer airtimes, then the action
@@ -108,33 +113,42 @@ def _trace_bounds(trace, lo_col: int, hi_col: int):
     return tuple((float(c.min()), float(c.max())) for c in cols.T)
 
 
-_NUMBER, _STRING = "a number", "a string"
-_TYPES = {_NUMBER: (int, float), _STRING: str}
+# A number field is marked by the depth of its numbers in nested lists.
+_STRING = "a string"
 _FIELDS = {
-    "model": dict.fromkeys(("A", "B", "C", "Q", "R", "T", "observer_periods"), _NUMBER),
-    "channel": {"seed": _NUMBER, "obs_airtime": _NUMBER, "action_airtime": _NUMBER,
-                "trace_path": _STRING},
-    "run": {"policy": _STRING, "cycles": _NUMBER, "initial_cov_scale": _NUMBER,
-            "preset": _STRING},
+    "model": {"A": 2, "B": 2, "C": 2, "Q": 2, "R": 2, "T": 0, "observer_periods": 1},
+    "channel": {"seed": 0, "obs_airtime": 2, "action_airtime": 2, "trace_path": _STRING},
+    "run": {"policy": _STRING, "cycles": 0, "initial_cov_scale": 0, "preset": _STRING},
     "output": {"csv": _STRING},
-    "instance": dict.fromkeys(("candidates", "action_airtimes", "cycle_index", "t0",
-                               "prior_cov", "prior_cov_scale"), _NUMBER),
+    "instance": {"candidates": 2, "action_airtimes": 1, "cycle_index": 0, "t0": 0,
+                 "prior_cov": 2, "prior_cov_scale": 0},
 }
 
 
-def _leaf_errors(path: str, value, kind: str):
-    """Messages for the leaves of ``value`` that are not of ``kind``."""
-    if kind == _NUMBER and isinstance(value, list):
-        for i, v in enumerate(value):
-            yield from _leaf_errors(f"{path}[{i}]", v, kind)
-    elif isinstance(value, bool) or not isinstance(value, _TYPES[kind]):
-        yield f"{path}: expected {kind}, got {json.dumps(value, default=repr)}"
+def _leaf_errors(path: str, value, kind):
+    """Messages for the parts of ``value`` that are not of ``kind``: a
+    string, or numbers nested ``kind`` lists deep."""
+    if kind == _STRING:
+        if not isinstance(value, str):
+            yield f"{path}: expected a string, got {json.dumps(value, default=repr)}"
+    elif isinstance(value, list):
+        if kind == 0:
+            yield f"{path}: expected a number, got a list"
+        else:
+            for i, v in enumerate(value):
+                yield from _leaf_errors(f"{path}[{i}]", v, kind - 1)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        yield f"{path}: expected a number, got {json.dumps(value, default=repr)}"
+    elif kind > 0:
+        yield f"{path}: expected a list, got {json.dumps(value)}"
 
 
 def _check_document(data: dict, required: tuple, optional: tuple = ()) -> None:
-    """One ConfigError listing each of the blocks that is missing or not an
-    object, each key its block does not list and each leaf of the wrong kind."""
-    errors = []
+    """One ConfigError listing each top-level key that names no block, each
+    of the blocks that is missing or not an object, each key its block does
+    not list and each value of the wrong kind."""
+    errors = [f"{key}: unknown block; the blocks are " + ", ".join(_FIELDS)
+              for key in data if key not in _FIELDS]
     for block in required + optional:
         fields = data.get(block)
         if not isinstance(fields, dict):

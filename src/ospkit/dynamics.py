@@ -3,12 +3,12 @@
 The plant is time-invariant, so every operator depends only on the length
 d of an interval.  ``SystemModel`` is the one checked entry to them: it
 checks A, B and Q once, builds the Van Loan block with ``_van_loan`` and
-calls ``_discretize`` (Phi and Qd) and ``_input_integral`` (the
-zero-order-hold input matrix) per length.  These kernels check nothing
-but the length (``_length``).  Each exponential is of a block matrix
-scaled by the length, so a singular state matrix A is supported
-everywhere and a zero length gives exactly I or zeros.  No kernel writes
-into its arguments.
+calls ``_discretize`` (Phi and Qd), ``_input_integral`` (the
+zero-order-hold input matrix) and ``_noise_factor`` (a factor of Qd) per
+length.  These kernels check nothing but the length (``_length``).  Each
+exponential is of a block matrix scaled by the length, so a singular
+state matrix A is supported everywhere and a zero length gives exactly I
+or zeros.  No kernel writes into its arguments.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import DomainError, OrderingError
+from .errors import DomainError, NumericError, OrderingError
 
 __all__ = ["symmetrize"]
 
@@ -107,3 +107,17 @@ def _discretize(block, d: float) -> tuple[np.ndarray, np.ndarray]:
         Phi = Ph @ Phi
         acc = Ph @ acc @ Ph.T + Qh
     return Phi, symmetrize(acc)
+
+
+def _noise_factor(Q: np.ndarray) -> np.ndarray:
+    """Factor F with F F^T = Q: Cholesky when Q is positive definite, else
+    from the eigendecomposition, which needs Q positive semi-definite
+    (NumericError otherwise)."""
+    try:
+        return np.linalg.cholesky(Q)
+    except np.linalg.LinAlgError:
+        pass
+    w, V = np.linalg.eigh((Q + Q.T) / 2.0)
+    if w.min() < -1e-12 * max(float(np.trace(Q)) / Q.shape[0], 1.0):
+        raise NumericError("process-noise covariance is not PSD")
+    return V @ np.diag(np.sqrt(np.clip(w, 0.0, None)))

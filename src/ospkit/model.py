@@ -56,10 +56,13 @@ class SystemModel:
     The model is the one checked entry to the plant's operators.  The plant
     is time-invariant, so they depend only on an interval's length, and
     every caller reaches them by length alone: ``discretize`` (Phi, Qd),
-    ``input_lambda`` (Lambda) and ``boundary_operator`` (M, c), with which
-    ``scheduler.bnb_search`` ranks its nodes by ``<M, P> + c``, share one
-    memoized cache entry per length.  A miss runs the unchecked
-    ``dynamics`` kernels on the A, B and Q checked here.
+    ``input_lambda`` (Lambda), ``boundary_operator`` (M, c), with which
+    ``scheduler.bnb_search`` ranks its nodes by ``<M, P> + c``, and
+    ``noise_factor`` (a factor of Qd), with which ``sim.step_true_state``
+    draws process noise, share one memoized cache entry per length.  A
+    miss runs the unchecked ``dynamics`` kernels on the A, B and Q checked
+    here.  Each observer's C row and noise variance are stored once, for
+    ``obs_row`` and ``obs_var``.
     """
 
     A: np.ndarray
@@ -72,6 +75,9 @@ class SystemModel:
     _disc_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # dynamics._van_loan(A, Q): what a discretization depends on besides dt.
     _van_loan: tuple = field(init=False, repr=False, compare=False)
+    # obs_row and obs_var of each observer: contiguous 1-D rows and floats.
+    _obs_rows: tuple = field(init=False, repr=False, compare=False)
+    _obs_vars: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -126,6 +132,8 @@ class SystemModel:
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "observer_periods", periods)
         object.__setattr__(self, "_van_loan", dynamics._van_loan(A, Q))
+        object.__setattr__(self, "_obs_rows", tuple(row.copy() for row in C))
+        object.__setattr__(self, "_obs_vars", tuple(float(r) for r in np.diag(R)))
 
     @property
     def n_states(self) -> int:
@@ -140,12 +148,13 @@ class SystemModel:
         return self.B.shape[1]
 
     def obs_row(self, n: int) -> np.ndarray:
-        """Row of C for observer n, as a 1-D vector."""
-        return self.C[n, :]
+        """Row of C for observer n, as a contiguous 1-D vector, shared by
+        every caller and never written into."""
+        return self._obs_rows[n]
 
     def obs_var(self, n: int) -> float:
         """Observation-noise variance of observer n."""
-        return float(self.R[n, n])
+        return self._obs_vars[n]
 
     def discretize(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
         """(Phi, Qd) over an interval of length dt >= 0, memoized per length.
@@ -155,16 +164,16 @@ class SystemModel:
         once from its checked A and Q: it costs the check of dt, one
         exponential and its substeps.
         The cache keeps the ``DISC_CACHE_SIZE`` lengths added last; a full
-        cache evicts the one added first, with the ``input_lambda`` and
-        ``boundary_operator`` values computed for it.  A negative or
-        non-finite dt is never cached: ``dynamics._length`` raises
-        OrderingError or DomainError for it before the exponential, the
-        one interval check for the callers passing dt = t - s.  The cached
-        arrays are shared by every caller and never written into.
+        cache evicts the one added first, with the ``input_lambda``,
+        ``boundary_operator`` and ``noise_factor`` values computed for it.
+        A negative or non-finite dt is never cached: ``dynamics._length``
+        raises OrderingError or DomainError for it before the exponential,
+        the one interval check for the callers passing dt = t - s.  The
+        cached arrays are shared by every caller and never written into.
         """
         entry = self._disc_cache.get(dt)
         if entry is None:
-            entry = [*dynamics._discretize(self._van_loan, dt), None, None]
+            entry = [*dynamics._discretize(self._van_loan, dt), None, None, None]
             if len(self._disc_cache) >= DISC_CACHE_SIZE:
                 del self._disc_cache[next(iter(self._disc_cache))]
             self._disc_cache[dt] = entry
@@ -190,11 +199,25 @@ class SystemModel:
         rounding, not bit for bit, so ``scheduler.bnb_search`` ranks with
         this pair and reports its winner through ``kalman.predict_cov``.
         """
-        entry = self._disc_cache.get(dt)
-        if entry is None:
-            self.discretize(dt)
-            entry = self._disc_cache[dt]
+        entry = self._entry(dt)
         if entry[3] is None:
             Phi, Qd = entry[0], entry[1]
             entry[3] = (Phi.T @ Phi, float(np.trace(Qd)))
         return entry[3]
+
+    def noise_factor(self, dt: float) -> np.ndarray:
+        """A factor F with F F^T = Qd over length dt (``dynamics._noise_factor``
+        of Qd), memoized with ``discretize``.  Raises NumericError when Qd
+        is not positive semi-definite."""
+        entry = self._entry(dt)
+        if entry[4] is None:
+            entry[4] = dynamics._noise_factor(entry[1])
+        return entry[4]
+
+    def _entry(self, dt: float) -> list:
+        """The cache entry of length dt; a miss goes through ``discretize``."""
+        entry = self._disc_cache.get(dt)
+        if entry is None:
+            self.discretize(dt)
+            entry = self._disc_cache[dt]
+        return entry

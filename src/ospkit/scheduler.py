@@ -92,9 +92,12 @@ class CycleContext:
 
     ``candidates`` are ordered ascending by (timestamp, observer);
     timestamps are absolute, while feasibility arithmetic uses offsets
-    relative to the cycle start (k-1)T.  ``t0``/``prior_cov`` anchor the
-    covariance chain at the latest earlier estimate; a ``t0`` of None
-    anchors it at the cycle start.  A ``cycle_index`` that is not an
+    relative to the cycle start (k-1)T.  The candidates are also kept as
+    tables computed once, one entry per candidate: ``timestamps``,
+    ``offsets`` (the cycle-relative timestamps), ``airtimes`` and
+    ``observers``.  ``t0``/``prior_cov`` anchor the covariance chain at the
+    latest earlier estimate; a ``t0`` of None anchors it at the cycle
+    start.  A ``cycle_index`` that is not an
     integer >= 1 (a bool included), a non-finite ``t0``, timestamp or
     airtime, an observation airtime <= 0 or an action airtime < 0 raises
     DomainError; a candidate before ``t0`` or after the cycle end raises
@@ -108,6 +111,10 @@ class CycleContext:
     t0: float | None
     prior_cov: np.ndarray
     budget: float = field(init=False)
+    timestamps: tuple[float, ...] = field(init=False, repr=False)
+    offsets: tuple[float, ...] = field(init=False, repr=False)
+    airtimes: tuple[float, ...] = field(init=False, repr=False)
+    observers: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "candidates", order_observations(self.candidates))
@@ -121,8 +128,14 @@ class CycleContext:
         k = self.cycle_index
         if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
             raise DomainError(f"cycle index must be an integer >= 1, got {k!r}")
+        start = self.cycle_start
+        cands = self.candidates
+        object.__setattr__(self, "timestamps", tuple(c.timestamp for c in cands))
+        object.__setattr__(self, "offsets", tuple(t - start for t in self.timestamps))
+        object.__setattr__(self, "airtimes", tuple(c.airtime for c in cands))
+        object.__setattr__(self, "observers", tuple(c.observer for c in cands))
         if self.t0 is None:
-            object.__setattr__(self, "t0", self.cycle_start)
+            object.__setattr__(self, "t0", start)
         if not math.isfinite(self.t0):
             raise DomainError(f"prior anchor t0 must be finite, got {self.t0}")
         for c in self.candidates:
@@ -158,10 +171,6 @@ class CycleContext:
     def cycle_end(self) -> float:
         return self.cycle_index * self.T
 
-    def rel_offset(self, i: int) -> float:
-        """Candidate i's timestamp relative to the cycle start."""
-        return self.candidates[i].timestamp - self.cycle_start
-
 
 @dataclass(frozen=True)
 class ScheduleEvaluation:
@@ -184,7 +193,7 @@ class ScheduleEvaluation:
 def _finish(d: float, ctx: CycleContext, j: int) -> float:
     """FCFS step: when candidate j finishes transmitting on a channel busy
     until d, cycle-relative: max(o_j, d) + O_j."""
-    return max(ctx.rel_offset(j), d) + ctx.candidates[j].airtime
+    return max(ctx.offsets[j], d) + ctx.airtimes[j]
 
 
 def end_of_harvest(seq, ctx: CycleContext) -> float:
@@ -283,23 +292,40 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     ``_rank``.  Only the winner is scored the reported way, as the trace of
     ``predict_cov`` to kT, so its ``mse`` and ``running_cov`` equal
     ``sequence_mse`` of its ``seq`` bit for bit.
+
+    A node does only its own work.  It reads the per-candidate tables the
+    context builds once per instance (``timestamps``, ``offsets``,
+    ``airtimes``, ``observers``), and ranks with each candidate's boundary
+    pair ``model.boundary_operator(kT - t_j)``, which the search looks up
+    once per instance, when it first ranks a covariance held at t_j: the
+    model then sees the lengths in the order a lookup per node would, so
+    the discretization misses are the same.  Every covariance step goes
+    through ``g_step``, looked up by its module-level name at each call.
     """
     if ctx.budget <= 0.0:
         return harvest_none(ctx, model)
-    kT = ctx.cycle_end
+    kT, B = ctx.cycle_end, ctx.budget
+    ts, off, air, obs = ctx.timestamps, ctx.offsets, ctx.airtimes, ctx.observers
+    pairs = [None] * ctx.L  # boundary pair (M, c) of each candidate
     cut = 1.0 - 2.0 * MSE_TIE_RTOL
     nodes = ctx.L  # the root checks every candidate
     m = _rank(model, ctx.prior_cov, ctx.t0, kT)
     edge = _tie_edge(m)
     window = [(m, (), ctx.prior_cov, 0.0)]
 
+    def rank(cov, j):
+        """``_rank`` of ``cov`` held at candidate j's timestamp."""
+        pair = pairs[j]
+        if pair is None:
+            pair = pairs[j] = model.boundary_operator(kT - ts[j])
+        return float(np.vdot(pair[0], cov)) + pair[1]
+
     def chain_from(cov, t, seq):
         """Running covariances of ``cov``, held at time t, through ``seq``."""
         out = []
         for j in seq:
-            cj = ctx.candidates[j]
-            cov = g_step(model, cov, t, cj.timestamp, cj.observer)
-            t = cj.timestamp
+            cov = g_step(model, cov, t, ts[j], obs[j])
+            t = ts[j]
             out.append(cov)
         return out
 
@@ -308,7 +334,7 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
         follower, whose bound is the one child's own rank: visiting that
         child costs no more than bounding it."""
         if len(fol) > 1:
-            return _rank(model, chain[-1], ctx.candidates[fol[-1]].timestamp, kT)
+            return rank(chain[-1], fol[-1])
         return -math.inf
 
     def expand(seq, d, cov, t, fol, chain, bound):
@@ -319,17 +345,16 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
         for n, j in enumerate(fol):
             if bound * cut > edge:
                 return
-            cj = ctx.candidates[j]
-            d_j = _finish(d, ctx, j)
+            t_j = ts[j]
+            d_j = max(off[j], d) + air[j]  # _finish(d, ctx, j)
             rest = fol[n + 1 :]
             nodes += len(rest)
-            kids = [i for i in rest if _finish(d_j, ctx, i) < ctx.budget]
-            if n == 0:
-                cov_j = chain[0]
-            else:
-                cov_j = g_step(model, cov, t, cj.timestamp, cj.observer)
+            # A root follower i has o_i + O_i < B, and rounding is monotone,
+            # so _finish(d_j, ctx, i) < B iff d_j + O_i < B.
+            kids = [i for i in rest if d_j + air[i] < B]
+            cov_j = chain[0] if n == 0 else g_step(model, cov, t, t_j, obs[j])
             seq_j = seq + (j,)
-            rank_j = _rank(model, cov_j, cj.timestamp, kT)
+            rank_j = rank(cov_j, j)
             if rank_j <= edge:
                 if rank_j < m:
                     m, edge = rank_j, _tie_edge(rank_j)
@@ -340,18 +365,18 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
             if n == 0 and kids == rest:  # the child's chain is the rest of ours
                 chain_j, bound_j = chain[1:], bound
             else:
-                chain_j = chain_from(cov_j, cj.timestamp, kids)
+                chain_j = chain_from(cov_j, t_j, kids)
                 bound_j = bound_of(kids, chain_j)
             if kids == rest and bound_j * cut > edge:
                 return  # the child's subtree and every later sibling's
-            expand(seq_j, d_j, cov_j, cj.timestamp, kids, chain_j, bound_j)
+            expand(seq_j, d_j, cov_j, t_j, kids, chain_j, bound_j)
 
-    fol = [i for i in range(ctx.L) if _finish(0.0, ctx, i) < ctx.budget]
+    fol = [i for i in range(ctx.L) if max(off[i], 0.0) + air[i] < B]
     if fol:
         chain = chain_from(ctx.prior_cov, ctx.t0, fol)
         expand((), 0.0, ctx.prior_cov, ctx.t0, fol, chain, bound_of(fol, chain))
     _, seq, cov, d = _winner(window)
-    t = ctx.candidates[seq[-1]].timestamp if seq else ctx.t0
+    t = ts[seq[-1]] if seq else ctx.t0
     mse = float(np.trace(predict_cov(model, cov, t, kT)))
     return ScheduleEvaluation(seq, d, mse, cov, nodes_visited=nodes)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kalman, scheduler
+from . import dynamics, kalman, scheduler
 from .errors import ConfigError, DimensionError, DomainError, NumericError
 from .model import SystemModel, check_covariance
 
@@ -104,19 +104,6 @@ def sample_airtimes(cfg: ChannelConfig, k: int) -> tuple[np.ndarray, np.ndarray]
     return obs, act
 
 
-def _noise_factor(Q: np.ndarray) -> np.ndarray:
-    """Factor F with F F^T = Q: Cholesky when Q is positive definite, else
-    from the eigendecomposition, which needs Q positive semi-definite."""
-    try:
-        return np.linalg.cholesky(Q)
-    except np.linalg.LinAlgError:
-        pass
-    w, V = np.linalg.eigh((Q + Q.T) / 2.0)
-    if w.min() < -1e-12 * max(float(np.trace(Q)) / Q.shape[0], 1.0):
-        raise NumericError("process-noise covariance is not PSD")
-    return V @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-
-
 def step_true_state(
     model: SystemModel,
     x: np.ndarray,
@@ -127,14 +114,14 @@ def step_true_state(
 ) -> np.ndarray:
     """Exact-discretization step of the true state over [s, t], inside one
     cycle: mean part via the ZOH propagation under ``u``, noise part drawn
-    with covariance Q(s, t)."""
+    with covariance Q(s, t), from the factor the model keeps per length."""
     mean = kalman.propagate_estimate(model, x, u, s, t)
     if s == t:
         return mean
     _, Qd = model.discretize(t - s)
     if not Qd.any():
         return mean
-    return mean + _noise_factor(Qd) @ rng.standard_normal(model.n_states)
+    return mean + model.noise_factor(t - s) @ rng.standard_normal(model.n_states)
 
 
 @dataclass(frozen=True)
@@ -286,7 +273,7 @@ def run_simulation(
     # N(0, P0) so predicted and realized errors are consistent from cycle 1
     # on.  An explicit initial_state overrides the draw.
     if initial_state is None and P0.any():
-        x_true = _noise_factor(P0) @ rng_proc.standard_normal(S)
+        x_true = dynamics._noise_factor(P0) @ rng_proc.standard_normal(S)
     elif initial_state is None:
         x_true = np.zeros(S)
     else:

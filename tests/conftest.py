@@ -73,6 +73,17 @@ def search_model() -> SystemModel:
     return make_model(C, R, (T3,) * 10)
 
 
+@pytest.fixture(scope="session")
+def dup_model() -> SystemModel:
+    """16 observers in duplicated pairs of C rows; every third observer has
+    noise variance 1e12, so many subsets tie within MSE_TIE_RTOL."""
+    rng = np.random.default_rng(17)
+    C = np.repeat(rng.normal(size=(8, 3)), 2, axis=0)
+    r = rng.uniform(1e-3, 1.0, size=16)
+    r[::3] = 1e12
+    return make_model(C, np.diag(r), (T3,) * 16)
+
+
 def random_context(rng, model, L=None, k=None, *, loose=False, ties=False) -> CycleContext:
     """Random schedulable-or-not instance: sorted timestamps inside the
     cycle, positive airtimes of 5-40% of T, a random action load.
@@ -116,7 +127,7 @@ def harvest_closed_form(seq, ctx) -> float:
     seq = tuple(seq)
     if not seq:
         return 0.0
-    offs = [ctx.rel_offset(i) for i in seq]
+    offs = [ctx.candidates[i].timestamp - ctx.cycle_start for i in seq]
     airs = [ctx.candidates[i].airtime for i in seq]
     best = -np.inf
     for i in range(len(seq)):

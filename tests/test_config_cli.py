@@ -164,10 +164,19 @@ class TestConfigParsing:
           'model.observer_periods[0]: expected a number, got "0.01"'),
          ("channel", "action_airtime", "0", 'channel.action_airtime: expected a number, got "0"'),
          ("run", "initial_cov_scale", {"x": 1},
-          'run.initial_cov_scale: expected a number, got {"x": 1}')],
+          'run.initial_cov_scale: expected a number, got {"x": 1}'),
+         ("model", "T", [0.01], "model.T: expected a number, got a list"),
+         ("channel", "obs_airtime", [1e-4, 2e-4],
+          "channel.obs_airtime[0]: expected a list, got 0.0001\n"
+          "channel.obs_airtime[1]: expected a list, got 0.0002"),
+         ("model", "A", 0.0, "model.A: expected a list, got 0.0"),
+         ("model", "observer_periods", [[0.01]],
+          "model.observer_periods[0]: expected a number, got a list"),
+         ("channel", "seed", [0], "channel.seed: expected a number, got a list")],
         ids=["T", "observer_periods", "initial_cov_scale", "A-leaf", "R-leaf",
              "obs-airtime-pair", "action-airtime-null", "A-string", "T-string",
-             "period-string", "action-airtime-string", "scale-object"],
+             "period-string", "action-airtime-string", "scale-object", "T-list",
+             "obs-airtime-flat", "A-scalar", "period-nested", "seed-list"],
     )
     def test_rejects_bool_for_number(self, block, key, value, message):
         d = minimal_config_dict()
@@ -637,10 +646,17 @@ class TestCli:
              'instance.action_airtimes: expected a number, got "0"'),
             ("instance", {"candidates": [[0.0, 0.003, 0]], "t0": None},
              "instance.t0: expected a number, got null"),
+            ("instance", {"candidates": [[0.0, 0.003, 0]], "cycle_index": [1]},
+             "instance.cycle_index: expected a number, got a list"),
+            ("instance", {"candidates": [0.0, 0.003, 0]},
+             "instance.candidates[0]: expected a list, got 0.0\n"
+             "instance.candidates[1]: expected a list, got 0.003\n"
+             "instance.candidates[2]: expected a list, got 0"),
         ],
         ids=["observer", "timestamp", "airtime", "action-airtime", "t0",
              "prior-cov-scale", "prior-cov", "A-leaf", "R-leaf", "A-string", "T-string",
-             "period-string", "candidate-strings", "action-airtimes-string", "t0-null"],
+             "period-string", "candidate-strings", "action-airtimes-string", "t0-null",
+             "cycle-index-list", "candidates-flat"],
     )
     def test_schedule_rejects_booleans(self, tmp_path, capsys, block, fields, message):
         doc = {
@@ -677,3 +693,26 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"config error: {block}.{key}: unknown key; {block} takes ")
+
+    def test_unknown_block_is_config_error(self, tmp_path, capsys):
+        # A misspelt "output" block used to run and write the CSV to stdout.
+        doc = minimal_config_dict()
+        doc["outptu"] = {"csv": str(tmp_path / "x.csv")}
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["simulate", "--config", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not (tmp_path / "x.csv").exists()
+        assert captured.err == (
+            "config error: outptu: unknown block; the blocks are model, channel, run, "
+            "output, instance\n"
+        )
+
+    def test_instance_file_may_carry_a_presets_blocks(self, tmp_path, capsys):
+        # Every block of either document is allowed at the top of both.
+        doc = preset_config("baseline-compare-diff")
+        doc["instance"] = {"candidates": [[0.0, 0.002, 0], [0.001, 0.003, 1]]}
+        p = tmp_path / "inst.json"
+        p.write_text(json.dumps(doc))
+        assert run_cli(["schedule", "--config", str(p)]) == 0
+        assert "sequence: 1+2\n" in capsys.readouterr().out

@@ -141,6 +141,15 @@ class TestSearches:
         assert got.seq == (0,)
         assert not got.forced_empty
 
+    def test_strict_deadline_inside_the_search(self, model6):
+        # Dyadic airtimes: all three candidates end exactly at the budget
+        # B = T = 1, so only pairs fit, though all three would rank best.
+        ctx = ctx_from([(0.0, 0.25), (0.0, 0.25), (0.0, 0.5)], T=1.0)
+        assert end_of_harvest((0, 1, 2), ctx) == ctx.budget
+        got = bnb_search(ctx, model6)
+        assert got.seq == exhaustive_oracle(ctx, model6).seq
+        assert len(got.seq) == 2 and got.end_of_harvest < ctx.budget
+
     def test_forced_empty_on_degenerate_budget(self, model6):
         ctx = ctx_from([(0.001, 1e-4)], actions=(0.02,))
         for search in (bnb_search, greedy_search, exhaustive_oracle):
@@ -278,17 +287,6 @@ class TestSearches:
 def seq_mse(ctx, model, seq):
     cands = [ctx.candidates[i] for i in seq]
     return sequence_mse(model, ctx.prior_cov, ctx.t0, cands, ctx.cycle_end)[0]
-
-
-@pytest.fixture(scope="module")
-def dup_model():
-    """16 observers in duplicated pairs of C rows; every third observer has
-    noise variance 1e12, so many subsets tie within MSE_TIE_RTOL."""
-    rng = np.random.default_rng(17)
-    C = np.repeat(rng.normal(size=(8, 3)), 2, axis=0)
-    r = rng.uniform(1e-3, 1.0, size=16)
-    r[::3] = 1e12
-    return make_model(C, np.diag(r), (T3,) * 16)
 
 
 class TestBound:

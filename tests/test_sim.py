@@ -12,6 +12,7 @@ import pytest
 
 from ospkit import (
     ChannelConfig,
+    SystemModel,
     ConfigError,
     DomainError,
     NumericError,
@@ -23,10 +24,11 @@ from ospkit import (
     selection_stats,
     step_true_state,
 )
+from ospkit import dynamics
 from ospkit.cli import run_cli
 from ospkit.config import PRESET_NAMES, parse_config_dict, preset_config
 from ospkit.sim import _fuse
-from conftest import A3, C_MIX, T3, make_model, plant, scalar_model
+from conftest import A3, C_MIX, Q3, T3, make_model, plant, scalar_model
 
 
 def chan(n_obs, lo, hi, *, actions=(), seed=0):
@@ -157,6 +159,34 @@ class TestStepTrueState:
         rng = np.random.default_rng(0)
         got = step_true_state(model, np.array([2.0]), None, 0.3, 0.3, rng)
         np.testing.assert_array_equal(got, [2.0])
+
+    @pytest.mark.parametrize("Q", [Q3, np.diag([0.0, 0.0, 0.5])], ids=["definite", "singular"])
+    def test_noise_factor_is_kept_per_length(self, Q):
+        # The singular Q takes the eigendecomposition branch of the factor.
+        model = make_model(C_MIX, np.diag([1e-2] * 6), (T3,) * 6, Q=Q)
+        for dt in (1e-4, 0.004, 0.05):
+            F = model.noise_factor(dt)
+            assert model.noise_factor(dt) is F
+            fresh = dynamics._noise_factor(model.discretize(dt)[1])
+            assert F.tobytes() == fresh.tobytes()
+
+    def test_rate_fast_run_factors_each_length_once(self, monkeypatch):
+        # The cached factor gives the draws of a factor computed afresh at
+        # every step, and each interval length is factored once.
+        def run():
+            cfg = parse_config_dict(preset_config("rate-fast"))
+            logs = run_simulation(cfg.model, cfg.channel, "bnb", 300)
+            return cfg.model, [(g.seq, g.true_state.tobytes(), g.est_state.tobytes()) for g in logs]
+
+        factor = dynamics._noise_factor
+        calls = []
+        monkeypatch.setattr(dynamics, "_noise_factor", lambda Q: calls.append(1) or factor(Q))
+        model, cached = run()
+        assert len(calls) <= 1 + len(model._disc_cache)
+        monkeypatch.setattr(
+            SystemModel, "noise_factor", lambda self, dt: factor(self.discretize(dt)[1])
+        )
+        assert run()[1] == cached
 
 
 class TestRunSimulation:
