@@ -57,7 +57,7 @@ class SystemModel:
     is time-invariant, so they depend only on an interval's length, and
     every caller reaches them by length alone: ``discretize`` (Phi, Qd),
     ``input_lambda`` (Lambda), ``boundary_operator`` (M, c), with which
-    ``scheduler.bnb_search`` ranks its nodes by ``<M, P> + c``, and
+    ``scheduler.RankKernel`` ranks covariances by ``<M, P> + c``, and
     ``noise_factor`` (a factor of Qd), with which ``sim.step_true_state``
     draws process noise, share one memoized cache entry per length.  A
     miss runs the unchecked ``dynamics`` kernels on the A, B and Q checked
@@ -183,8 +183,7 @@ class SystemModel:
         """ZOH input matrix Lambda = (int_0^dt e^{A tau} dtau) B over length
         dt, from ``dynamics._input_integral`` on the checked A and B,
         memoized with ``discretize``."""
-        self.discretize(dt)
-        entry = self._disc_cache[dt]
+        entry = self._entry(dt)
         if entry[2] is None:
             entry[2] = dynamics._input_integral(self.A, self.B, dt)
         return entry[2]
@@ -196,8 +195,8 @@ class SystemModel:
         For a symmetric P, ``np.vdot(M, P) + c`` is the trace of
         Phi P Phi^T + Qd, the MSE of P predicted over dt, for one S x S
         inner product instead of two matrix products.  The two agree to
-        rounding, not bit for bit, so ``scheduler.bnb_search`` ranks with
-        this pair and reports its winner through ``kalman.predict_cov``.
+        rounding, not bit for bit: ``scheduler.RankKernel`` ranks with this
+        pair, and the search reports its winner through ``kalman.predict_cov``.
         """
         entry = self._entry(dt)
         if entry[3] is None:
@@ -205,12 +204,12 @@ class SystemModel:
             entry[3] = (Phi.T @ Phi, float(np.trace(Qd)))
         return entry[3]
 
-    def noise_factor(self, dt: float) -> np.ndarray:
+    def noise_factor(self, dt: float) -> np.ndarray | None:
         """A factor F with F F^T = Qd over length dt (``dynamics._noise_factor``
-        of Qd), memoized with ``discretize``.  Raises NumericError when Qd
-        is not positive semi-definite."""
+        of Qd), memoized with ``discretize``; None when Qd is zero.  Raises
+        NumericError when Qd is not positive semi-definite."""
         entry = self._entry(dt)
-        if entry[4] is None:
+        if entry[4] is None and entry[1].any():
             entry[4] = dynamics._noise_factor(entry[1])
         return entry[4]
 

@@ -22,8 +22,8 @@ The winner depends on the instance alone, not on the order in which
 sequences are scored: with m the least rank over all schedulable
 sequences, it is the least ``(len(seq), seq)`` among the sequences ranked
 within ``MSE_TIE_RTOL`` of m (``_winner``).  ``bnb_search`` and
-``exhaustive_oracle`` rank with the same ``_rank`` and pick with the same
-``_winner``, so they agree by construction.
+``exhaustive_oracle`` chain and rank with one ``RankKernel`` and pick with
+the same ``_winner``, so they agree by construction.
 """
 
 from __future__ import annotations
@@ -213,12 +213,40 @@ def is_schedulable(seq, ctx: CycleContext) -> bool:
     return end_of_harvest(seq, ctx) < ctx.budget
 
 
-def _rank(model: SystemModel, cov: np.ndarray, t: float, kT: float) -> float:
-    """``<M, cov> + c`` with ``(M, c) = model.boundary_operator(kT - t)``:
-    the boundary MSE of ``cov``, held at time t, up to rounding, without
-    predicting ``cov``."""
-    M, c = model.boundary_operator(kT - t)
-    return float(np.vdot(M, cov)) + c
+class RankKernel:
+    """The one place where ``bnb_search`` and ``exhaustive_oracle`` step or
+    rank a covariance, built once per instance from ``(ctx, model)``.
+
+    A covariance is held at candidate j's timestamp or, at the spare index
+    ``anchor`` (= L), at ``t0``.  ``chain`` steps it with ``g_step``, looked
+    up by its module-level name at each call.  ``rank`` is ``<M_j, P> + c_j``
+    with ``(M_j, c_j) = model.boundary_operator(kT - t_j)``, the boundary
+    MSE of P up to rounding; the pairs fill a table on first use, so the
+    model sees the lengths, and misses, as a lookup per rank would.
+    """
+
+    def __init__(self, ctx: CycleContext, model: SystemModel):
+        self.model, self.kT, self.anchor = model, ctx.cycle_end, ctx.L
+        self.times = ctx.timestamps + (ctx.t0,)
+        self.observers = ctx.observers
+        self._pairs = [None] * (ctx.L + 1)
+
+    def chain(self, cov: np.ndarray, i: int, seq) -> list[np.ndarray]:
+        """Running covariances of ``cov``, held at index i, through ``seq``."""
+        model, ts, obs = self.model, self.times, self.observers
+        t, out = ts[i], []
+        for j in seq:
+            cov = g_step(model, cov, t, ts[j], obs[j])
+            t = ts[j]
+            out.append(cov)
+        return out
+
+    def rank(self, cov: np.ndarray, j: int) -> float:
+        """``<M_j, cov> + c_j`` of ``cov`` held at index j."""
+        pair = self._pairs[j]
+        if pair is None:
+            pair = self._pairs[j] = self.model.boundary_operator(self.kT - self.times[j])
+        return float(np.vdot(pair[0], cov)) + pair[1]
 
 
 def _tie_edge(m: float) -> float:
@@ -288,71 +316,46 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     feasibility.  The bound needs a positive semi-definite ``prior_cov``,
     which ``decision_cycles`` and ``ospkit schedule`` check.
 
-    Every sequence, the empty one included, and every bound is ranked by
-    ``_rank``.  Only the winner is scored the reported way, as the trace of
-    ``predict_cov`` to kT, so its ``mse`` and ``running_cov`` equal
-    ``sequence_mse`` of its ``seq`` bit for bit.
-
-    A node does only its own work.  It reads the per-candidate tables the
-    context builds once per instance (``timestamps``, ``offsets``,
-    ``airtimes``, ``observers``), and ranks with each candidate's boundary
-    pair ``model.boundary_operator(kT - t_j)``, which the search looks up
-    once per instance, when it first ranks a covariance held at t_j: the
-    model then sees the lengths in the order a lookup per node would, so
-    the discretization misses are the same.  Every covariance step goes
-    through ``g_step``, looked up by its module-level name at each call.
+    Every covariance step and every rank, of a sequence or of a bound, goes
+    through the instance's ``RankKernel``, and a node reads the context's
+    per-candidate tables.  Only the winner is scored the reported way, as
+    the trace of ``predict_cov`` to kT, so its ``mse`` and ``running_cov``
+    equal ``sequence_mse`` of its ``seq`` bit for bit.
     """
     if ctx.budget <= 0.0:
         return harvest_none(ctx, model)
-    kT, B = ctx.cycle_end, ctx.budget
-    ts, off, air, obs = ctx.timestamps, ctx.offsets, ctx.airtimes, ctx.observers
-    pairs = [None] * ctx.L  # boundary pair (M, c) of each candidate
+    B, off, air = ctx.budget, ctx.offsets, ctx.airtimes
+    kernel = RankKernel(ctx, model)
+    chain, rank, anchor = kernel.chain, kernel.rank, kernel.anchor
     cut = 1.0 - 2.0 * MSE_TIE_RTOL
     nodes = ctx.L  # the root checks every candidate
-    m = _rank(model, ctx.prior_cov, ctx.t0, kT)
+    m = rank(ctx.prior_cov, anchor)
     edge = _tie_edge(m)
     window = [(m, (), ctx.prior_cov, 0.0)]
 
-    def rank(cov, j):
-        """``_rank`` of ``cov`` held at candidate j's timestamp."""
-        pair = pairs[j]
-        if pair is None:
-            pair = pairs[j] = model.boundary_operator(kT - ts[j])
-        return float(np.vdot(pair[0], cov)) + pair[1]
-
-    def chain_from(cov, t, seq):
-        """Running covariances of ``cov``, held at time t, through ``seq``."""
-        out = []
-        for j in seq:
-            cov = g_step(model, cov, t, ts[j], obs[j])
-            t = ts[j]
-            out.append(cov)
-        return out
-
-    def bound_of(fol, chain):
-        """Rank of the end of ``chain``; -inf (never cut) for a single
+    def bound_of(fol, covs):
+        """Rank of the end of ``covs``; -inf (never cut) for a single
         follower, whose bound is the one child's own rank: visiting that
         child costs no more than bounding it."""
         if len(fol) > 1:
-            return rank(chain[-1], fol[-1])
+            return rank(covs[-1], fol[-1])
         return -math.inf
 
-    def expand(seq, d, cov, t, fol, chain, bound):
+    def expand(seq, d, cov, i, fol, covs, bound):
         """Visit the children seq + (j,), j in fol, and their subtrees.
-        ``chain`` is ``cov`` (held at t) chained through ``fol``, and
-        ``bound`` is ``bound_of(fol, chain)``."""
+        ``cov`` is held at index i, ``covs`` is ``cov`` chained through
+        ``fol``, and ``bound`` is ``bound_of(fol, covs)``."""
         nonlocal m, edge, window, nodes
         for n, j in enumerate(fol):
             if bound * cut > edge:
                 return
-            t_j = ts[j]
             d_j = max(off[j], d) + air[j]  # _finish(d, ctx, j)
             rest = fol[n + 1 :]
             nodes += len(rest)
-            # A root follower i has o_i + O_i < B, and rounding is monotone,
-            # so _finish(d_j, ctx, i) < B iff d_j + O_i < B.
-            kids = [i for i in rest if d_j + air[i] < B]
-            cov_j = chain[0] if n == 0 else g_step(model, cov, t, t_j, obs[j])
+            # A root follower k has o_k + O_k < B, and rounding is monotone,
+            # so _finish(d_j, ctx, k) < B iff d_j + O_k < B.
+            kids = [k for k in rest if d_j + air[k] < B]
+            cov_j = covs[0] if n == 0 else chain(cov, i, (j,))[0]
             seq_j = seq + (j,)
             rank_j = rank(cov_j, j)
             if rank_j <= edge:
@@ -363,21 +366,21 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
             if not kids:
                 continue
             if n == 0 and kids == rest:  # the child's chain is the rest of ours
-                chain_j, bound_j = chain[1:], bound
+                covs_j, bound_j = covs[1:], bound
             else:
-                chain_j = chain_from(cov_j, t_j, kids)
-                bound_j = bound_of(kids, chain_j)
+                covs_j = chain(cov_j, j, kids)
+                bound_j = bound_of(kids, covs_j)
             if kids == rest and bound_j * cut > edge:
                 return  # the child's subtree and every later sibling's
-            expand(seq_j, d_j, cov_j, t_j, kids, chain_j, bound_j)
+            expand(seq_j, d_j, cov_j, j, kids, covs_j, bound_j)
 
     fol = [i for i in range(ctx.L) if max(off[i], 0.0) + air[i] < B]
     if fol:
-        chain = chain_from(ctx.prior_cov, ctx.t0, fol)
-        expand((), 0.0, ctx.prior_cov, ctx.t0, fol, chain, bound_of(fol, chain))
+        covs = chain(ctx.prior_cov, anchor, fol)
+        expand((), 0.0, ctx.prior_cov, anchor, fol, covs, bound_of(fol, covs))
     _, seq, cov, d = _winner(window)
-    t = ts[seq[-1]] if seq else ctx.t0
-    mse = float(np.trace(predict_cov(model, cov, t, kT)))
+    t = kernel.times[seq[-1] if seq else anchor]
+    mse = float(np.trace(predict_cov(model, cov, t, ctx.cycle_end)))
     return ScheduleEvaluation(seq, d, mse, cov, nodes_visited=nodes)
 
 
@@ -404,26 +407,24 @@ def harvest_all(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
 
 def exhaustive_oracle(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     """Ground truth: enumerate all 2^L subsets, chain each schedulable one
-    from scratch with ``sequence_mse`` (no pruning, no running-covariance
-    reuse), rank its running covariance with ``_rank``, and return the
+    from the anchor with the instance's ``RankKernel`` (no pruning, no
+    running-covariance reuse), rank the end of its chain, and return the
     ``_winner``, scored like every policy's answer.  Guarded to L <= 20."""
     if ctx.L > _ORACLE_MAX_L:
         raise DomainError(f"exhaustive oracle limited to L <= {_ORACLE_MAX_L}")
     if ctx.budget <= 0.0:
         return harvest_none(ctx, model)
-    kT = ctx.cycle_end
-    m = math.inf
+    kernel = RankKernel(ctx, model)
+    m = kernel.rank(ctx.prior_cov, kernel.anchor)  # (), schedulable as B > 0
     # Each sequence that tied the least rank seen when it was scored;
     # _winner drops those that do not tie the final least rank.
-    entries = []
-    for size in range(ctx.L + 1):
+    entries = [(m, ())]
+    for size in range(1, ctx.L + 1):
         for seq in itertools.combinations(range(ctx.L), size):
             if not is_schedulable(seq, ctx):
                 continue
-            cands = [ctx.candidates[i] for i in seq]
-            _, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, cands, kT)
-            t = cands[-1].timestamp if seq else ctx.t0
-            rank = _rank(model, cov, t, kT)
+            covs = kernel.chain(ctx.prior_cov, kernel.anchor, seq)
+            rank = kernel.rank(covs[-1], seq[-1])
             if rank <= _tie_edge(m):
                 m = min(m, rank)
                 entries.append((rank, seq))

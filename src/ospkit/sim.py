@@ -114,14 +114,13 @@ def step_true_state(
 ) -> np.ndarray:
     """Exact-discretization step of the true state over [s, t], inside one
     cycle: mean part via the ZOH propagation under ``u``, noise part drawn
-    with covariance Q(s, t), from the factor the model keeps per length."""
+    with covariance Q(s, t), from the factor the model keeps per length,
+    unless Q(s, t) is zero."""
     mean = kalman.propagate_estimate(model, x, u, s, t)
-    if s == t:
+    F = None if s == t else model.noise_factor(t - s)
+    if F is None:
         return mean
-    _, Qd = model.discretize(t - s)
-    if not Qd.any():
-        return mean
-    return mean + model.noise_factor(t - s) @ rng.standard_normal(model.n_states)
+    return mean + F @ rng.standard_normal(model.n_states)
 
 
 @dataclass(frozen=True)

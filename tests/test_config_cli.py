@@ -531,14 +531,30 @@ class TestCli:
         assert len([ln for ln in lines if ln]) == 5
 
     def test_simulate_reps_concatenate(self, tmp_path):
+        # One header, then the rows of --seed 5, then those of --seed 6.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(preset_config("unconstrained")))
-        out = tmp_path / "run.csv"
-        assert run_cli([
-            "simulate", "--config", str(cfg_path), "--cycles", "3", "--reps", "2",
-            "--out", str(out),
-        ]) == 0
-        assert len([ln for ln in out.read_text().split("\n") if ln]) == 7
+
+        def rows(*argv):
+            out = tmp_path / "run.csv"
+            assert run_cli([
+                "simulate", "--config", str(cfg_path), "--cycles", "3", "--out", str(out),
+                *argv,
+            ]) == 0
+            return out.read_text().splitlines()
+
+        header, *five = rows("--seed", "5")
+        six = rows("--seed", "6")[1:]
+        assert len(five) == len(six) == 3 and five != six
+        assert rows("--reps", "2", "--seed", "5") == [header, *five, *six]
+
+    def test_simulate_zero_reps_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(preset_config("unconstrained")))
+        assert run_cli(["simulate", "--config", str(cfg_path), "--reps", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: --reps must be >= 1\n"
 
     def test_oracle_agrees(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

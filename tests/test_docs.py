@@ -42,7 +42,7 @@ def test_cli_block_runs(tmp_path, monkeypatch, capsys):
         for line in block.splitlines()
         if line.startswith("ospkit ")
     ]
-    assert len(commands) == 5
+    assert len(commands) == 6
     (instance,) = fenced("json")
     (tmp_path / "instance.json").write_text(instance)
     monkeypatch.chdir(tmp_path)

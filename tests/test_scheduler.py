@@ -21,10 +21,13 @@ from ospkit import (
     harvesting_budget,
     is_schedulable,
     order_observations,
+    predict_cov,
     sequence_mse,
 )
 from ospkit import scheduler
-from ospkit.scheduler import MSE_TIE_RTOL, _finish, _winner, harvest_all, harvest_none
+from ospkit.scheduler import (
+    MSE_TIE_RTOL, RankKernel, _finish, _winner, harvest_all, harvest_none,
+)
 
 from conftest import T3, harvest_closed_form, make_model, random_context
 
@@ -382,8 +385,9 @@ class TestBound:
     @pytest.mark.parametrize("seed", [89, 90, 91])
     def test_bnb_matches_exhaustive_on_ties(self, seed, dup_model):
         # Many subsets of this model tie within MSE_TIE_RTOL, and ties do
-        # not chain: the depth-first search and the oracle, which scores by
-        # size, must still pick the same sequence.  Both score it with
+        # not chain.  The depth-first search and the oracle, which
+        # enumerates by size, rank through one RankKernel and pick with
+        # _winner, so they must pick the same sequence; both report it with
         # sequence_mse's arithmetic, so the MSEs are equal bit for bit.
         rng = np.random.default_rng(seed)
         for n in range(400):
@@ -407,6 +411,49 @@ class TestBound:
             mse, cov = sequence_mse(dup_model, ctx.prior_cov, ctx.t0, cands, ctx.cycle_end)
             assert got.mse == mse, n
             assert got.running_cov.tobytes() == cov.tobytes(), n
+
+
+class TestRankKernel:
+    """The one place where the search and the oracle step and rank a
+    covariance."""
+
+    @pytest.mark.parametrize("which", ["search", "dup"])
+    def test_ranks_are_the_predicted_boundary_mse(self, which, search_model, dup_model):
+        # Along a chain from the anchor, each rank <M_j, P> + c_j is the
+        # trace of P predicted to kT, to rounding, the anchor's included;
+        # the chain ends on sequence_mse's running covariance, bit for bit.
+        model = search_model if which == "search" else dup_model
+        rng = np.random.default_rng(97)
+        for n in range(60):
+            L = int(rng.integers(1, 11))
+            ctx = random_context(rng, model, L, loose=n % 2 == 0, ties=which == "dup")
+            size = int(rng.integers(0, L + 1))
+            seq = tuple(sorted(rng.choice(L, size=size, replace=False).tolist()))
+            kernel = RankKernel(ctx, model)
+            covs = [ctx.prior_cov, *kernel.chain(ctx.prior_cov, kernel.anchor, seq)]
+            held = [(kernel.anchor, ctx.t0)] + [(j, ctx.candidates[j].timestamp) for j in seq]
+            for cov, (j, t) in zip(covs, held):
+                want = float(np.trace(predict_cov(model, cov, t, ctx.cycle_end)))
+                assert kernel.rank(cov, j) == pytest.approx(want, rel=1e-12, abs=0), (n, j)
+            cands = [ctx.candidates[j] for j in seq]
+            _, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, cands, ctx.cycle_end)
+            assert covs[-1].tobytes() == cov.tobytes(), n
+
+    def test_oracle_scores_only_its_winner(self, search_model, monkeypatch):
+        # The oracle chains and ranks every schedulable subset through the
+        # kernel; it reaches sequence_mse once, through _evaluate, to score
+        # the winner the way every policy's answer is scored.
+        calls = []
+        score = scheduler.sequence_mse
+        monkeypatch.setattr(
+            scheduler, "sequence_mse", lambda *a: calls.append(1) or score(*a)
+        )
+        rng = np.random.default_rng(98)
+        for n in range(20):
+            ctx = random_context(rng, search_model, int(rng.integers(1, 9)), loose=n % 2 == 0)
+            calls.clear()
+            exhaustive_oracle(ctx, search_model)
+            assert len(calls) == 1, n
 
 
 class TestStats:

@@ -188,6 +188,24 @@ class TestStepTrueState:
         )
         assert run()[1] == cached
 
+    def test_rate_fast_run_reads_each_length_once_per_step(self, monkeypatch):
+        # A noisy step with an input looks its length up through one
+        # discretize call, in propagate_estimate; input_lambda and the noise
+        # factor read the same cache entry.  Each looked it up through
+        # discretize again before: 3924 calls for 33 lengths.  Misses still
+        # go through discretize, one per length.
+        cfg = parse_config_dict(preset_config("rate-fast"))
+        calls, misses = [], []
+        discretize, kernel = SystemModel.discretize, dynamics._discretize
+        monkeypatch.setattr(
+            SystemModel, "discretize", lambda self, dt: calls.append(dt) or discretize(self, dt)
+        )
+        monkeypatch.setattr(dynamics, "_discretize", lambda *a: misses.append(1) or kernel(*a))
+        inputs = {j: np.ones(cfg.model.n_agents) for j in range(300)}
+        run_simulation(cfg.model, cfg.channel, "bnb", 300, inputs=inputs)
+        assert len(calls) == 2224
+        assert len(misses) == len(set(calls)) == len(cfg.model._disc_cache) == 33
+
 
 class TestRunSimulation:
     @pytest.fixture()
