@@ -5,10 +5,12 @@ d of an interval.  ``SystemModel`` is the one checked entry to them: it
 checks A, B and Q once, builds the Van Loan block with ``_van_loan`` and
 calls ``_discretize`` (Phi and Qd), ``_input_integral`` (the
 zero-order-hold input matrix) and ``_noise_factor`` (a factor of Qd) per
-length.  These kernels check nothing but the length (``_length``).  Each
-exponential is of a block matrix scaled by the length, so a singular
-state matrix A is supported everywhere and a zero length gives exactly I
-or zeros.  No kernel writes into its arguments.
+length.  Lengths add, so ``_compose`` builds (Phi, Qd) over a sum of
+lengths from the pairs over its parts, for ``_discretize``'s substeps and
+for ``scheduler.RankKernel``.  These kernels check nothing but the length
+(``_length``).  Each exponential is of a block matrix scaled by the
+length, so a singular state matrix A is supported everywhere and a zero
+length gives exactly I or zeros.  No kernel writes into its arguments.
 """
 
 from __future__ import annotations
@@ -101,12 +103,21 @@ def _discretize(block, d: float) -> tuple[np.ndarray, np.ndarray]:
     h = d / steps
     F = scipy.linalg.expm(aug * h)
     Ph = F[n:, n:].T.copy()  # contiguous: every cache hit multiplies by Phi
-    Qh = Ph @ F[:n, n:]
-    Phi, acc = Ph, Qh
+    sub = (Ph, Ph @ F[:n, n:])
+    Phi, acc = sub
     for _ in range(steps - 1):
-        Phi = Ph @ Phi
-        acc = Ph @ acc @ Ph.T + Qh
+        Phi, acc = _compose((Phi, acc), sub)
     return Phi, symmetrize(acc)
+
+
+def _compose(first, then) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi, Qd) over the length a + b from ``first`` = (Phi, Qd) over a
+    and ``then`` = (Phi, Qd) over b, by the semigroup identities
+    Phi(a + b) = Phi(b) Phi(a) and Q(a + b) = Phi(b) Q(a) Phi(b)^T + Q(b)
+    of a time-invariant plant.  Qd is not symmetrized."""
+    Phi_a, Q_a = first
+    Phi_b, Q_b = then
+    return Phi_b @ Phi_a, Phi_b @ Q_a @ Phi_b.T + Q_b
 
 
 def _noise_factor(Q: np.ndarray) -> np.ndarray:

@@ -92,17 +92,21 @@ def cycle_candidates(model: SystemModel, k: int) -> list[Observation]:
     return out
 
 
-def predict_cov(model: SystemModel, P: np.ndarray, t_i: float, t_j: float) -> np.ndarray:
+def predict_cov(
+    model: SystemModel, P: np.ndarray, t_i: float, t_j: float, disc=None
+) -> np.ndarray:
     """A posteriori -> a priori: Phi P Phi^T + Q over [t_i, t_j], symmetrized.
 
-    A zero-length interval returns ``P`` itself: for a symmetric P, as
+    ``disc`` is the interval's (Phi, Qd) when the caller holds it, else
+    None, and then ``model.discretize(t_j - t_i)`` supplies it.  A
+    zero-length interval returns ``P`` itself: for a symmetric P, as
     every anchor (``model.check_covariance``) and every operator result
     here is, the formula with Phi = I and Qd = 0 gives the same bits.  No
     operator writes into a covariance in place, so the alias is safe.
     """
     if t_j == t_i:
         return P
-    Phi, Qd = model.discretize(t_j - t_i)
+    Phi, Qd = model.discretize(t_j - t_i) if disc is None else disc
     return symmetrize(Phi @ P @ Phi.T + Qd)
 
 
@@ -121,11 +125,13 @@ def scalar_update_cov(P: np.ndarray, c: np.ndarray, r_j: float) -> np.ndarray:
 
 
 def g_step(
-    model: SystemModel, P: np.ndarray, t_i: float, t_j: float, observer: int
+    model: SystemModel, P: np.ndarray, t_i: float, t_j: float, observer: int,
+    disc=None,
 ) -> np.ndarray:
-    """A posteriori -> a posteriori: predict over [t_i, t_j], then update
-    with the given observer's row."""
-    prior = predict_cov(model, P, t_i, t_j)
+    """A posteriori -> a posteriori: predict over [t_i, t_j] (with the
+    interval's (Phi, Qd) ``disc`` when the caller holds it, see
+    ``predict_cov``), then update with the given observer's row."""
+    prior = predict_cov(model, P, t_i, t_j, disc)
     return scalar_update_cov(prior, model.obs_row(observer), model.obs_var(observer))
 
 
@@ -171,10 +177,15 @@ def propagate_estimate(
     """Mean state propagation over [s, t] under the zero-order-hold input
     ``u`` (``None`` means zero input): Phi xhat + Lambda u.  The interval
     lies inside one decision cycle, whose action vector is held over it.
-    No process noise: this is the estimate's mean.
+    No process noise: this is the estimate's mean.  A zero-length
+    interval returns ``xhat`` as a flat float array, as ``predict_cov``
+    returns its input covariance.
     """
+    x = np.asarray(xhat, dtype=float).reshape(-1)
+    if s == t:
+        return x
     Phi, _ = model.discretize(t - s)
-    x = Phi @ np.asarray(xhat, dtype=float).reshape(-1)
+    x = Phi @ x
     if u is None:
         return x
     return x + model.input_lambda(t - s) @ np.asarray(u, dtype=float).reshape(-1)

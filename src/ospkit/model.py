@@ -59,10 +59,14 @@ class SystemModel:
     ``input_lambda`` (Lambda), ``boundary_operator`` (M, c), with which
     ``scheduler.RankKernel`` ranks covariances by ``<M, P> + c``, and
     ``noise_factor`` (a factor of Qd), with which ``sim.step_true_state``
-    draws process noise, share one memoized cache entry per length.  A
-    miss runs the unchecked ``dynamics`` kernels on the A, B and Q checked
-    here.  Each observer's C row and noise variance are stored once, for
-    ``obs_row`` and ``obs_var``.
+    draws process noise, share one memoized cache entry per length, and
+    ``held`` and ``held_boundary`` read that entry without computing an
+    exponential.  A miss runs the
+    unchecked ``dynamics`` kernels on the A, B and Q checked here.  The
+    cache holds only these exact per-length values: operators that
+    ``scheduler.RankKernel`` composes stay in the kernel.  Each
+    observer's C row and noise variance are stored once, for ``obs_row``
+    and ``obs_var``.
     """
 
     A: np.ndarray
@@ -72,6 +76,8 @@ class SystemModel:
     R: np.ndarray
     T: float
     observer_periods: tuple[float, ...]
+    # Length -> [(Phi, Qd), Lambda, (M, c), noise factor]; the last three
+    # are filled on first use.
     _disc_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # dynamics._van_loan(A, Q): what a discretization depends on besides dt.
     _van_loan: tuple = field(init=False, repr=False, compare=False)
@@ -173,20 +179,31 @@ class SystemModel:
         """
         entry = self._disc_cache.get(dt)
         if entry is None:
-            entry = [*dynamics._discretize(self._van_loan, dt), None, None, None]
+            entry = [dynamics._discretize(self._van_loan, dt), None, None, None]
             if len(self._disc_cache) >= DISC_CACHE_SIZE:
                 del self._disc_cache[next(iter(self._disc_cache))]
             self._disc_cache[dt] = entry
-        return entry[0], entry[1]
+        return entry[0]
+
+    def held(self, dt: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """(Phi, Qd) over length dt when the cache holds it, else None.
+
+        Read-only: it never computes, checks, adds or evicts an entry.
+        ``scheduler.RankKernel`` asks it (and ``held_boundary``) before it
+        composes an operator, so that it composes only where
+        ``discretize`` would miss.
+        """
+        entry = self._disc_cache.get(dt)
+        return None if entry is None else entry[0]
 
     def input_lambda(self, dt: float) -> np.ndarray:
         """ZOH input matrix Lambda = (int_0^dt e^{A tau} dtau) B over length
         dt, from ``dynamics._input_integral`` on the checked A and B,
         memoized with ``discretize``."""
         entry = self._entry(dt)
-        if entry[2] is None:
-            entry[2] = dynamics._input_integral(self.A, self.B, dt)
-        return entry[2]
+        if entry[1] is None:
+            entry[1] = dynamics._input_integral(self.A, self.B, dt)
+        return entry[1]
 
     def boundary_operator(self, dt: float) -> tuple[np.ndarray, float]:
         """Boundary pair (M, c) = (Phi^T Phi, trace Qd) over length dt,
@@ -198,20 +215,31 @@ class SystemModel:
         rounding, not bit for bit: ``scheduler.RankKernel`` ranks with this
         pair, and the search reports its winner through ``kalman.predict_cov``.
         """
-        entry = self._entry(dt)
-        if entry[3] is None:
-            Phi, Qd = entry[0], entry[1]
-            entry[3] = (Phi.T @ Phi, float(np.trace(Qd)))
-        return entry[3]
+        self._entry(dt)
+        return self.held_boundary(dt)
+
+    def held_boundary(self, dt: float) -> tuple[np.ndarray, float] | None:
+        """``boundary_operator(dt)`` when the cache holds dt, else None.
+
+        Like ``held``, it never computes an exponential or adds an entry;
+        it fills a held entry's pair on first use.
+        """
+        entry = self._disc_cache.get(dt)
+        if entry is None:
+            return None
+        if entry[2] is None:
+            Phi, Qd = entry[0]
+            entry[2] = (Phi.T @ Phi, float(np.trace(Qd)))
+        return entry[2]
 
     def noise_factor(self, dt: float) -> np.ndarray | None:
         """A factor F with F F^T = Qd over length dt (``dynamics._noise_factor``
         of Qd), memoized with ``discretize``; None when Qd is zero.  Raises
         NumericError when Qd is not positive semi-definite."""
         entry = self._entry(dt)
-        if entry[4] is None and entry[1].any():
-            entry[4] = dynamics._noise_factor(entry[1])
-        return entry[4]
+        if entry[3] is None and entry[0][1].any():
+            entry[3] = dynamics._noise_factor(entry[0][1])
+        return entry[3]
 
     def _entry(self, dt: float) -> list:
         """The cache entry of length dt; a miss goes through ``discretize``."""

@@ -56,6 +56,9 @@ class ChannelConfig:
     action_airtime: tuple[tuple[float, float], ...]
     seed: int = 0
     trace: tuple[tuple[float, ...], ...] | None = None
+    # (lo, hi - lo) of the observer bounds, then of the action bounds, as
+    # two arrays, for sample_airtimes.
+    _bounds: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
@@ -81,6 +84,8 @@ class ChannelConfig:
                 raise ConfigError(
                     f"action airtime bounds must satisfy 0 <= lo <= hi < inf, got ({lo}, {hi})"
                 )
+        lo, hi = np.array([*self.obs_airtime, *self.action_airtime], dtype=float).reshape(-1, 2).T
+        object.__setattr__(self, "_bounds", (lo, hi - lo))
 
 
 def sample_airtimes(cfg: ChannelConfig, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -99,9 +104,13 @@ def sample_airtimes(cfg: ChannelConfig, k: int) -> tuple[np.ndarray, np.ndarray]
         row = cfg.trace[k - 1]
         return np.asarray(row[:n_obs]), np.asarray(row[n_obs:])
     rng = np.random.default_rng([cfg.seed, k, _CHANNEL_TAG])
-    obs = np.array([rng.uniform(lo, hi) for lo, hi in cfg.obs_airtime])
-    act = np.array([rng.uniform(lo, hi) for lo, hi in cfg.action_airtime])
-    return obs, act
+    # One draw for all entries, scaled as Generator.uniform scales each
+    # (lo + (hi - lo) * u), so the bits are those of one uniform call per
+    # entry.  Generator.uniform over arrays gives the same bits, but its
+    # fixed cost makes it slower than per-entry calls for a few entries.
+    lo, span = cfg._bounds
+    draws = lo + span * rng.random(len(lo))
+    return draws[:n_obs], draws[n_obs:]
 
 
 def step_true_state(

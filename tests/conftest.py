@@ -64,13 +64,18 @@ def scalar_model(a=0.0, b=1.0, q=0.0, r=1e-2, T=1.0, period=1.0) -> SystemModel:
     )
 
 
-@pytest.fixture(scope="session")
-def search_model() -> SystemModel:
-    """10-observer model over the reference plant for search/oracle tests."""
+def make_search_model() -> SystemModel:
+    """10-observer model over the reference plant, with a cold cache."""
     rng = np.random.default_rng(7)
     C = rng.normal(size=(10, 3))
     R = np.diag(rng.uniform(1e-3, 1.0, size=10))
     return make_model(C, R, (T3,) * 10)
+
+
+@pytest.fixture(scope="session")
+def search_model() -> SystemModel:
+    """``make_search_model()`` shared by the search/oracle tests."""
+    return make_search_model()
 
 
 @pytest.fixture(scope="session")

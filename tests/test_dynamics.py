@@ -12,7 +12,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from ospkit import DomainError, OrderingError
+from ospkit import DomainError, OrderingError, dynamics
 
 from conftest import A3, B3, Q3, mp_noise_cov, mp_phi, plant, random_stable_system
 
@@ -208,6 +208,20 @@ class TestNoiseCov:
             lhs = model.discretize(t - s)[1]
             rhs = F @ model.discretize(u - s)[1] @ F.T + Q_ut
             np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-13)
+
+
+    def test_compose_adds_lengths(self):
+        # _compose of the pairs over a and b is the pair over a + b to
+        # rounding, for stiff and random plants alike.
+        rng = np.random.default_rng(11)
+        systems = [(A3, Q3)] + [random_stable_system(rng, int(rng.integers(1, 7))) for _ in range(20)]
+        for A, Q in systems:
+            model = plant(A, Q)
+            a, b = rng.uniform(0.0, 0.01, size=2)
+            Phi, Qd = dynamics._compose(model.discretize(a), model.discretize(b))
+            want_Phi, want_Qd = model.discretize(a + b)
+            np.testing.assert_allclose(Phi, want_Phi, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(Qd, want_Qd, rtol=1e-10, atol=1e-14)
 
 
 @pytest.mark.parametrize("s, t", [(0.0, np.inf), (0.0, np.nan), (np.inf, np.inf), (np.nan, 0.0)])

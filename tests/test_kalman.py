@@ -279,6 +279,15 @@ class TestEstimatePropagation:
         got = propagate_estimate(model, np.array([3.0]), np.array([0.5]), 0.2, 0.9)
         assert got[0] == pytest.approx(3.0 + 2.0 * 0.5 * 0.7, rel=1e-12)
 
+    def test_zero_interval_returns_the_state(self):
+        # Like a zero-length predict_cov: no lookup, the input's values.
+        model = make_model(C_MIX, np.diag([1e-2] * 6), (T3,) * 6)
+        x = np.array([1.0, -2.0, 0.5])
+        for u in (None, [1.0]):
+            got = propagate_estimate(model, x, u, 0.004, 0.004)
+            assert got.tobytes() == x.tobytes()
+        assert not model._disc_cache
+
     def test_semigroup_zero_input(self):
         model = make_model(C_MIX, np.diag([1e-2] * 6), (T3,) * 6)
         x = np.array([1.0, -2.0, 0.5])

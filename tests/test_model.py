@@ -116,6 +116,18 @@ class TestDiscretize:
         assert np.array_equal(Phi, np.eye(3)) and not Qd.any()
         assert not model.input_lambda(0.0).any()
 
+    def test_held_reads_without_computing(self, model, monkeypatch):
+        # held never computes, adds or evicts: None until discretize has
+        # computed the length, then discretize's own pair.
+        misses = []
+        kernel = dynamics._discretize
+        monkeypatch.setattr(dynamics, "_discretize", lambda *a: misses.append(1) or kernel(*a))
+        assert model.held(1e-3) is None
+        assert not model._disc_cache and not misses
+        pair = model.discretize(1e-3)
+        assert model.held(1e-3) is pair and len(misses) == 1
+        assert model.held(2e-3) is None and list(model._disc_cache) == [1e-3]
+
     def test_cache_is_not_an_init_field(self, model):
         with pytest.raises(TypeError):
             SystemModel(

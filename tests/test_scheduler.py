@@ -24,12 +24,17 @@ from ospkit import (
     predict_cov,
     sequence_mse,
 )
-from ospkit import scheduler
+from ospkit import dynamics, scheduler
 from ospkit.scheduler import (
     MSE_TIE_RTOL, RankKernel, _finish, _winner, harvest_all, harvest_none,
 )
 
-from conftest import T3, harvest_closed_form, make_model, random_context
+from conftest import T3, harvest_closed_form, make_model, make_search_model, random_context
+
+
+def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """||a - b|| / ||b|| in the Frobenius norm."""
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
 def ctx_from(offs_airs, actions=(), T=0.01, k=1, n_states=3):
@@ -368,7 +373,9 @@ class TestBound:
             ctx = random_context(rng, search_model, L, loose=True)
             calls.clear()
             assert bnb_search(ctx, search_model).seq == tuple(range(L))
-            assert len(calls) <= L * (L + 1) // 2 + 1, len(calls)
+            # The search's steps go through scheduler.g_step, so the count
+            # is the search's work.
+            assert 0 < len(calls) <= L * (L + 1) // 2 + 1, len(calls)
 
     def test_bnb_matches_exhaustive_on_large_ties(self, dup_model):
         # The sibling cut skips whole runs of tied siblings; the search must
@@ -437,7 +444,66 @@ class TestRankKernel:
                 assert kernel.rank(cov, j) == pytest.approx(want, rel=1e-12, abs=0), (n, j)
             cands = [ctx.candidates[j] for j in seq]
             _, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, cands, ctx.cycle_end)
-            assert covs[-1].tobytes() == cov.tobytes(), n
+            if kernel.uses_composed(seq):
+                assert rel_diff(covs[-1], cov) <= 1e-12, n
+            else:
+                assert covs[-1].tobytes() == cov.tobytes(), n
+
+    @pytest.mark.parametrize("L", [8, 12])
+    def test_cold_loose_instance_pays_L_plus_2_exponentials(self, L, monkeypatch):
+        # anchor -> 0, the L - 1 adjacent steps, the last candidate's
+        # boundary pair and the anchor's length T; every far step and every
+        # other pair is composed.  Paying one exponential per length took
+        # 25 and 37 here.
+        misses = []
+        kernel = dynamics._discretize
+        monkeypatch.setattr(dynamics, "_discretize", lambda *a: misses.append(1) or kernel(*a))
+        rng = np.random.default_rng(86)
+        for _ in range(3):
+            model = make_search_model()
+            ctx = random_context(rng, model, L, loose=True)
+            misses.clear()
+            got = bnb_search(ctx, model)
+            assert got.seq == tuple(range(L))
+            assert len(misses) <= L + 2, len(misses)
+
+    def test_composed_chains_agree_and_winners_keep_their_bits(self, monkeypatch):
+        # On one model shared by many instances, as in a run, the kernel
+        # composes steps the model does not hold.  A chain through a
+        # composed step agrees with sequence_mse to rounding; a winner
+        # whose chain crossed one is scored again, so what the search
+        # reports is sequence_mse's, bit for bit, and the oracle's.
+        kernels = []
+        made = scheduler.RankKernel
+
+        def spy(ctx, model):
+            kernels.append(made(ctx, model))
+            return kernels[-1]
+
+        monkeypatch.setattr(scheduler, "RankKernel", spy)
+        model = make_search_model()
+        rng = np.random.default_rng(99)
+        composed_chains = rescored = 0
+        for n in range(120):
+            ctx = random_context(rng, model, int(rng.integers(2, 11)), loose=n % 2 == 0)
+            kernels.clear()
+            got = bnb_search(ctx, model)
+            kernel = kernels[0]
+            cands = [ctx.candidates[i] for i in got.seq]
+            mse, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, cands, ctx.cycle_end)
+            assert got.mse == mse and got.running_cov.tobytes() == cov.tobytes(), n
+            assert (got.seq, got.mse) == (exhaustive_oracle(ctx, model).seq, mse), n
+            rescored += kernel.uses_composed(got.seq)
+            size = int(rng.integers(1, ctx.L + 1))
+            seq = tuple(sorted(rng.choice(ctx.L, size=size, replace=False).tolist()))
+            chained = kernel.chain(ctx.prior_cov, kernel.anchor, seq)[-1]
+            if kernel.uses_composed(seq):
+                composed_chains += 1
+                cands = [ctx.candidates[i] for i in seq]
+                mse, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, cands, ctx.cycle_end)
+                assert rel_diff(chained, cov) <= 1e-12, n
+                assert kernel.rank(chained, seq[-1]) == pytest.approx(mse, rel=1e-12, abs=0)
+        assert composed_chains > 10 and rescored > 0, (composed_chains, rescored)
 
     def test_oracle_scores_only_its_winner(self, search_model, monkeypatch):
         # The oracle chains and ranks every schedulable subset through the

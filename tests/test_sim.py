@@ -27,7 +27,7 @@ from ospkit import (
 from ospkit import dynamics
 from ospkit.cli import run_cli
 from ospkit.config import PRESET_NAMES, parse_config_dict, preset_config
-from ospkit.sim import _fuse
+from ospkit.sim import _CHANNEL_TAG, _fuse
 from conftest import A3, C_MIX, Q3, T3, make_model, plant, scalar_model
 
 
@@ -53,6 +53,15 @@ class TestSampleAirtimes:
         np.testing.assert_array_equal(a1, a2)
         b, _ = sample_airtimes(cfg, 4)
         assert not np.array_equal(a1, b)
+
+    def test_one_draw_has_the_bits_of_one_draw_per_entry(self):
+        # The observer entries, then the action entries, in that order.
+        cfg = chan(5, 1e-4, 3e-4, actions=((0.0, 1e-3), (2e-3, 4e-3)), seed=4)
+        for k in (1, 2, 77):
+            rng = np.random.default_rng([4, k, _CHANNEL_TAG])
+            want = [rng.uniform(lo, hi) for lo, hi in (*cfg.obs_airtime, *cfg.action_airtime)]
+            obs, act = sample_airtimes(cfg, k)
+            assert np.concatenate([obs, act]).tobytes() == np.array(want).tobytes()
 
     def test_bounds_and_mean(self):
         cfg = chan(1, 1e-4, 3e-4, seed=1)
@@ -192,8 +201,10 @@ class TestStepTrueState:
         # A noisy step with an input looks its length up through one
         # discretize call, in propagate_estimate; input_lambda and the noise
         # factor read the same cache entry.  Each looked it up through
-        # discretize again before: 3924 calls for 33 lengths.  Misses still
-        # go through discretize, one per length.
+        # discretize again before: 3924 calls for 33 lengths.  A
+        # zero-length propagation looks nothing up (200 calls and the
+        # length 0 before), and a search looks each length up once per
+        # instance.  Misses still go through discretize, one per length.
         cfg = parse_config_dict(preset_config("rate-fast"))
         calls, misses = [], []
         discretize, kernel = SystemModel.discretize, dynamics._discretize
@@ -203,8 +214,8 @@ class TestStepTrueState:
         monkeypatch.setattr(dynamics, "_discretize", lambda *a: misses.append(1) or kernel(*a))
         inputs = {j: np.ones(cfg.model.n_agents) for j in range(300)}
         run_simulation(cfg.model, cfg.channel, "bnb", 300, inputs=inputs)
-        assert len(calls) == 2224
-        assert len(misses) == len(set(calls)) == len(cfg.model._disc_cache) == 33
+        assert len(calls) == 1832
+        assert len(misses) == len(set(calls)) == len(cfg.model._disc_cache) == 32
 
 
 class TestRunSimulation:
