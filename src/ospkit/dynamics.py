@@ -15,6 +15,8 @@ length gives exactly I or zeros.  No kernel writes into its arguments.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 
@@ -34,7 +36,7 @@ def _length(name: str, d: float) -> None:
     Raises :class:`DomainError` for a non-finite d and
     :class:`OrderingError` for d < 0.
     """
-    if not np.isfinite(d):
+    if not math.isfinite(d):
         raise DomainError(f"{name} requires a finite length, got d={d}")
     if d < 0:
         raise OrderingError(f"{name} requires a length d >= 0, got d={d}")
@@ -77,7 +79,7 @@ def _van_loan(A: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, float]:
     aug[:n, :n] = -A
     aug[:n, n:] = Q
     aug[n:, n:] = A.T
-    return aug, np.linalg.norm(A, np.inf)
+    return aug, float(np.linalg.norm(A, np.inf))
 
 
 def _discretize(block, d: float) -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +101,7 @@ def _discretize(block, d: float) -> tuple[np.ndarray, np.ndarray]:
     aug, norm = block
     _length("discretize", d)
     n = aug.shape[0] // 2
-    steps = max(1, int(np.ceil(d * norm / _VAN_LOAN_MAX_SCALE)))
+    steps = max(1, math.ceil(d * norm / _VAN_LOAN_MAX_SCALE))
     h = d / steps
     F = scipy.linalg.expm(aug * h)
     Ph = F[n:, n:].T.copy()  # contiguous: every cache hit multiplies by Phi

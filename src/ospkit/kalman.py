@@ -8,6 +8,14 @@ boundary.  The predicted MSE of an observation sequence is the trace of
 the boundary-predicted covariance at the end of its covariance chain.
 Covariances are never mutated in place: each operator returns a new
 array, except that a zero-length predict returns its input.
+
+The update arithmetic is written once, in the unchecked kernel
+``_update``.  ``g_step``, the covariance step of every search node, feeds
+it the row and variance that ``SystemModel`` checked and stores, so it
+checks nothing per step; the public ``scalar_update_cov`` checks its
+arguments and then runs the same kernel.  Both predict and update
+multiply with ``ndarray.dot``, which gives the bits of ``@`` for less
+dispatch.
 """
 
 from __future__ import annotations
@@ -107,21 +115,34 @@ def predict_cov(
     if t_j == t_i:
         return P
     Phi, Qd = model.discretize(t_j - t_i) if disc is None else disc
-    return symmetrize(Phi @ P @ Phi.T + Qd)
+    return symmetrize(Phi.dot(P).dot(Phi.T) + Qd)
+
+
+def _update(P: np.ndarray, c: np.ndarray, r: float):
+    """The scalar-update kernel: (P - Pc (Pc)^T / e, Pc, e), with Pc = P c
+    and innovation variance e = c^T P c + r, for a symmetric float S x S P,
+    a 1-D float row c of length S and a variance r > 0, none of
+    which it checks.  The outer product is ``Pc[:, None] * Pc``, the bits
+    of ``np.outer`` without its call overhead, and the result is exactly
+    symmetric."""
+    Pc = P.dot(c)
+    e = float(c.dot(Pc)) + r
+    return P - Pc[:, None] * Pc / e, Pc, e
 
 
 def scalar_update_cov(P: np.ndarray, c: np.ndarray, r_j: float) -> np.ndarray:
     """Posterior covariance of a scalar measurement update: P - (1/e) P c c^T P
     with innovation variance e = c^T P c + r_j.  P must be symmetric (as
     ``predict_cov`` output is), which makes the result exactly symmetric.
-    The outer product is ``Pc[:, None] * Pc``, the bits of ``np.outer``
-    without its call overhead."""
+
+    The checked entry to the update: it raises DomainError unless
+    r_j > 0 and reads P as a float array and ``c`` as a flat float
+    vector, then runs the unchecked kernel ``_update``, as ``g_step``
+    does."""
     if not r_j > 0.0:
         raise DomainError(f"observation-noise variance must be > 0, got {r_j}")
-    c = np.asarray(c, dtype=float).ravel()
-    Pc = P @ c
-    e = float(c @ Pc) + r_j
-    return P - Pc[:, None] * Pc / e
+    P = np.asarray(P, dtype=float)
+    return _update(P, np.asarray(c, dtype=float).ravel(), r_j)[0]
 
 
 def g_step(
@@ -130,9 +151,15 @@ def g_step(
 ) -> np.ndarray:
     """A posteriori -> a posteriori: predict over [t_i, t_j] (with the
     interval's (Phi, Qd) ``disc`` when the caller holds it, see
-    ``predict_cov``), then update with the given observer's row."""
+    ``predict_cov``), then update with the given observer's row.
+
+    The search's covariance step, so it checks nothing itself: the
+    interval is checked by ``model.discretize`` when it is not held, and
+    the row and variance were checked by ``SystemModel``, which stores
+    them; the update runs the kernel ``_update`` directly.  It has the
+    bits of ``scalar_update_cov`` after ``predict_cov``."""
     prior = predict_cov(model, P, t_i, t_j, disc)
-    return scalar_update_cov(prior, model.obs_row(observer), model.obs_var(observer))
+    return _update(prior, model.obs_row(observer), model.obs_var(observer))[0]
 
 
 def sequence_mse(
@@ -154,6 +181,15 @@ def sequence_mse(
     Only ``.observer`` and ``.timestamp`` of each element are read, so an
     :class:`Observation` or a ``scheduler.Candidate`` serves.
     """
+    boundary, cov = _sequence_boundary(model, P0, t0, seq, kT)
+    return float(np.trace(boundary)), cov
+
+
+def _sequence_boundary(model, P0, t0, seq, kT) -> tuple[np.ndarray, np.ndarray]:
+    """``sequence_mse`` before the trace: (the running covariance predicted
+    to ``kT``, the running covariance).  The first is the covariance at
+    the cycle boundary, which ``sim.decision_cycles`` carries as the next
+    cycle's anchor."""
     cov = np.asarray(P0, dtype=float)
     t_prev = t0
     for obs in seq:
@@ -163,8 +199,7 @@ def sequence_mse(
             )
         cov = g_step(model, cov, t_prev, obs.timestamp, obs.observer)
         t_prev = obs.timestamp
-    mse = float(np.trace(predict_cov(model, cov, t_prev, kT)))
-    return mse, cov
+    return predict_cov(model, cov, t_prev, kT), cov
 
 
 def propagate_estimate(
@@ -196,10 +231,11 @@ def update_estimate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scalar Kalman update of the estimate (xhat, P) with measurement y:
     returns (xhat + K (y - c^T xhat), scalar_update_cov(P, c, r_j)) with
-    gain K = Pc/e and innovation variance e = c^T P c + r_j."""
+    gain K = Pc/e and innovation variance e = c^T P c + r_j.  The posterior
+    and the gain share one Pc and one e, from ``_update``."""
+    if not r_j > 0.0:
+        raise DomainError(f"observation-noise variance must be > 0, got {r_j}")
     xhat = np.asarray(xhat, dtype=float).reshape(-1)
     c = np.asarray(c, dtype=float).reshape(-1)
-    posterior = scalar_update_cov(P, c, r_j)
-    Pc = P @ c
-    gain = Pc / float(c @ Pc + r_j)
-    return xhat + gain * (y - float(c @ xhat)), posterior
+    posterior, Pc, e = _update(np.asarray(P, dtype=float), c, r_j)
+    return xhat + Pc / e * (y - float(c @ xhat)), posterior

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import dynamics
 from .errors import DomainError, NumericError, OrderingError
-from .kalman import g_step, predict_cov, sequence_mse
+from .kalman import _sequence_boundary, g_step, predict_cov
 from .model import SystemModel
 
 __all__ = [
@@ -180,7 +180,10 @@ class ScheduleEvaluation:
 
     ``seq`` holds 0-based candidate indices.  ``forced_empty`` marks the
     degenerate budget <= 0 case where even the empty sequence misses the
-    strict deadline but is reported anyway.
+    strict deadline but is reported anyway.  ``boundary_cov`` is
+    ``running_cov`` predicted to the cycle end, whose trace is ``mse``;
+    every policy sets it, and ``sim.decision_cycles`` takes it as the next
+    cycle's anchor.
     """
 
     seq: tuple[int, ...]
@@ -189,6 +192,7 @@ class ScheduleEvaluation:
     running_cov: np.ndarray
     nodes_visited: int = 0
     forced_empty: bool = False
+    boundary_cov: np.ndarray | None = field(default=None, repr=False)
 
 
 def _finish(d: float, ctx: CycleContext, j: int) -> float:
@@ -364,12 +368,16 @@ def _winner(entries):
 def _evaluate(
     ctx: CycleContext, model: SystemModel, seq: tuple[int, ...], **diagnostics
 ) -> ScheduleEvaluation:
-    """Score ``seq`` from scratch: its end of harvest, and its predicted MSE
-    and running covariance from the cycle's anchor."""
-    mse, cov = sequence_mse(
+    """Score ``seq`` from scratch: its end of harvest, and its predicted MSE,
+    running covariance and boundary covariance from the cycle's anchor,
+    as ``kalman.sequence_mse`` scores it."""
+    boundary, cov = _sequence_boundary(
         model, ctx.prior_cov, ctx.t0, [ctx.candidates[i] for i in seq], ctx.cycle_end
     )
-    return ScheduleEvaluation(seq, end_of_harvest(seq, ctx), mse, cov, **diagnostics)
+    return ScheduleEvaluation(
+        seq, end_of_harvest(seq, ctx), float(np.trace(boundary)), cov,
+        boundary_cov=boundary, **diagnostics,
+    )
 
 
 def harvest_none(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
@@ -419,9 +427,9 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     cold loose instance pays L + 2 exponentials: anchor -> 0, the L - 1
     adjacent steps, the last candidate's pair and the anchor's.  Only the
     winner is scored the reported way, as the trace of ``predict_cov`` to
-    kT, or, when its chain crossed a composed step, through
-    ``sequence_mse`` again (``_evaluate``), so its ``mse`` and
-    ``running_cov`` equal ``sequence_mse`` of its ``seq`` bit for bit.
+    kT, or, when its chain crossed a composed step, from the anchor again
+    (``_evaluate``), so its ``mse`` and ``running_cov`` equal
+    ``kalman.sequence_mse`` of its ``seq`` bit for bit.
     A composed operator moves a rank only by rounding, so ``seq`` and
     ``nodes_visited`` can move only where a rank sits at a tie edge.
     """
@@ -485,8 +493,10 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     if kernel.uses_composed(seq):
         return _evaluate(ctx, model, seq, nodes_visited=nodes)
     t = kernel.times[seq[-1] if seq else anchor]
-    mse = float(np.trace(predict_cov(model, cov, t, ctx.cycle_end)))
-    return ScheduleEvaluation(seq, d, mse, cov, nodes_visited=nodes)
+    boundary = predict_cov(model, cov, t, ctx.cycle_end)
+    return ScheduleEvaluation(
+        seq, d, float(np.trace(boundary)), cov, nodes_visited=nodes, boundary_cov=boundary
+    )
 
 
 def greedy_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:

@@ -160,15 +160,18 @@ def decision_cycles(
     the decision steps of ``run_simulation`` and ``ospkit oracle``.
 
     The covariance anchor is the cycle start: (t0 = 0, P = initial_cov),
-    then after cycle k (kT, ``ev.running_cov`` predicted to kT from the
-    last harvested timestamp, or from (k-1)T), whose trace is ``ev.mse``.
-    So every interval lies inside one cycle, and the work per cycle does
-    not grow with k.  The run is checked when this is called, before
-    cycle 1: a cycle count below 1, an unknown policy, a channel whose
-    observer count differs from the model's, an airtime trace shorter than
-    the run, or an ``initial_cov`` that is not a finite, symmetric, positive
-    semi-definite S x S matrix raises ConfigError.  A non-finite predicted
-    MSE raises NumericError (``scheduler.decide``).
+    then after cycle k (kT, ``ev.boundary_cov``: ``ev.running_cov``
+    predicted to kT from the last harvested timestamp, or from (k-1)T),
+    whose trace is ``ev.mse``.  So every interval lies inside one cycle,
+    and the work per cycle does not grow with k.  The run is checked when
+    this is called, before cycle 1: a cycle count below 1, an unknown
+    policy, a channel whose observer count differs from the model's, an
+    airtime trace shorter than the run, or an ``initial_cov`` that is not
+    a finite, symmetric, positive semi-definite S x S matrix raises
+    ConfigError.  A non-finite predicted
+    MSE raises NumericError (``scheduler.decide``), and so does a new
+    anchor with a non-finite entry or a negative variance on its diagonal,
+    naming the cycle that produced it.
     """
     if cycles < 1:
         raise ConfigError(f"cycle count must be >= 1, got {cycles}")
@@ -209,9 +212,15 @@ def _cycles(model, channel, policy, P0, cycles):
             prior_cov=prior_cov,
         )
         ev = scheduler.decide(policy, ctx, model)
+        prior_cov = ev.boundary_cov
+        # O(S^2) reads and no factorization: the search's bound needs a PSD
+        # anchor, and a broken one would otherwise surface cycles later.
+        if not (np.isfinite(prior_cov).all() and prior_cov.diagonal().min() >= 0.0):
+            raise NumericError(
+                f"cycle {k}: the next cycle's anchor covariance has a non-finite "
+                "entry or a negative variance"
+            )
         yield ctx, ev
-        t_last = ctx.candidates[ev.seq[-1]].timestamp if ev.seq else ctx.t0
-        prior_cov = kalman.predict_cov(model, ev.running_cov, t_last, ctx.cycle_end)
 
 
 def _fuse(model: SystemModel, xh, P, t: float, u, observed):

@@ -23,7 +23,9 @@ from ospkit import (
     step_true_state,
     update_estimate,
 )
+from ospkit import dynamics
 from ospkit.config import PRESET_NAMES, parse_config_dict
+from ospkit.dynamics import symmetrize
 
 from conftest import (
     A3,
@@ -34,8 +36,36 @@ from conftest import (
     make_model,
     mp_noise_cov,
     mp_phi,
+    random_stable_system,
     scalar_model,
 )
+
+
+def reference_update(P, c, r):
+    """The scalar update written with ``@`` and ``np.outer``."""
+    Pc = P @ c
+    e = float(c @ Pc) + r
+    return P - np.outer(Pc, Pc) / e
+
+
+def reference_g_step(model, P, t_i, t_j, observer, disc=None):
+    """``g_step`` written with ``@`` and ``np.outer``, reading the row and
+    variance from C and R."""
+    if t_j != t_i:
+        Phi, Qd = model.discretize(t_j - t_i) if disc is None else disc
+        P = symmetrize(Phi @ P @ Phi.T + Qd)
+    return reference_update(P, model.C[observer], model.R[observer, observer])
+
+
+def random_plant(rng, S):
+    """A stable S-state plant with four observers of random rows and noise
+    variances, and a random symmetric positive-definite covariance."""
+    A, Q = random_stable_system(rng, S)
+    C = rng.normal(size=(4, S))
+    R = np.diag(10.0 ** rng.uniform(-3.0, 0.0, size=4))
+    model = make_model(C, R, (1.0,) * 4, A=A, B=np.zeros((S, 1)), Q=Q, T=1.0)
+    G = rng.normal(size=(S, S))
+    return model, symmetrize(G @ G.T + 1e-3 * np.eye(S))
 
 
 class TestFirstObsTimestamp:
@@ -166,8 +196,11 @@ class TestCovarianceOperators:
         np.testing.assert_allclose(post, want, rtol=1e-12, atol=1e-15)
 
     def test_update_rejects_nonpositive_variance(self):
-        with pytest.raises(DomainError):
-            scalar_update_cov(np.eye(2), np.array([1.0, 0.0]), 0.0)
+        for r in (0.0, -1e-3, np.nan):
+            with pytest.raises(DomainError):
+                scalar_update_cov(np.eye(2), np.array([1.0, 0.0]), r)
+            with pytest.raises(DomainError):
+                update_estimate(np.zeros(2), np.eye(2), 1.0, np.array([1.0, 0.0]), r)
 
     def test_g_step_composes(self):
         model = make_model(C_MIX, np.diag([1e-2] * 6), (T3,) * 6)
@@ -176,6 +209,31 @@ class TestCovarianceOperators:
         prior = predict_cov(model, P, 0.0, 0.004)
         want = scalar_update_cov(prior, C_MIX[2], 1e-2)
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("S", range(1, 7))
+    def test_g_step_bits_match_the_reference_step(self, S):
+        # The kernel multiplies with ndarray.dot and skips the checks; its
+        # bits are those of the @ / np.outer step, for zero and non-zero
+        # lengths, with the model's (Phi, Qd) and with one the caller holds
+        # (composed from two lengths, as the search's kernel does).
+        rng = np.random.default_rng(2000 + S)
+        model, P = random_plant(rng, S)
+        for _ in range(40):
+            t_i = float(rng.uniform(0.0, 0.5))
+            dt = 0.0 if rng.random() < 0.3 else float(rng.uniform(1e-4, 0.5))
+            t_j, n = t_i + dt, int(rng.integers(0, 4))
+            got = g_step(model, P, t_i, t_j, n)
+            want = reference_g_step(model, P, t_i, t_j, n)
+            assert got.tobytes() == want.tobytes()
+            a = float(rng.uniform(1e-4, 0.3))
+            Phi, Qd = dynamics._compose(model.discretize(a), model.discretize(dt))
+            disc = (Phi, symmetrize(Qd))
+            got = g_step(model, P, t_i, t_i + a + dt, n, disc)
+            want = reference_g_step(model, P, t_i, t_i + a + dt, n, disc)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(scalar_update_cov(P, model.C[n], model.R[n, n]),
+                                  reference_update(P, model.C[n], model.R[n, n]))
+            P = got
 
     def test_update_never_increases_trace(self):
         rng = np.random.default_rng(31)
@@ -347,6 +405,22 @@ class TestUpdateEstimate:
         xn, Pn = update_estimate(x, np.eye(3), float(c @ x), c, 1e-2)
         np.testing.assert_allclose(xn, x, rtol=1e-13)
         assert np.trace(Pn) < 3.0
+
+    @pytest.mark.parametrize("S", range(1, 7))
+    def test_matches_the_two_pass_update(self, S):
+        # Posterior and gain share one Pc and one e; the bits are those of
+        # the update followed by a second P @ c and c @ Pc for the gain.
+        rng = np.random.default_rng(3000 + S)
+        model, P = random_plant(rng, S)
+        for n in range(4):
+            x, y = rng.normal(size=S), float(rng.normal())
+            c, r = model.C[n], float(model.R[n, n])
+            Pc = P @ c
+            gain = Pc / float(c @ Pc + r)
+            want_x = x + gain * (y - float(c @ x))
+            got_x, got_P = update_estimate(x, P, y, c, r)
+            assert got_x.tobytes() == want_x.tobytes()
+            assert got_P.tobytes() == reference_update(P, c, r).tobytes()
 
     def test_huge_noise_limit(self):
         x = np.array([1.0, 2.0, 3.0])

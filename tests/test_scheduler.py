@@ -507,12 +507,13 @@ class TestRankKernel:
 
     def test_oracle_scores_only_its_winner(self, search_model, monkeypatch):
         # The oracle chains and ranks every schedulable subset through the
-        # kernel; it reaches sequence_mse once, through _evaluate, to score
-        # the winner the way every policy's answer is scored.
+        # kernel; it reaches kalman's sequence scoring once, through
+        # _evaluate, to score the winner the way every policy's answer is
+        # scored.
         calls = []
-        score = scheduler.sequence_mse
+        score = scheduler._sequence_boundary
         monkeypatch.setattr(
-            scheduler, "sequence_mse", lambda *a: calls.append(1) or score(*a)
+            scheduler, "_sequence_boundary", lambda *a: calls.append(1) or score(*a)
         )
         rng = np.random.default_rng(98)
         for n in range(20):

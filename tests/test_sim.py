@@ -204,7 +204,9 @@ class TestStepTrueState:
         # discretize again before: 3924 calls for 33 lengths.  A
         # zero-length propagation looks nothing up (200 calls and the
         # length 0 before), and a search looks each length up once per
-        # instance.  Misses still go through discretize, one per length.
+        # instance.  The next cycle's anchor is the policy's own boundary
+        # prediction, not a second one (one call per cycle, 300, before).
+        # Misses still go through discretize, one per length.
         cfg = parse_config_dict(preset_config("rate-fast"))
         calls, misses = [], []
         discretize, kernel = SystemModel.discretize, dynamics._discretize
@@ -214,7 +216,7 @@ class TestStepTrueState:
         monkeypatch.setattr(dynamics, "_discretize", lambda *a: misses.append(1) or kernel(*a))
         inputs = {j: np.ones(cfg.model.n_agents) for j in range(300)}
         run_simulation(cfg.model, cfg.channel, "bnb", 300, inputs=inputs)
-        assert len(calls) == 1832
+        assert len(calls) == 1532
         assert len(misses) == len(set(calls)) == len(cfg.model._disc_cache) == 32
 
 
@@ -501,6 +503,38 @@ class TestDecisionCycles:
         with pytest.raises(NumericError, match="predicted MSE is inf"):
             for _ in cycles:
                 pass
+
+    @pytest.mark.parametrize("entry", ["nan-off-diagonal", "negative-variance"])
+    def test_bad_anchor_raises_naming_the_cycle(self, tmp_path, capsys, monkeypatch, entry):
+        # A policy whose boundary covariance breaks from cycle 3 on, with a
+        # finite trace, so the predicted MSE stays finite: the anchor check
+        # stops the run at cycle 3, and `ospkit simulate` exits 2 without
+        # writing its CSV.
+        name = "blackout-6of6-100000"
+        bnb = scheduler.POLICIES["bnb"]
+
+        def broken(ctx, model):
+            ev = bnb(ctx, model)
+            if ctx.cycle_index < 3:
+                return ev
+            P = ev.boundary_cov.copy()
+            if entry == "nan-off-diagonal":
+                P[0, 1] = P[1, 0] = np.nan
+            else:
+                P[2, 2] = -1e-9
+            return dataclasses.replace(ev, boundary_cov=P)
+
+        monkeypatch.setitem(scheduler.POLICIES, "bnb", broken)
+        model, channel, P0 = self.preset(name)
+        with pytest.raises(NumericError, match="^cycle 3: .*anchor"):
+            run_simulation(model, channel, "bnb", 5, initial_cov=P0)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(preset_config(name)))
+        out = tmp_path / "run.csv"
+        argv = ["simulate", "--config", str(cfg_path), "--policy", "bnb", "--cycles", "5"]
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        assert "numeric error: cycle 3: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_oracle_command_agrees(self, tmp_path, capsys, name):
