@@ -19,7 +19,7 @@ from .errors import (
 )
 from .model import SystemModel
 from .kalman import (
-    Observation,
+    Candidate,
     cycle_candidates,
     first_obs_timestamp,
     g_step,
@@ -30,7 +30,6 @@ from .kalman import (
     update_estimate,
 )
 from .scheduler import (
-    Candidate,
     CycleContext,
     ScheduleEvaluation,
     bnb_search,

@@ -153,9 +153,8 @@ def _cmd_timestamps(args) -> int:
         raise ConfigError(
             "timestamps requires --config or both --period and --observer-period"
         )
-    if args.cycles < 1:
-        raise ConfigError(f"cycle count must be >= 1, got {args.cycles}")
     try:
+        kalman._cycle_index("cycle count", args.cycles)
         rows = [
             (n, k, kalman.first_obs_timestamp(T, T_n, k))
             for n, T_n in periods

@@ -1,5 +1,6 @@
-"""Multirate Kalman machinery: observation timetables, covariance operators,
-sequence MSE, and state-estimate propagation/update.
+"""Multirate Kalman machinery: the observation timetable, which yields each
+cycle's ``Candidate`` records, covariance operators, sequence MSE, and
+state-estimate propagation/update.
 
 Covariance bookkeeping follows three operators: predict a posteriori ->
 a priori over an interval, a scalar measurement update, and their
@@ -21,6 +22,7 @@ dispatch.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -31,7 +33,7 @@ from .errors import DomainError, OrderingError
 from .model import SystemModel
 
 __all__ = [
-    "Observation",
+    "Candidate",
     "first_obs_timestamp",
     "cycle_candidates",
     "predict_cov",
@@ -47,11 +49,21 @@ _GRID_EPS = 1e-9
 
 
 @dataclass(frozen=True)
-class Observation:
-    """One representative observation: who produced it and when."""
+class Candidate:
+    """One harvestable observation: absolute timestamp, airtime, observer id."""
 
-    observer: int
     timestamp: float
+    airtime: float
+    observer: int
+
+
+def _cycle_index(name: str, k) -> None:
+    """The one check of a cycle index or count k: an integer >= 1, not a
+    bool (numpy integers pass); DomainError names ``name`` and k.  A plain
+    int skips the ``numbers.Integral`` test, which costs far more."""
+    if (type(k) is not int and (isinstance(k, bool) or not isinstance(k, numbers.Integral))
+            or k < 1):
+        raise DomainError(f"{name} must be an integer >= 1, got {k!r}")
 
 
 def first_obs_timestamp(T: float, T_n: float, k: int) -> float | None:
@@ -65,8 +77,7 @@ def first_obs_timestamp(T: float, T_n: float, k: int) -> float | None:
     """
     if not (0.0 < T < math.inf and 0.0 < T_n < math.inf):
         raise DomainError(f"periods must be finite and > 0, got T={T}, T_n={T_n}")
-    if k < 1:
-        raise DomainError(f"cycle index must be >= 1, got {k}")
+    _cycle_index("cycle index", k)
     if abs(T_n - T) <= _GRID_EPS * T:
         return (k - 1) * T
     if T_n < T:
@@ -89,14 +100,15 @@ def _snap_to_boundary(t: float, T: float) -> float:
     return b * T if abs(t - b * T) <= _GRID_EPS * T else t
 
 
-def cycle_candidates(model: SystemModel, k: int) -> list[Observation]:
-    """Representative observations available in cycle k, one per observer
-    that produces one; unordered (ordering is the scheduler's job)."""
+def cycle_candidates(model: SystemModel, k: int, airtimes) -> list[Candidate]:
+    """The candidates offered in cycle k, one per observer that produces an
+    observation in it, observer n with airtime ``airtimes[n]``; unordered
+    (ordering is ``scheduler.CycleContext``'s job)."""
     out = []
-    for n in range(model.n_observers):
-        t = first_obs_timestamp(model.T, model.observer_periods[n], k)
+    for n, T_n in enumerate(model.observer_periods):
+        t = first_obs_timestamp(model.T, T_n, k)
         if t is not None:
-            out.append(Observation(observer=n, timestamp=t))
+            out.append(Candidate(t, float(airtimes[n]), n))
     return out
 
 
@@ -130,6 +142,12 @@ def _update(P: np.ndarray, c: np.ndarray, r: float):
     return P - Pc[:, None] * Pc / e, Pc, e
 
 
+def _obs_variance(r_j: float) -> None:
+    """The one check of an observation-noise variance: r_j > 0, NaN fails."""
+    if not r_j > 0.0:
+        raise DomainError(f"observation-noise variance must be > 0, got {r_j}")
+
+
 def scalar_update_cov(P: np.ndarray, c: np.ndarray, r_j: float) -> np.ndarray:
     """Posterior covariance of a scalar measurement update: P - (1/e) P c c^T P
     with innovation variance e = c^T P c + r_j.  P must be symmetric (as
@@ -139,8 +157,7 @@ def scalar_update_cov(P: np.ndarray, c: np.ndarray, r_j: float) -> np.ndarray:
     r_j > 0 and reads P as a float array and ``c`` as a flat float
     vector, then runs the unchecked kernel ``_update``, as ``g_step``
     does."""
-    if not r_j > 0.0:
-        raise DomainError(f"observation-noise variance must be > 0, got {r_j}")
+    _obs_variance(r_j)
     P = np.asarray(P, dtype=float)
     return _update(P, np.asarray(c, dtype=float).ravel(), r_j)[0]
 
@@ -178,8 +195,7 @@ def sequence_mse(
     ``t0`` for the empty sequence).  Timestamps must be non-decreasing
     along the sequence and lie in [t0, kT]; simultaneous observations from
     distinct observers are allowed (zero-length predict between updates).
-    Only ``.observer`` and ``.timestamp`` of each element are read, so an
-    :class:`Observation` or a ``scheduler.Candidate`` serves.
+    Only ``.observer`` and ``.timestamp`` of each element are read.
     """
     boundary, cov = _sequence_boundary(model, P0, t0, seq, kT)
     return float(np.trace(boundary)), cov
@@ -233,8 +249,7 @@ def update_estimate(
     returns (xhat + K (y - c^T xhat), scalar_update_cov(P, c, r_j)) with
     gain K = Pc/e and innovation variance e = c^T P c + r_j.  The posterior
     and the gain share one Pc and one e, from ``_update``."""
-    if not r_j > 0.0:
-        raise DomainError(f"observation-noise variance must be > 0, got {r_j}")
+    _obs_variance(r_j)
     xhat = np.asarray(xhat, dtype=float).reshape(-1)
     c = np.asarray(c, dtype=float).reshape(-1)
     posterior, Pc, e = _update(np.asarray(P, dtype=float), c, r_j)

@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dynamics
 from .errors import DomainError, NumericError, OrderingError
-from .kalman import _sequence_boundary, g_step, predict_cov
+from .kalman import Candidate, _cycle_index, _sequence_boundary, g_step, predict_cov
 from .model import SystemModel
 
 __all__ = [
@@ -63,15 +62,6 @@ __all__ = [
 MSE_TIE_RTOL = 1e-12
 
 _ORACLE_MAX_L = 20
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One harvestable observation: absolute timestamp, airtime, observer id."""
-
-    timestamp: float
-    airtime: float
-    observer: int
 
 
 def order_observations(raw) -> tuple[Candidate, ...]:
@@ -126,9 +116,7 @@ class CycleContext:
         object.__setattr__(
             self, "budget", harvesting_budget(self.T, self.action_airtimes)
         )
-        k = self.cycle_index
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-            raise DomainError(f"cycle index must be an integer >= 1, got {k!r}")
+        _cycle_index("cycle index", self.cycle_index)
         start = self.cycle_start
         cands = self.candidates
         object.__setattr__(self, "timestamps", tuple(c.timestamp for c in cands))

@@ -92,11 +92,11 @@ def sample_airtimes(cfg: ChannelConfig, k: int) -> tuple[np.ndarray, np.ndarray]
     """Airtimes for cycle k: (per-observer, per-action).
 
     Deterministic under (seed, k).  With a trace configured, row k-1 is
-    used instead of random draws.  A cycle index below 1 or past the
-    trace's last row raises DomainError.
+    used instead of random draws.  A cycle index that is not an integer
+    >= 1 (a bool included) or is past the trace's last row raises
+    DomainError.
     """
-    if k < 1:
-        raise DomainError(f"cycle index must be >= 1, got {k}")
+    kalman._cycle_index("cycle index", k)
     if cfg.trace is not None and k > len(cfg.trace):
         raise DomainError(f"cycle {k} is past the trace's {len(cfg.trace)} rows")
     n_obs = len(cfg.obs_airtime)
@@ -164,17 +164,20 @@ def decision_cycles(
     predicted to kT from the last harvested timestamp, or from (k-1)T),
     whose trace is ``ev.mse``.  So every interval lies inside one cycle,
     and the work per cycle does not grow with k.  The run is checked when
-    this is called, before cycle 1: a cycle count below 1, an unknown
-    policy, a channel whose observer count differs from the model's, an
-    airtime trace shorter than the run, or an ``initial_cov`` that is not
-    a finite, symmetric, positive semi-definite S x S matrix raises
-    ConfigError.  A non-finite predicted
+    this is called, before cycle 1: a cycle count that is not an integer
+    >= 1 (a bool included), an unknown policy, a channel whose observer
+    count differs from the model's, an airtime trace shorter than the run,
+    or an ``initial_cov`` that is not a finite, symmetric, positive
+    semi-definite S x S matrix raises ConfigError.  A non-finite predicted
     MSE raises NumericError (``scheduler.decide``), and so does a new
     anchor with a non-finite entry or a negative variance on its diagonal,
     naming the cycle that produced it.
     """
-    if cycles < 1:
-        raise ConfigError(f"cycle count must be >= 1, got {cycles}")
+    try:
+        kalman._cycle_index("cycle count", cycles)
+        P0 = check_covariance("initial_cov", initial_cov, model.n_states)
+    except (DimensionError, DomainError) as exc:
+        raise ConfigError(str(exc)) from None
     if policy not in scheduler.POLICIES:
         raise ConfigError(
             f"unknown policy {policy!r}; expected one of {tuple(scheduler.POLICIES)}"
@@ -188,10 +191,6 @@ def decision_cycles(
         raise ConfigError(
             f"airtime trace has {len(channel.trace)} rows, run needs {cycles}"
         )
-    try:
-        P0 = check_covariance("initial_cov", initial_cov, model.n_states)
-    except (DimensionError, DomainError) as exc:
-        raise ConfigError(str(exc)) from None
     return _cycles(model, channel, policy, P0, cycles)
 
 
@@ -201,10 +200,7 @@ def _cycles(model, channel, policy, P0, cycles):
     for k in range(1, cycles + 1):
         obs_air, act_air = sample_airtimes(channel, k)
         ctx = scheduler.CycleContext(
-            candidates=tuple(
-                scheduler.Candidate(c.timestamp, float(obs_air[c.observer]), c.observer)
-                for c in kalman.cycle_candidates(model, k)
-            ),
+            candidates=kalman.cycle_candidates(model, k, obs_air),
             action_airtimes=tuple(act_air),
             T=model.T,
             cycle_index=k,
@@ -301,7 +297,7 @@ def run_simulation(
         u = None if inputs is None else inputs[ctx.cycle_index - 1]
         # Advance the true state through all candidate timestamps, then to kT.
         true_at = []
-        for t in [c.timestamp for c in ctx.candidates] + [ctx.cycle_end]:
+        for t in ctx.timestamps + (ctx.cycle_end,):
             x_true = step_true_state(model, x_true, u, t_true, t, rng_proc)
             t_true = t
             true_at.append(x_true)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from ospkit import (
+    Candidate,
     DomainError,
-    Observation,
     OrderingError,
     cycle_candidates,
     first_obs_timestamp,
@@ -23,7 +23,8 @@ from ospkit import (
     step_true_state,
     update_estimate,
 )
-from ospkit import dynamics
+import ospkit
+from ospkit import dynamics, kalman, scheduler
 from ospkit.config import PRESET_NAMES, parse_config_dict
 from ospkit.dynamics import symmetrize
 
@@ -136,14 +137,29 @@ class TestCycleCandidates:
         model = make_model(
             [[1.0, 0, 0], [0, 1.0, 0]], np.diag([1e-2, 1e-2]), (0.003, 0.025)
         )
-        got = cycle_candidates(model, 2)
+        got = cycle_candidates(model, 2, (1e-3, 2e-3))
         assert len(got) == 1
-        assert got[0].observer == 0
+        assert got[0].observer == 0 and got[0].airtime == 1e-3
         assert got[0].timestamp == pytest.approx(0.012, rel=1e-15)
 
     def test_no_observers(self):
         model = make_model(np.zeros((0, 3)), np.zeros((0, 0)), ())
-        assert cycle_candidates(model, 5) == []
+        assert cycle_candidates(model, 5, ()) == []
+
+    def test_observer_n_gets_airtime_n(self):
+        # rate-fast's multirate timetable offers a changing subset of its
+        # observers from cycle to cycle.
+        model = parse_config_dict(preset_config("rate-fast")).model
+        airtimes = np.arange(1, model.n_observers + 1) * 1e-4
+        offered = set()
+        for k in range(1, 60):
+            for c in cycle_candidates(model, k, airtimes):
+                assert type(c.airtime) is float and c.airtime == airtimes[c.observer]
+                offered.add(c.observer)
+        assert offered == set(range(model.n_observers))
+
+    def test_one_candidate_class(self):
+        assert kalman.Candidate is scheduler.Candidate is ospkit.Candidate
 
 
 class TestCovarianceOperators:
@@ -257,7 +273,7 @@ class TestSequenceMse:
     def test_single_observation_closed_form(self):
         p0, q, r = 2.0, 0.25, 0.5
         model = scalar_model(a=0.0, q=q, r=r, T=1.0)
-        obs = Observation(observer=0, timestamp=0.4)
+        obs = Candidate(timestamp=0.4, airtime=0.1, observer=0)
         mse, cov = sequence_mse(model, np.array([[p0]]), 0.0, [obs], 1.0)
         p_pre = p0 + q * 0.4
         p_post = p_pre * r / (p_pre + r)
@@ -266,7 +282,7 @@ class TestSequenceMse:
 
     def test_simultaneous_observations_allowed(self):
         model = make_model(C_MIX, np.diag([1e-2] * 6), (T3,) * 6)
-        seq = [Observation(0, 0.0), Observation(1, 0.0), Observation(2, 0.004)]
+        seq = [Candidate(0.0, 1e-3, 0), Candidate(0.0, 1e-3, 1), Candidate(0.004, 1e-3, 2)]
         mse, _ = sequence_mse(model, np.eye(3), 0.0, seq, 0.01)
         assert np.isfinite(mse) and mse > 0.0
 
@@ -277,7 +293,7 @@ class TestSequenceMse:
             L = int(rng.integers(1, 7))
             ts = np.sort(rng.uniform(0.0, T3, size=L))
             seq = [
-                Observation(int(rng.integers(0, 6)), float(t)) for t in ts
+                Candidate(float(t), 1e-3, int(rng.integers(0, 6))) for t in ts
             ]
             full_mse, full_cov = sequence_mse(model, np.eye(3), 0.0, seq, T3)
             # Incremental route: prefix running covariance extended one step.
@@ -293,14 +309,14 @@ class TestSequenceMse:
         rng = np.random.default_rng(43)
         for _ in range(50):
             ts = np.sort(rng.uniform(0.0, T3, size=3))
-            seq = [Observation(int(rng.integers(0, 6)), float(t)) for t in ts]
+            seq = [Candidate(float(t), 1e-3, int(rng.integers(0, 6))) for t in ts]
             m_full, _ = sequence_mse(model, np.eye(3), 0.0, seq, T3)
             m_drop, _ = sequence_mse(model, np.eye(3), 0.0, seq[:-1], T3)
             assert m_full <= m_drop + 1e-10
 
     def test_rejects_decreasing_timestamps(self):
         model = make_model(C_MIX, np.diag([1e-2] * 6), (T3,) * 6)
-        seq = [Observation(0, 0.006), Observation(1, 0.002)]
+        seq = [Candidate(0.006, 1e-3, 0), Candidate(0.002, 1e-3, 1)]
         with pytest.raises(OrderingError):
             sequence_mse(model, np.eye(3), 0.0, seq, 0.01)
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from ospkit import (
     ChannelConfig,
     SystemModel,
     ConfigError,
+    CycleContext,
     DomainError,
     NumericError,
     cycle_candidates,
     decision_cycles,
+    first_obs_timestamp,
     run_simulation,
     sample_airtimes,
     scheduler,
@@ -120,7 +123,7 @@ class TestSampleAirtimes:
     @pytest.mark.parametrize("k", [0, -1])
     def test_rejects_cycle_below_one(self, trace, k):
         cfg = ChannelConfig(obs_airtime=((1e-4, 2e-4),), action_airtime=(), trace=trace)
-        with pytest.raises(DomainError, match="cycle index must be >= 1"):
+        with pytest.raises(DomainError, match="cycle index must be an integer >= 1"):
             sample_airtimes(cfg, k)
 
     def test_rejects_cycle_past_trace(self):
@@ -344,7 +347,8 @@ class TestRunSimulation:
         # rate-slow's candidate at 0.53 = 53 T ends cycle 53; stepping to it
         # must use inputs[52], not look up inputs[53] past the run.
         cfg = parse_config_dict(preset_config("rate-slow"))
-        assert any(c.timestamp == 53 * cfg.model.T for c in cycle_candidates(cfg.model, 53))
+        air = sample_airtimes(cfg.channel, 53)[0]
+        assert any(c.timestamp == 53 * cfg.model.T for c in cycle_candidates(cfg.model, 53, air))
         inputs = {j: [1.0] for j in range(53)}
         logs = run_simulation(cfg.model, cfg.channel, "bnb", 53, inputs=inputs)
         assert len(logs) == 53
@@ -542,6 +546,30 @@ class TestDecisionCycles:
         cfg_path.write_text(json.dumps(preset_config(name)))
         assert run_cli(["oracle", "--config", str(cfg_path), "--cycles", "20"]) == 0
         assert capsys.readouterr().out == "oracle agreement on 20/20 cycles\n"
+
+
+@pytest.mark.parametrize(
+    "entry", ["first_obs_timestamp", "sample_airtimes", "CycleContext", "run length"]
+)
+def test_cycle_index_rule_is_one_rule(entry):
+    # Every entry that takes a cycle index, and the run length, rejects a
+    # non-integer, a bool and a value below 1 with the ospkit error naming
+    # the value, and accepts a numpy integer.
+    cfg = parse_config_dict(preset_config("rate-fast"))
+    name, error, call = {
+        "first_obs_timestamp": (
+            "index", DomainError, lambda k: first_obs_timestamp(0.01, 0.003, k)),
+        "sample_airtimes": ("index", DomainError, lambda k: sample_airtimes(cfg.channel, k)),
+        "CycleContext": (
+            "index", DomainError, lambda k: CycleContext((), (), 0.01, k, None, np.eye(3))),
+        "run length": (
+            "count", ConfigError, lambda k: run_simulation(cfg.model, cfg.channel, "bnb", k)),
+    }[entry]
+    for k in (1.5, True, 0, -1):
+        message = rf"^cycle {name} must be an integer >= 1, got {re.escape(repr(k))}$"
+        with pytest.raises(error, match=message):
+            call(k)
+    call(np.int64(2))
 
 
 class TestSelectionStats:
