@@ -1,6 +1,5 @@
-"""Multirate Kalman machinery: the observation timetable, which yields each
-cycle's ``Candidate`` records, covariance operators, sequence MSE, and
-state-estimate propagation/update.
+"""Multirate Kalman machinery: the observation timetable and its ``Candidate``
+records, covariance operators, sequence MSE, and state-estimate propagation/update.
 
 Covariance bookkeeping follows three operators: predict a posteriori ->
 a priori over an interval, a scalar measurement update, and their
@@ -101,9 +100,8 @@ def _snap_to_boundary(t: float, T: float) -> float:
 
 
 def cycle_candidates(model: SystemModel, k: int, airtimes) -> list[Candidate]:
-    """The candidates offered in cycle k, one per observer that produces an
-    observation in it, observer n with airtime ``airtimes[n]``; unordered
-    (ordering is ``scheduler.CycleContext``'s job)."""
+    """Cycle k's candidates, one per observer with an observation in it,
+    observer n with airtime ``airtimes[n]``; unordered (``CycleContext`` orders them)."""
     out = []
     for n, T_n in enumerate(model.observer_periods):
         t = first_obs_timestamp(model.T, T_n, k)

@@ -175,8 +175,7 @@ def decision_cycles(
     """
     try:
         kalman._cycle_index("cycle count", cycles)
-        P0 = check_covariance("initial_cov", initial_cov, model.n_states)
-    except (DimensionError, DomainError) as exc:
+    except DomainError as exc:
         raise ConfigError(str(exc)) from None
     if policy not in scheduler.POLICIES:
         raise ConfigError(
@@ -191,6 +190,10 @@ def decision_cycles(
         raise ConfigError(
             f"airtime trace has {len(channel.trace)} rows, run needs {cycles}"
         )
+    try:
+        P0 = check_covariance("initial_cov", initial_cov, model.n_states)
+    except (DimensionError, DomainError) as exc:
+        raise ConfigError(str(exc)) from None
     return _cycles(model, channel, policy, P0, cycles)
 
 

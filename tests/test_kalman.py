@@ -141,22 +141,30 @@ class TestCycleCandidates:
         assert len(got) == 1
         assert got[0].observer == 0 and got[0].airtime == 1e-3
         assert got[0].timestamp == pytest.approx(0.012, rel=1e-15)
+        # Cycle 3 holds the slow observer's grid point 0.025 as well.
+        got = sorted(cycle_candidates(model, 3, (1e-3, 2e-3)), key=lambda c: c.observer)
+        assert [(c.observer, c.airtime) for c in got] == [(0, 1e-3), (1, 2e-3)]
+        assert got[1].timestamp == pytest.approx(0.025, rel=1e-15)
 
     def test_no_observers(self):
         model = make_model(np.zeros((0, 3)), np.zeros((0, 0)), ())
         assert cycle_candidates(model, 5, ()) == []
 
     def test_observer_n_gets_airtime_n(self):
-        # rate-fast's multirate timetable offers a changing subset of its
-        # observers from cycle to cycle.
-        model = parse_config_dict(preset_config("rate-fast")).model
-        airtimes = np.arange(1, model.n_observers + 1) * 1e-4
-        offered = set()
+        # Four observers at four periods around T = 0.01: the slow ones
+        # (0.025, 0.017) skip cycles, so the subset offered changes from
+        # cycle to cycle and an observer's place in the list is not its index.
+        periods = (0.01, 0.003, 0.025, 0.017)
+        model = make_model(np.eye(4, 3), np.diag([1e-2] * 4), periods)
+        airtimes = np.array([1e-4, 2e-4, 3e-4, 4e-4])
+        subsets = set()
         for k in range(1, 60):
-            for c in cycle_candidates(model, k, airtimes):
+            got = cycle_candidates(model, k, airtimes)
+            for c in got:
                 assert type(c.airtime) is float and c.airtime == airtimes[c.observer]
-                offered.add(c.observer)
-        assert offered == set(range(model.n_observers))
+            subsets.add(frozenset(c.observer for c in got))
+        assert len(subsets) > 1
+        assert set().union(*subsets) == set(range(4))
 
     def test_one_candidate_class(self):
         assert kalman.Candidate is scheduler.Candidate is ospkit.Candidate
