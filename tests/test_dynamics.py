@@ -4,17 +4,27 @@ on models built by ``plant(A, Q, B)``, with independent oracles: Taylor
 series and mpmath for the matrix exponential, adaptive quadrature for the
 input and noise integrals, closed forms for scalar, diagonal and invertible
 special cases, and the semigroup and composition identities.  The model
-checks A, B and Q; ``test_model.py`` tests those checks."""
+checks A, B and Q; ``test_model.py`` tests those checks.  The exponential
+kernel ``dynamics._expm`` is also tested on its own, against mpmath and
+against ``scipy.linalg.expm``, which it replaced, and ``import ospkit``
+is checked to load no scipy."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
 
+import ospkit
 from ospkit import DomainError, OrderingError, dynamics
 
-from conftest import A3, B3, Q3, mp_noise_cov, mp_phi, plant, random_stable_system
+from conftest import A3, B3, Q3, T3, mp_noise_cov, mp_phi, plant, random_stable_system
 
 
 def expm_taylor(M, terms=60):
@@ -81,6 +91,94 @@ class TestMatExp:
             full = phi_of(A, Q, s + u)
             split = phi_of(A, Q, u) @ phi_of(A, Q, s)
             np.testing.assert_allclose(full, split, rtol=1e-9, atol=1e-12)
+
+
+EPS = np.finfo(float).eps
+
+
+def expm_error(got, X, dps=50):
+    """1-norm relative error of ``got`` against e^X, both taken in mpmath at
+    ``dps`` digits, so the rounding of e^X to float counts as error."""
+    with mpmath.workdps(dps):
+        E = mpmath.expm(mpmath.matrix(X.tolist()))
+        return float(mpmath.mnorm(mpmath.matrix(got.tolist()) - E, 1) / mpmath.mnorm(E, 1))
+
+
+def norm1(X):
+    return float(np.abs(X).sum(0).max())
+
+
+class TestExpm:
+    """``dynamics._expm(X, norm)``, scaling and squaring over the Pade
+    approximants of Higham 2005, on its own."""
+
+    # theta_3, theta_5, theta_7, theta_9 and theta_13 of Higham 2005 are the
+    # largest norms each Pade order takes unscaled; 1e-4 is deep in the
+    # [3/3] range, and 20 to 1000 need 2 to 8 squarings.
+    @pytest.mark.parametrize("norm", [
+        1e-4, 1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+        2.097847961257068, 5.371920351148152, 20.0, 200.0, 1e3,
+    ])
+    def test_against_mpmath(self, norm):
+        # n = 2..8.  Shifting each matrix so that its rightmost eigenvalue is
+        # on the imaginary axis keeps e^X of order one at every norm, so the
+        # relative error stays meaningful.  scipy.linalg.expm (Al-Mohy and
+        # Higham 2009) squares less often on some inputs, so the bound is
+        # its worst error on the same inputs, up to a factor two, not its
+        # error on each one.
+        rng = np.random.default_rng(int(norm * 1e4))
+        ours, theirs = [], []
+        for n in range(2, 9):
+            G = rng.normal(size=(n, n))
+            G -= np.linalg.eigvals(G).real.max() * np.eye(n)
+            X = G * (norm / norm1(G))
+            ours.append(expm_error(dynamics._expm(X, norm), X))
+            theirs.append(expm_error(scipy.linalg.expm(X), X))
+        assert max(ours) <= max(2 * max(theirs), 10 * EPS)
+        if norm <= 5.371920351148152:  # unscaled: a few roundoffs
+            assert max(ours) <= 10 * EPS
+
+    def test_reference_plant_blocks_at_the_substep_cap(self):
+        # The Van Loan block and the input integral's block at the longest
+        # substep _discretize takes, and at the decision period, which
+        # _input_integral takes unsplit.  No worse than scipy on any.
+        aug, norm_inf, _ = dynamics._van_loan(A3, Q3)
+        inp = np.zeros((6, 6))
+        inp[:3, :3] = A3
+        inp[:3, 3:] = np.eye(3)
+        for block in (aug, inp):
+            for h in (dynamics._VAN_LOAN_MAX_SCALE / norm_inf, T3):
+                X = block * h
+                err = expm_error(dynamics._expm(X, norm1(X)), X)
+                assert err <= expm_error(scipy.linalg.expm(X), X)
+
+    def test_scalar_is_exp(self):
+        for x in (-1e3, -2.5, 0.0, 1e-4, 0.7, 300.0):
+            assert dynamics._expm(np.array([[x]]), abs(x)).tobytes() == np.exp([[x]]).tobytes()
+
+    def test_zero_is_exactly_identity(self):
+        for n in range(1, 9):
+            E = dynamics._expm(np.zeros((n, n)), 0.0)
+            np.testing.assert_array_equal(E, np.eye(n))
+            E[0, 0] = 7.0  # the caller's to write into
+            np.testing.assert_array_equal(dynamics._expm(np.zeros((n, n)), 0.0), np.eye(n))
+
+    @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.5, 1.5, 4.0, 50.0])
+    def test_does_not_write_into_argument(self, norm):
+        X = np.random.default_rng(3).normal(size=(6, 6))
+        X *= norm / norm1(X)
+        before = X.copy()
+        dynamics._expm(X, norm)
+        assert X.tobytes() == before.tobytes()
+
+
+def test_import_loads_no_scipy():
+    # A fresh interpreter, so that no test has imported scipy first.
+    code = "import sys, ospkit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(ospkit.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[]\n"
 
 
 class TestPhi:
