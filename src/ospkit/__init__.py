@@ -25,7 +25,6 @@ from .kalman import (
     g_step,
     predict_cov,
     propagate_estimate,
-    scalar_update_cov,
     sequence_mse,
     update_estimate,
 )

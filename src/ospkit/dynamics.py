@@ -3,11 +3,12 @@
 The plant is time-invariant, so every operator depends only on the length
 d of an interval.  ``SystemModel`` is the one checked entry to them: it
 checks A, B and Q once, builds the Van Loan block with ``_van_loan`` and
-calls ``_discretize`` (Phi and Qd), ``_input_integral`` (the
-zero-order-hold input matrix) and ``_noise_factor`` (a factor of Qd) per
-length.  Lengths add, so ``_compose`` builds (Phi, Qd) over a sum of
-lengths from the pairs over its parts, for ``_discretize``'s substeps and
-for ``scheduler.RankKernel``.  These kernels check nothing but the length
+the input block with ``_input_block``, and calls ``_discretize`` (Phi and
+Qd), ``_input_integral`` (the zero-order-hold input matrix) and
+``_noise_factor`` (a factor of Qd) per length.  Lengths add, so
+``_compose`` builds (Phi, Qd) over a sum of lengths from the pairs over
+its parts, for ``_discretize``'s substeps and for
+``SystemModel.compose``.  These kernels check nothing but the length
 (``_length``).  Each exponential is of a block matrix scaled by the
 length, so a singular state matrix A is supported everywhere and a zero
 length gives exactly I or zeros.  No kernel writes into its arguments.
@@ -49,9 +50,20 @@ def _length(name: str, d: float) -> None:
         raise OrderingError(f"{name} requires a length d >= 0, got d={d}")
 
 
-def _input_integral(A: np.ndarray, B: np.ndarray, d: float) -> np.ndarray:
+def _input_block(A: np.ndarray) -> tuple[np.ndarray, float]:
+    """The block [[A, I], [0, 0]] of ``_input_integral`` and its 1-norm,
+    which sets the Pade order of each exponential, for a checked S x S A.
+    It depends on the plant alone, so ``SystemModel`` builds it once."""
+    n = A.shape[0]
+    aug = np.zeros((2 * n, 2 * n))
+    aug[:n, :n] = A
+    aug[:n, n:] = np.eye(n)
+    return aug, float(np.abs(aug).sum(0).max())
+
+
+def _input_integral(block, B: np.ndarray, d: float) -> np.ndarray:
     """ZOH input matrix Lambda(d) = (int_0^d e^{A tau} dtau) B for d >= 0,
-    for a checked S x S A and S x M B.
+    from ``block = _input_block(A)`` and a checked S x M B.
 
     Computed with the augmented block exponential
 
@@ -62,13 +74,10 @@ def _input_integral(A: np.ndarray, B: np.ndarray, d: float) -> np.ndarray:
     is invertible.  Lambda(0) = 0 exactly.  Raises DomainError for a
     non-finite d and OrderingError for d < 0.
     """
+    aug, norm1 = block
     _length("input_integral", d)
-    n = A.shape[0]
-    aug = np.zeros((2 * n, 2 * n))
-    aug[:n, :n] = A
-    aug[:n, n:] = np.eye(n)
-    X = aug * d
-    return _expm(X, float(np.abs(X).sum(0).max()))[:n, n:] @ B
+    n = aug.shape[0] // 2
+    return _expm(aug * d, norm1 * d)[:n, n:] @ B
 
 
 # Substep length cap for _discretize, in units of 1 / ||A||: the Van Loan

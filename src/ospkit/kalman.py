@@ -12,10 +12,11 @@ array, except that a zero-length predict returns its input.
 The update arithmetic is written once, in the unchecked kernel
 ``_update``.  ``g_step``, the covariance step of every search node, feeds
 it the row and variance that ``SystemModel`` checked and stores, so it
-checks nothing per step; the public ``scalar_update_cov`` checks its
-arguments and then runs the same kernel.  Both predict and update
-multiply with ``ndarray.dot``, which gives the bits of ``@`` for less
-dispatch.
+checks nothing per step; ``update_estimate``, the checked entry, checks
+the variance and then runs the same kernel.  Every operator over an
+interval is read from the model by the interval's length.  Both predict
+and update multiply with ``ndarray.dot``, which gives the bits of ``@``
+for less dispatch.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "first_obs_timestamp",
     "cycle_candidates",
     "predict_cov",
-    "scalar_update_cov",
     "g_step",
     "sequence_mse",
     "propagate_estimate",
@@ -110,21 +110,19 @@ def cycle_candidates(model: SystemModel, k: int, airtimes) -> list[Candidate]:
     return out
 
 
-def predict_cov(
-    model: SystemModel, P: np.ndarray, t_i: float, t_j: float, disc=None
-) -> np.ndarray:
-    """A posteriori -> a priori: Phi P Phi^T + Q over [t_i, t_j], symmetrized.
+def predict_cov(model: SystemModel, P: np.ndarray, t_i: float, t_j: float) -> np.ndarray:
+    """A posteriori -> a priori: Phi P Phi^T + Q over [t_i, t_j], symmetrized,
+    with the (Phi, Qd) that ``model.discretize(t_j - t_i)`` holds for the
+    length, composed or not.
 
-    ``disc`` is the interval's (Phi, Qd) when the caller holds it, else
-    None, and then ``model.discretize(t_j - t_i)`` supplies it.  A
-    zero-length interval returns ``P`` itself: for a symmetric P, as
+    A zero-length interval returns ``P`` itself: for a symmetric P, as
     every anchor (``model.check_covariance``) and every operator result
     here is, the formula with Phi = I and Qd = 0 gives the same bits.  No
     operator writes into a covariance in place, so the alias is safe.
     """
     if t_j == t_i:
         return P
-    Phi, Qd = model.discretize(t_j - t_i) if disc is None else disc
+    Phi, Qd = model.discretize(t_j - t_i)
     return symmetrize(Phi.dot(P).dot(Phi.T) + Qd)
 
 
@@ -140,40 +138,18 @@ def _update(P: np.ndarray, c: np.ndarray, r: float):
     return P - Pc[:, None] * Pc / e, Pc, e
 
 
-def _obs_variance(r_j: float) -> None:
-    """The one check of an observation-noise variance: r_j > 0, NaN fails."""
-    if not r_j > 0.0:
-        raise DomainError(f"observation-noise variance must be > 0, got {r_j}")
-
-
-def scalar_update_cov(P: np.ndarray, c: np.ndarray, r_j: float) -> np.ndarray:
-    """Posterior covariance of a scalar measurement update: P - (1/e) P c c^T P
-    with innovation variance e = c^T P c + r_j.  P must be symmetric (as
-    ``predict_cov`` output is), which makes the result exactly symmetric.
-
-    The checked entry to the update: it raises DomainError unless
-    r_j > 0 and reads P as a float array and ``c`` as a flat float
-    vector, then runs the unchecked kernel ``_update``, as ``g_step``
-    does."""
-    _obs_variance(r_j)
-    P = np.asarray(P, dtype=float)
-    return _update(P, np.asarray(c, dtype=float).ravel(), r_j)[0]
-
-
 def g_step(
-    model: SystemModel, P: np.ndarray, t_i: float, t_j: float, observer: int,
-    disc=None,
+    model: SystemModel, P: np.ndarray, t_i: float, t_j: float, observer: int
 ) -> np.ndarray:
-    """A posteriori -> a posteriori: predict over [t_i, t_j] (with the
-    interval's (Phi, Qd) ``disc`` when the caller holds it, see
-    ``predict_cov``), then update with the given observer's row.
+    """A posteriori -> a posteriori: ``predict_cov`` over [t_i, t_j], then
+    the update with the given observer's row.
 
     The search's covariance step, so it checks nothing itself: the
     interval is checked by ``model.discretize`` when it is not held, and
     the row and variance were checked by ``SystemModel``, which stores
     them; the update runs the kernel ``_update`` directly.  It has the
-    bits of ``scalar_update_cov`` after ``predict_cov``."""
-    prior = predict_cov(model, P, t_i, t_j, disc)
+    bits of ``update_estimate``'s posterior after ``predict_cov``."""
+    prior = predict_cov(model, P, t_i, t_j)
     return _update(prior, model.obs_row(observer), model.obs_var(observer))[0]
 
 
@@ -244,10 +220,14 @@ def update_estimate(
     xhat: np.ndarray, P: np.ndarray, y: float, c: np.ndarray, r_j: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scalar Kalman update of the estimate (xhat, P) with measurement y:
-    returns (xhat + K (y - c^T xhat), scalar_update_cov(P, c, r_j)) with
-    gain K = Pc/e and innovation variance e = c^T P c + r_j.  The posterior
-    and the gain share one Pc and one e, from ``_update``."""
-    _obs_variance(r_j)
+    returns (xhat + K (y - c^T xhat), P - Pc (Pc)^T / e) with Pc = P c,
+    gain K = Pc/e and innovation variance e = c^T P c + r_j, which share
+    one Pc and one e from ``_update``.  P must be symmetric, as
+    ``predict_cov`` output is, which makes the posterior exactly
+    symmetric.  The checked entry to the update: DomainError unless
+    r_j > 0 (NaN fails)."""
+    if not r_j > 0.0:
+        raise DomainError(f"observation-noise variance must be > 0, got {r_j}")
     xhat = np.asarray(xhat, dtype=float).reshape(-1)
     c = np.asarray(c, dtype=float).reshape(-1)
     posterior, Pc, e = _update(np.asarray(P, dtype=float), c, r_j)

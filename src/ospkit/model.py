@@ -61,12 +61,12 @@ class SystemModel:
     ``noise_factor`` (a factor of Qd), with which ``sim.step_true_state``
     draws process noise, share one memoized cache entry per length, and
     ``held`` and ``held_boundary`` read that entry without computing an
-    exponential.  A miss runs the
-    unchecked ``dynamics`` kernels on the A, B and Q checked here.  The
-    cache holds only these exact per-length values: operators that
-    ``scheduler.RankKernel`` composes stay in the kernel.  Each
-    observer's C row and noise variance are stored once, for ``obs_row``
-    and ``obs_var``.
+    exponential.  A miss runs the unchecked ``dynamics`` kernels on the
+    A, B and Q checked here.  The cache is the one home of each length's
+    (Phi, Qd), the exponential or what ``compose`` built for
+    ``scheduler.RankKernel``, so every caller reads the same bits for a
+    held length.  Each observer's C row and noise variance are stored
+    once, for ``obs_row`` and ``obs_var``.
     """
 
     A: np.ndarray
@@ -81,6 +81,8 @@ class SystemModel:
     _disc_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # dynamics._van_loan(A, Q): what a discretization depends on besides dt.
     _van_loan: tuple = field(init=False, repr=False, compare=False)
+    # dynamics._input_block(A): what Lambda depends on besides dt and B.
+    _input_block: tuple = field(init=False, repr=False, compare=False)
     # obs_row and obs_var of each observer: contiguous 1-D rows and floats.
     _obs_rows: tuple = field(init=False, repr=False, compare=False)
     _obs_vars: tuple = field(init=False, repr=False, compare=False)
@@ -138,6 +140,7 @@ class SystemModel:
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "observer_periods", periods)
         object.__setattr__(self, "_van_loan", dynamics._van_loan(A, Q))
+        object.__setattr__(self, "_input_block", dynamics._input_block(A))
         object.__setattr__(self, "_obs_rows", tuple(row.copy() for row in C))
         object.__setattr__(self, "_obs_vars", tuple(float(r) for r in np.diag(R)))
 
@@ -179,11 +182,25 @@ class SystemModel:
         """
         entry = self._disc_cache.get(dt)
         if entry is None:
-            entry = [dynamics._discretize(self._van_loan, dt), None, None, None]
-            if len(self._disc_cache) >= DISC_CACHE_SIZE:
-                del self._disc_cache[next(iter(self._disc_cache))]
-            self._disc_cache[dt] = entry
+            entry = self._add(dt, dynamics._discretize(self._van_loan, dt))
         return entry[0]
+
+    def compose(self, dt: float, a: float, b: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """(Phi, Qd) over the length dt = a + b from the held pairs over a
+        and then b (``dynamics._compose``; lengths add), held from then on
+        as the length's one (Phi, Qd) instead of its exponential; None,
+        adding nothing, when a part is not held.  dt is the caller's own
+        length, not the float a + b; a held dt is returned as it is.  dt
+        is checked and cached as ``discretize`` checks and caches it."""
+        dynamics._length("compose", dt)
+        held = self.held(dt)
+        if held is not None:
+            return held
+        first, then = self.held(a), self.held(b)
+        if first is None or then is None:
+            return None
+        Phi, Qd = dynamics._compose(first, then)
+        return self._add(dt, (Phi, dynamics.symmetrize(Qd)))[0]
 
     def held(self, dt: float) -> tuple[np.ndarray, np.ndarray] | None:
         """(Phi, Qd) over length dt when the cache holds it, else None.
@@ -196,13 +213,23 @@ class SystemModel:
         entry = self._disc_cache.get(dt)
         return None if entry is None else entry[0]
 
+    def _add(self, dt: float, disc: tuple) -> list:
+        """Hold ``disc`` = (Phi, Qd) as the new entry of length dt, evicting
+        the entry added first when the cache is full."""
+        entry = [disc, None, None, None]
+        if len(self._disc_cache) >= DISC_CACHE_SIZE:
+            del self._disc_cache[next(iter(self._disc_cache))]
+        self._disc_cache[dt] = entry
+        return entry
+
     def input_lambda(self, dt: float) -> np.ndarray:
         """ZOH input matrix Lambda = (int_0^dt e^{A tau} dtau) B over length
-        dt, from ``dynamics._input_integral`` on the checked A and B,
-        memoized with ``discretize``."""
+        dt, from ``dynamics._input_integral`` on the block the model built
+        once from its checked A, and on its checked B, memoized with
+        ``discretize``."""
         entry = self._entry(dt)
         if entry[1] is None:
-            entry[1] = dynamics._input_integral(self.A, self.B, dt)
+            entry[1] = dynamics._input_integral(self._input_block, self.B, dt)
         return entry[1]
 
     def boundary_operator(self, dt: float) -> tuple[np.ndarray, float]:

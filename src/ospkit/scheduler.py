@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics
 from .errors import DomainError, NumericError, OrderingError
 from .kalman import Candidate, _cycle_index, _sequence_boundary, g_step, predict_cov
 from .model import SystemModel
@@ -212,44 +211,39 @@ class RankKernel:
 
     A covariance is held at candidate j's timestamp or, at the spare index
     ``anchor`` (= L), at ``t0``.  ``chain`` steps it with ``g_step``, looked
-    up by its module-level name at each call and handed the step's
-    (Phi, Qd).  ``rank`` is ``<M_j, P> + c_j``, the boundary MSE of P held
-    at index j up to rounding, from the pair (M_j, c_j) over the length
-    kT - t_j.
+    up by its module-level name at each call, which reads the step's
+    (Phi, Qd) from the model.  ``rank`` is ``<M_j, P> + c_j``, the boundary
+    MSE of P held at index j up to rounding, from the pair (M_j, c_j) over
+    the length kT - t_j.
 
-    Steps and pairs are resolved on first use, and each is exact when the
-    model already holds its length (``model.held``,
+    Steps and pairs are resolved on first use, and each is the model's
+    when the model already holds its length (``model.held``,
     ``model.held_boundary``).  Otherwise the kernel builds it from
-    operators it already holds, since lengths add (``dynamics._compose``),
-    instead of paying an exponential:
+    operators the model holds, since lengths add, instead of paying an
+    exponential:
 
     - a far step i -> j, j > i + 1 (the anchor counts as index -1), from
-      the held steps i -> j-1 and j-1 -> j;
+      the held steps i -> j-1 and j-1 -> j, by ``model.compose``, so the
+      model holds it from then on;
     - the pair of j from the pair of j + 1 (the anchor's from candidate
       0's) and the held step (Phi, Qd) between them:
       ``M_j = Phi^T M_{j+1} Phi`` and ``c_j = <M_{j+1}, Qd> + c_{j+1}``,
       walking forward to the nearest pair that is known; candidates with
-      equal timestamps share one pair.
+      equal timestamps share one pair.  The kernel keeps these pairs for
+      its instance.
 
     When an input is missing the model pays the miss, as it would without
-    the kernel, so no instance pays more exponentials.  The kernel keeps
-    what it composed for its instance only; the model's cache keeps only
-    exact per-length exponentials.  ``composed`` maps the step lengths
-    the kernel composed to their (Phi, Qd), and is None until the first.
-    A chain that crosses none of them
-    (``uses_composed``) has the bits of ``kalman.sequence_mse``'s running
-    covariance; one that does agrees with it to rounding.  Ranks agree
-    with the trace of ``predict_cov`` to rounding either way.
+    the kernel, so no instance pays more exponentials.  Every step reads
+    the model's operator for its length, so a chain has the bits of
+    ``kalman.sequence_mse``'s running covariance on the same model while
+    the model holds the chain's lengths.  Ranks agree with the trace of
+    ``predict_cov`` to rounding.
     """
 
     def __init__(self, ctx: CycleContext, model: SystemModel):
         self.model, self.kT, self.anchor = model, ctx.cycle_end, ctx.L
         self.times = ctx.timestamps + (ctx.t0,)
         self.observers = ctx.observers
-        # Step length -> (Phi, Qd) of the steps the kernel composed; made
-        # on the first one, so an instance that composes nothing makes no
-        # table.
-        self.composed: dict[float, tuple] | None = None
         self._pairs = [None] * (ctx.L + 1)
 
     def chain(self, cov: np.ndarray, i: int, seq) -> list[np.ndarray]:
@@ -258,10 +252,9 @@ class RankKernel:
         t, out = ts[i], []
         for j in seq:
             dt = ts[j] - t
-            step = None  # a zero-length step needs no (Phi, Qd)
-            if dt:
-                step = self._held(dt) or self._new_step(i, j, dt)
-            cov = g_step(model, cov, t, ts[j], obs[j], step)
+            if dt and model.held(dt) is None:  # a zero length reads nothing
+                self._new_step(i, j, dt)
+            cov = g_step(model, cov, t, ts[j], obs[j])
             t, i = ts[j], j
             out.append(cov)
         return out
@@ -275,39 +268,14 @@ class RankKernel:
             )
         return float(np.vdot(pair[0], cov)) + pair[1]
 
-    def uses_composed(self, seq) -> bool:
-        """True iff chaining ``seq`` from the anchor crosses a step that the
-        kernel composed."""
-        if not self.composed:
-            return False
-        ts, t = self.times, self.times[self.anchor]
-        for j in seq:
-            if ts[j] - t in self.composed:
-                return True
-            t = ts[j]
-        return False
-
-    def _held(self, dt: float):
-        """The (Phi, Qd) of length dt that the kernel or the model holds,
-        else None."""
-        step = self.composed.get(dt) if self.composed else None
-        return step or self.model.held(dt)
-
-    def _new_step(self, i: int, j: int, dt: float):
-        """(Phi, Qd) of the step i -> j, of a length dt > 0 that the model
-        does not hold: composed when the step is far and both parts are
-        held, else the model's, at the cost of an exponential."""
+    def _new_step(self, i: int, j: int, dt: float) -> None:
+        """Ask the model to compose the step i -> j, of a length dt > 0 it
+        does not hold, when the step is far; where it cannot, ``g_step``'s
+        lookup pays the exponential."""
         h = j - 1  # the candidate before j
         if h > (-1 if i == self.anchor else i):
             ts = self.times
-            first, then = self._held(ts[h] - ts[i]), self._held(ts[j] - ts[h])
-            if first is not None and then is not None:
-                Phi, Qd = dynamics._compose(first, then)
-                if self.composed is None:
-                    self.composed = {}
-                step = self.composed[dt] = (Phi, dynamics.symmetrize(Qd))
-                return step
-        return self.model.discretize(dt)
+            self.model.compose(dt, ts[h] - ts[i], ts[j] - ts[h])
 
     def _new_pair(self, j: int):
         """(M_j, c_j) of index j, whose length the model does not hold:
@@ -321,7 +289,7 @@ class RankKernel:
                 break  # k is the last candidate: no later pair to build from
             step = None  # equal timestamps share one pair
             if ts[nxt] != ts[k]:
-                step = self._held(ts[nxt] - ts[k])
+                step = self.model.held(ts[nxt] - ts[k])
                 if step is None:
                     break
             walk.append((k, step))
@@ -413,13 +381,16 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     per-candidate tables.  The kernel composes the steps and boundary
     pairs whose lengths the model does not hold from those it does, so a
     cold loose instance pays L + 2 exponentials: anchor -> 0, the L - 1
-    adjacent steps, the last candidate's pair and the anchor's.  Only the
-    winner is scored the reported way, as the trace of ``predict_cov`` to
-    kT, or, when its chain crossed a composed step, from the anchor again
-    (``_evaluate``), so its ``mse`` and ``running_cov`` equal
-    ``kalman.sequence_mse`` of its ``seq`` bit for bit.
-    A composed operator moves a rank only by rounding, so ``seq`` and
-    ``nodes_visited`` can move only where a rank sits at a tie edge.
+    adjacent steps, the last candidate's pair and the anchor's.  The
+    model keeps each composed step, so every step of the search reads the
+    operator ``kalman.sequence_mse`` reads.  Only the winner is scored the
+    reported way, from its own chain, as the trace of ``predict_cov`` to
+    kT, so its ``mse`` and ``running_cov`` equal ``kalman.sequence_mse``
+    of its ``seq`` on the same model bit for bit, while the model holds
+    the chain's lengths (a full cache may evict a composed length, which
+    then comes back as its exponential).  A composed operator moves a
+    rank only by rounding, so ``seq`` and ``nodes_visited`` can move only
+    where a rank sits at a tie edge.
     """
     if ctx.budget <= 0.0:
         return harvest_none(ctx, model)
@@ -478,8 +449,6 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
         covs = chain(ctx.prior_cov, anchor, fol)
         expand((), 0.0, ctx.prior_cov, anchor, fol, covs, bound_of(fol, covs))
     _, seq, cov, d = _winner(window)
-    if kernel.uses_composed(seq):
-        return _evaluate(ctx, model, seq, nodes_visited=nodes)
     t = kernel.times[seq[-1] if seq else anchor]
     boundary = predict_cov(model, cov, t, ctx.cycle_end)
     return ScheduleEvaluation(

@@ -78,15 +78,21 @@ def search_model() -> SystemModel:
     return make_search_model()
 
 
-@pytest.fixture(scope="session")
-def dup_model() -> SystemModel:
+def make_dup_model() -> SystemModel:
     """16 observers in duplicated pairs of C rows; every third observer has
-    noise variance 1e12, so many subsets tie within MSE_TIE_RTOL."""
+    noise variance 1e12, so many subsets tie within MSE_TIE_RTOL.  The
+    cache is cold."""
     rng = np.random.default_rng(17)
     C = np.repeat(rng.normal(size=(8, 3)), 2, axis=0)
     r = rng.uniform(1e-3, 1.0, size=16)
     r[::3] = 1e12
     return make_model(C, np.diag(r), (T3,) * 16)
+
+
+@pytest.fixture(scope="session")
+def dup_model() -> SystemModel:
+    """``make_dup_model()`` shared by the search/oracle tests."""
+    return make_dup_model()
 
 
 def random_context(rng, model, L=None, k=None, *, loose=False, ties=False) -> CycleContext:

@@ -18,7 +18,6 @@ from ospkit import (
     preset_config,
     propagate_estimate,
     run_simulation,
-    scalar_update_cov,
     sequence_mse,
     step_true_state,
     update_estimate,
@@ -49,11 +48,16 @@ def reference_update(P, c, r):
     return P - np.outer(Pc, Pc) / e
 
 
-def reference_g_step(model, P, t_i, t_j, observer, disc=None):
+def posterior(P, c, r):
+    """The posterior covariance of ``update_estimate``, the checked update."""
+    return update_estimate(np.zeros(len(c)), P, 0.0, c, r)[1]
+
+
+def reference_g_step(model, P, t_i, t_j, observer):
     """``g_step`` written with ``@`` and ``np.outer``, reading the row and
     variance from C and R."""
     if t_j != t_i:
-        Phi, Qd = model.discretize(t_j - t_i) if disc is None else disc
+        Phi, Qd = model.discretize(t_j - t_i)
         P = symmetrize(Phi @ P @ Phi.T + Qd)
     return reference_update(P, model.C[observer], model.R[observer, observer])
 
@@ -198,13 +202,13 @@ class TestCovarianceOperators:
 
     def test_update_zero_row_is_identity(self):
         P = np.diag([1.0, 2.0, 3.0])
-        post = scalar_update_cov(P, np.zeros(3), 0.4)
+        post = posterior(P, np.zeros(3), 0.4)
         assert isinstance(post, np.ndarray)
         np.testing.assert_array_equal(post, P)
 
     def test_update_scalar_closed_form(self):
         p, r = 2.0, 0.5
-        post = scalar_update_cov(np.array([[p]]), np.array([1.0]), r)
+        post = posterior(np.array([[p]]), np.array([1.0]), r)
         np.testing.assert_allclose(post, [[p * r / (p + r)]], rtol=1e-14)
         # The update removes p^2 / e, with innovation variance e = p + r.
         assert p - post[0, 0] == pytest.approx(p**2 / (p + r), rel=1e-14)
@@ -213,7 +217,7 @@ class TestCovarianceOperators:
         P = np.eye(3)
         c = C_MIX[0]
         r = 1e-2
-        post = scalar_update_cov(P, c, r)
+        post = posterior(P, c, r)
         K = (P @ c) / (c @ P @ c + r)
         J = np.eye(3) - np.outer(K, c)
         want = J @ P @ J.T + r * np.outer(K, K)
@@ -222,8 +226,6 @@ class TestCovarianceOperators:
     def test_update_rejects_nonpositive_variance(self):
         for r in (0.0, -1e-3, np.nan):
             with pytest.raises(DomainError):
-                scalar_update_cov(np.eye(2), np.array([1.0, 0.0]), r)
-            with pytest.raises(DomainError):
                 update_estimate(np.zeros(2), np.eye(2), 1.0, np.array([1.0, 0.0]), r)
 
     def test_g_step_composes(self):
@@ -231,15 +233,15 @@ class TestCovarianceOperators:
         P = np.eye(3)
         got = g_step(model, P, 0.0, 0.004, 2)
         prior = predict_cov(model, P, 0.0, 0.004)
-        want = scalar_update_cov(prior, C_MIX[2], 1e-2)
+        want = posterior(prior, C_MIX[2], 1e-2)
         np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("S", range(1, 7))
     def test_g_step_bits_match_the_reference_step(self, S):
         # The kernel multiplies with ndarray.dot and skips the checks; its
         # bits are those of the @ / np.outer step, for zero and non-zero
-        # lengths, with the model's (Phi, Qd) and with one the caller holds
-        # (composed from two lengths, as the search's kernel does).
+        # lengths, with the model's exponential (Phi, Qd) and with one the
+        # model composed from two lengths, as the search's kernel asks it.
         rng = np.random.default_rng(2000 + S)
         model, P = random_plant(rng, S)
         for _ in range(40):
@@ -250,12 +252,17 @@ class TestCovarianceOperators:
             want = reference_g_step(model, P, t_i, t_j, n)
             assert got.tobytes() == want.tobytes()
             a = float(rng.uniform(1e-4, 0.3))
-            Phi, Qd = dynamics._compose(model.discretize(a), model.discretize(dt))
-            disc = (Phi, symmetrize(Qd))
-            got = g_step(model, P, t_i, t_i + a + dt, n, disc)
-            want = reference_g_step(model, P, t_i, t_i + a + dt, n, disc)
+            model.discretize(a), model.discretize(dt)
+            t_k = t_i + a + dt
+            Phi, Qd = dynamics._compose(model.held(a), model.held(dt))
+            composed = model.compose(t_k - t_i, a, dt)
+            assert model.held(t_k - t_i) is composed
+            assert composed[0].tobytes() == Phi.tobytes()
+            assert composed[1].tobytes() == symmetrize(Qd).tobytes()
+            got = g_step(model, P, t_i, t_k, n)
+            want = reference_g_step(model, P, t_i, t_k, n)
             assert got.tobytes() == want.tobytes()
-            assert np.array_equal(scalar_update_cov(P, model.C[n], model.R[n, n]),
+            assert np.array_equal(posterior(P, model.C[n], model.R[n, n]),
                                   reference_update(P, model.C[n], model.R[n, n]))
             P = got
 
@@ -266,7 +273,7 @@ class TestCovarianceOperators:
             G = rng.normal(size=(n, n))
             P = G @ G.T + 1e-6 * np.eye(n)
             c = rng.normal(size=n)
-            post = scalar_update_cov(P, c, float(rng.uniform(1e-3, 1.0)))
+            post = posterior(P, c, float(rng.uniform(1e-3, 1.0)))
             assert np.trace(post) <= np.trace(P) + 1e-12
             assert np.linalg.eigvalsh(post).min() >= -1e-10
 
@@ -416,11 +423,11 @@ class TestUpdateEstimate:
 
     def test_gain_matches_joseph_oracle(self):
         # From xhat = 0 with y = 1 the updated estimate is the gain itself;
-        # the covariance is scalar_update_cov's, bit for bit.
+        # the covariance is the update kernel's, bit for bit.
         P, c, r = np.eye(3), C_MIX[0], 1e-2
         xn, Pn = update_estimate(np.zeros(3), P, 1.0, c, r)
         np.testing.assert_allclose(xn, (P @ c) / (c @ P @ c + r), rtol=1e-13)
-        np.testing.assert_array_equal(Pn, scalar_update_cov(P, c, r))
+        np.testing.assert_array_equal(Pn, kalman._update(P, c, r)[0])
 
     def test_exact_observation_is_ignored_when_predicted(self):
         # Innovation zero -> estimate unchanged, covariance still shrinks.

@@ -14,6 +14,7 @@ from ospkit import (
     Candidate,
     CycleContext,
     DomainError,
+    SystemModel,
     bnb_search,
     end_of_harvest,
     exhaustive_oracle,
@@ -29,12 +30,33 @@ from ospkit.scheduler import (
     MSE_TIE_RTOL, RankKernel, _finish, _winner, harvest_all, harvest_none,
 )
 
-from conftest import T3, harvest_closed_form, make_model, make_search_model, random_context
+from conftest import (
+    T3, harvest_closed_form, make_dup_model, make_model, make_search_model, random_context,
+)
 
 
-def rel_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """||a - b|| / ||b|| in the Frobenius norm."""
-    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+@pytest.fixture()
+def composed(monkeypatch):
+    """The lengths ``SystemModel.compose`` composed, in order, counted by a
+    spy on the method."""
+    lengths = []
+    compose = SystemModel.compose
+
+    def spy(self, dt, a, b):
+        held = self.held(dt)
+        out = compose(self, dt, a, b)
+        if out is not None and held is None:
+            lengths.append(dt)
+        return out
+
+    monkeypatch.setattr(SystemModel, "compose", spy)
+    return lengths
+
+
+def crosses(ctx, seq, lengths) -> bool:
+    """True iff chaining ``seq`` from the anchor steps over one of ``lengths``."""
+    ts = [ctx.t0] + [ctx.timestamps[i] for i in seq]
+    return any(b - a in lengths for a, b in zip(ts, ts[1:]))
 
 
 def ctx_from(offs_airs, actions=(), T=0.01, k=1, n_states=3):
@@ -425,18 +447,23 @@ class TestRankKernel:
     covariance."""
 
     @pytest.mark.parametrize("which", ["search", "dup"])
-    def test_ranks_are_the_predicted_boundary_mse(self, which, search_model, dup_model):
+    def test_ranks_are_the_predicted_boundary_mse(self, which, composed):
         # Along a chain from the anchor, each rank <M_j, P> + c_j is the
         # trace of P predicted to kT, to rounding, the anchor's included;
-        # the chain ends on sequence_mse's running covariance, bit for bit.
-        model = search_model if which == "search" else dup_model
+        # the chain ends on sequence_mse's running covariance, bit for bit,
+        # also when it crossed a step the model composed for the kernel.
+        model = make_search_model() if which == "search" else make_dup_model()
         rng = np.random.default_rng(97)
+        composed_chains = 0
         for n in range(60):
             L = int(rng.integers(1, 11))
             ctx = random_context(rng, model, L, loose=n % 2 == 0, ties=which == "dup")
             size = int(rng.integers(0, L + 1))
             seq = tuple(sorted(rng.choice(L, size=size, replace=False).tolist()))
             kernel = RankKernel(ctx, model)
+            # The root's bound chain holds the adjacent steps, so the
+            # kernel can have the model compose the far steps of seq.
+            kernel.chain(ctx.prior_cov, kernel.anchor, range(L))
             covs = [ctx.prior_cov, *kernel.chain(ctx.prior_cov, kernel.anchor, seq)]
             held = [(kernel.anchor, ctx.t0)] + [(j, ctx.candidates[j].timestamp) for j in seq]
             for cov, (j, t) in zip(covs, held):
@@ -444,10 +471,9 @@ class TestRankKernel:
                 assert kernel.rank(cov, j) == pytest.approx(want, rel=1e-12, abs=0), (n, j)
             cands = [ctx.candidates[j] for j in seq]
             _, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, cands, ctx.cycle_end)
-            if kernel.uses_composed(seq):
-                assert rel_diff(covs[-1], cov) <= 1e-12, n
-            else:
-                assert covs[-1].tobytes() == cov.tobytes(), n
+            assert covs[-1].tobytes() == cov.tobytes(), n
+            composed_chains += crosses(ctx, seq, composed)
+        assert composed_chains > 0
 
     @pytest.mark.parametrize("L", [8, 12])
     def test_cold_loose_instance_pays_L_plus_2_exponentials(self, L, monkeypatch):
@@ -467,43 +493,34 @@ class TestRankKernel:
             assert got.seq == tuple(range(L))
             assert len(misses) <= L + 2, len(misses)
 
-    def test_composed_chains_agree_and_winners_keep_their_bits(self, monkeypatch):
+    def test_composed_chains_agree_and_winners_keep_their_bits(self, composed):
         # On one model shared by many instances, as in a run, the kernel
-        # composes steps the model does not hold.  A chain through a
-        # composed step agrees with sequence_mse to rounding; a winner
-        # whose chain crossed one is scored again, so what the search
-        # reports is sequence_mse's, bit for bit, and the oracle's.
-        kernels = []
-        made = scheduler.RankKernel
-
-        def spy(ctx, model):
-            kernels.append(made(ctx, model))
-            return kernels[-1]
-
-        monkeypatch.setattr(scheduler, "RankKernel", spy)
+        # has the model compose steps it does not hold, and the model keeps
+        # them.  So a chain through a composed step has sequence_mse's
+        # bits, and a winner whose chain crossed one is reported from its
+        # own chain with sequence_mse's bits, and the oracle's.
         model = make_search_model()
         rng = np.random.default_rng(99)
-        composed_chains = rescored = 0
+        composed_chains = composed_winners = 0
         for n in range(120):
             ctx = random_context(rng, model, int(rng.integers(2, 11)), loose=n % 2 == 0)
-            kernels.clear()
             got = bnb_search(ctx, model)
-            kernel = kernels[0]
             cands = [ctx.candidates[i] for i in got.seq]
             mse, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, cands, ctx.cycle_end)
             assert got.mse == mse and got.running_cov.tobytes() == cov.tobytes(), n
             assert (got.seq, got.mse) == (exhaustive_oracle(ctx, model).seq, mse), n
-            rescored += kernel.uses_composed(got.seq)
+            composed_winners += crosses(ctx, got.seq, composed)
             size = int(rng.integers(1, ctx.L + 1))
             seq = tuple(sorted(rng.choice(ctx.L, size=size, replace=False).tolist()))
+            kernel = RankKernel(ctx, model)
             chained = kernel.chain(ctx.prior_cov, kernel.anchor, seq)[-1]
-            if kernel.uses_composed(seq):
-                composed_chains += 1
-                cands = [ctx.candidates[i] for i in seq]
-                mse, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, cands, ctx.cycle_end)
-                assert rel_diff(chained, cov) <= 1e-12, n
-                assert kernel.rank(chained, seq[-1]) == pytest.approx(mse, rel=1e-12, abs=0)
-        assert composed_chains > 10 and rescored > 0, (composed_chains, rescored)
+            cands = [ctx.candidates[i] for i in seq]
+            mse, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, cands, ctx.cycle_end)
+            assert chained.tobytes() == cov.tobytes(), n
+            assert kernel.rank(chained, seq[-1]) == pytest.approx(mse, rel=1e-12, abs=0)
+            composed_chains += crosses(ctx, seq, composed)
+        assert composed_chains > 10 and composed_winners > 0, (
+            composed_chains, composed_winners)
 
     def test_oracle_scores_only_its_winner(self, search_model, monkeypatch):
         # The oracle chains and ranks every schedulable subset through the

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from ospkit import bnb_search, decision_cycles, preset_config, scalar_update_cov
+from ospkit import bnb_search, decision_cycles, preset_config, update_estimate
 from ospkit.config import PRESET_NAMES, parse_config_dict
 from ospkit.kalman import predict_cov
 from ospkit.scheduler import MSE_TIE_RTOL, ScheduleEvaluation, _tie_edge, _winner, harvest_none
@@ -143,7 +143,7 @@ def test_matches_reference_on_presets(name):
         assert_same(ev, reference_bnb_search(ctx, cfg.model), ctx.cycle_index)
 
 
-def test_scalar_update_cov_is_the_outer_product_form():
+def test_update_estimate_posterior_is_the_outer_product_form():
     rng = np.random.default_rng(1705)
     for n in range(500):
         S = int(rng.integers(1, 7))
@@ -154,4 +154,5 @@ def test_scalar_update_cov_is_the_outer_product_form():
         r = float(rng.uniform(1e-6, 10.0))
         Pc = P @ c
         want = P - np.outer(Pc, Pc) / float(c @ Pc + r)
-        assert scalar_update_cov(P, c, r).tobytes() == want.tobytes(), n
+        got = update_estimate(np.zeros(S), P, 0.0, c, r)[1]
+        assert got.tobytes() == want.tobytes(), n

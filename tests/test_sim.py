@@ -206,10 +206,13 @@ class TestStepTrueState:
         # factor read the same cache entry.  Each looked it up through
         # discretize again before: 3924 calls for 33 lengths.  A
         # zero-length propagation looks nothing up (200 calls and the
-        # length 0 before), and a search looks each length up once per
-        # instance.  The next cycle's anchor is the policy's own boundary
-        # prediction, not a second one (one call per cycle, 300, before).
-        # Misses still go through discretize, one per length.
+        # length 0 before).  Each step of a search reads its operator from
+        # the model through discretize, the one home of a length's
+        # operator (1532 calls when the search's kernel read held lengths
+        # through ``held`` and handed them to g_step).  The next cycle's
+        # anchor is the policy's own boundary prediction, not a second one
+        # (one call per cycle, 300, before).  Misses still go through
+        # discretize, one per length.
         cfg = parse_config_dict(preset_config("rate-fast"))
         calls, misses = [], []
         discretize, kernel = SystemModel.discretize, dynamics._discretize
@@ -219,7 +222,7 @@ class TestStepTrueState:
         monkeypatch.setattr(dynamics, "_discretize", lambda *a: misses.append(1) or kernel(*a))
         inputs = {j: np.ones(cfg.model.n_agents) for j in range(300)}
         run_simulation(cfg.model, cfg.channel, "bnb", 300, inputs=inputs)
-        assert len(calls) == 1532
+        assert len(calls) == 1724
         assert len(misses) == len(set(calls)) == len(cfg.model._disc_cache) == 32
 
 
