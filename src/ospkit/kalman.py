@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import symmetrize
-from .errors import DomainError, OrderingError
+from .errors import DimensionError, DomainError, OrderingError
 from .model import SystemModel
 
 __all__ = [
@@ -101,7 +101,12 @@ def _snap_to_boundary(t: float, T: float) -> float:
 
 def cycle_candidates(model: SystemModel, k: int, airtimes) -> list[Candidate]:
     """Cycle k's candidates, one per observer with an observation in it,
-    observer n with airtime ``airtimes[n]``; unordered (``CycleContext`` orders them)."""
+    observer n with airtime ``airtimes[n]``; unordered (``CycleContext`` orders them).
+    ``airtimes`` needs one entry per observer, or DimensionError is raised."""
+    if len(airtimes) != model.n_observers:
+        raise DimensionError(
+            f"need one airtime per observer ({model.n_observers}), got {len(airtimes)}"
+        )
     out = []
     for n, T_n in enumerate(model.observer_periods):
         t = first_obs_timestamp(model.T, T_n, k)

@@ -60,13 +60,13 @@ class SystemModel:
     ``scheduler.RankKernel`` ranks covariances by ``<M, P> + c``, and
     ``noise_factor`` (a factor of Qd), with which ``sim.step_true_state``
     draws process noise, share one memoized cache entry per length, and
-    ``held`` and ``held_boundary`` read that entry without computing an
-    exponential.  A miss runs the unchecked ``dynamics`` kernels on the
-    A, B and Q checked here.  The cache is the one home of each length's
-    (Phi, Qd), the exponential or what ``compose`` built for
-    ``scheduler.RankKernel``, so every caller reads the same bits for a
-    held length.  Each observer's C row and noise variance are stored
-    once, for ``obs_row`` and ``obs_var``.
+    ``held`` reads that entry without computing an exponential.  A miss
+    runs the unchecked ``dynamics`` kernels on the A, B and Q checked
+    here.  The cache is the one home of each length's (Phi, Qd), the
+    exponential or what ``compose`` built for ``scheduler.RankKernel``, so
+    every caller reads the same bits for a held length; the boundary pairs
+    the kernel composes stay with its instance.  Each observer's C row
+    and noise variance are stored once, for ``obs_row`` and ``obs_var``.
     """
 
     A: np.ndarray
@@ -206,9 +206,9 @@ class SystemModel:
         """(Phi, Qd) over length dt when the cache holds it, else None.
 
         Read-only: it never computes, checks, adds or evicts an entry.
-        ``scheduler.RankKernel`` asks it (and ``held_boundary``) before it
-        composes an operator, so that it composes only where
-        ``discretize`` would miss.
+        ``scheduler.RankKernel`` asks it before it composes a step or a
+        boundary pair, so that it composes only where ``discretize`` or
+        ``boundary_operator`` would miss.
         """
         entry = self._disc_cache.get(dt)
         return None if entry is None else entry[0]
@@ -234,7 +234,8 @@ class SystemModel:
 
     def boundary_operator(self, dt: float) -> tuple[np.ndarray, float]:
         """Boundary pair (M, c) = (Phi^T Phi, trace Qd) over length dt,
-        memoized with ``discretize``.
+        memoized with ``discretize``; a held length's pair costs no
+        exponential.
 
         For a symmetric P, ``np.vdot(M, P) + c`` is the trace of
         Phi P Phi^T + Qd, the MSE of P predicted over dt, for one S x S
@@ -242,18 +243,7 @@ class SystemModel:
         rounding, not bit for bit: ``scheduler.RankKernel`` ranks with this
         pair, and the search reports its winner through ``kalman.predict_cov``.
         """
-        self._entry(dt)
-        return self.held_boundary(dt)
-
-    def held_boundary(self, dt: float) -> tuple[np.ndarray, float] | None:
-        """``boundary_operator(dt)`` when the cache holds dt, else None.
-
-        Like ``held``, it never computes an exponential or adds an entry;
-        it fills a held entry's pair on first use.
-        """
-        entry = self._disc_cache.get(dt)
-        if entry is None:
-            return None
+        entry = self._disc_cache.get(dt) or self._entry(dt)  # a hit costs one read
         if entry[2] is None:
             Phi, Qd = entry[0]
             entry[2] = (Phi.T @ Phi, float(np.trace(Qd)))

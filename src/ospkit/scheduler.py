@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NumericError, OrderingError
+from .errors import ConfigError, DomainError, NumericError, OrderingError
 from .kalman import Candidate, _cycle_index, _sequence_boundary, g_step, predict_cov
 from .model import SystemModel
 
@@ -212,39 +212,59 @@ class RankKernel:
     A covariance is held at candidate j's timestamp or, at the spare index
     ``anchor`` (= L), at ``t0``.  ``chain`` steps it with ``g_step``, looked
     up by its module-level name at each call, which reads the step's
-    (Phi, Qd) from the model.  ``rank`` is ``<M_j, P> + c_j``, the boundary
-    MSE of P held at index j up to rounding, from the pair (M_j, c_j) over
-    the length kT - t_j.
+    (Phi, Qd) from the model.  ``root`` opens the instance: it chains the
+    anchor's covariance through the root followers and fills the boundary
+    pair (M_j, c_j) over kT - t_j of the anchor and of each follower, the
+    only indices a schedulable sequence holds.  ``rank`` then reads
+    ``<M_j, P> + c_j``, the boundary MSE of P held at j up to rounding.
 
-    Steps and pairs are resolved on first use, and each is the model's
-    when the model already holds its length (``model.held``,
-    ``model.held_boundary``).  Otherwise the kernel builds it from
-    operators the model holds, since lengths add, instead of paying an
-    exponential:
+    Where the model does not hold a length, the kernel builds its operator
+    from held ones, since lengths add, instead of paying an exponential:
 
     - a far step i -> j, j > i + 1 (the anchor counts as index -1), from
       the held steps i -> j-1 and j-1 -> j, by ``model.compose``, so the
       model holds it from then on;
-    - the pair of j from the pair of j + 1 (the anchor's from candidate
-      0's) and the held step (Phi, Qd) between them:
-      ``M_j = Phi^T M_{j+1} Phi`` and ``c_j = <M_{j+1}, Qd> + c_{j+1}``,
-      walking forward to the nearest pair that is known; candidates with
-      equal timestamps share one pair.  The kernel keeps these pairs for
-      its instance.
+    - a follower's pair from the next follower's pair and the step between
+      them, which the root chain holds: ``M_j = Phi^T M_{j+1} Phi`` and
+      ``c_j = <M_{j+1}, Qd> + c_{j+1}``; equal timestamps share one pair.
 
-    When an input is missing the model pays the miss, as it would without
-    the kernel, so no instance pays more exponentials.  Every step reads
-    the model's operator for its length, so a chain has the bits of
-    ``kalman.sequence_mse``'s running covariance on the same model while
-    the model holds the chain's lengths.  Ranks agree with the trace of
-    ``predict_cov`` to rounding.
+    Every other pair, the last follower's and the anchor's among them, is
+    ``model.boundary_operator``'s, so no instance pays more exponentials
+    than without the kernel.  Every step reads the model's operator for its
+    length, so a chain has the bits of ``kalman.sequence_mse``'s running
+    covariance on the same model while the model holds the chain's
+    lengths.  Ranks agree with the trace of ``predict_cov`` to rounding.
     """
 
     def __init__(self, ctx: CycleContext, model: SystemModel):
-        self.model, self.kT, self.anchor = model, ctx.cycle_end, ctx.L
+        self.ctx, self.model, self.kT, self.anchor = ctx, model, ctx.cycle_end, ctx.L
         self.times = ctx.timestamps + (ctx.t0,)
         self.observers = ctx.observers
         self._pairs = [None] * (ctx.L + 1)
+
+    def root(self, cov: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
+        """(root followers, ``cov`` chained through them) for ``cov`` held at
+        the anchor; the followers are the i with ``_finish(0.0, ctx, i) < B``.
+        Then fills the pairs ``rank`` reads, backward over the followers."""
+        ctx, model, ts, kT = self.ctx, self.model, self.times, self.kT
+        B, off, air = ctx.budget, ctx.offsets, ctx.airtimes
+        fol = [i for i in range(ctx.L) if max(off[i], 0.0) + air[i] < B]
+        covs = self.chain(cov, self.anchor, fol)
+        pair, t_next = None, None
+        for k in reversed(fol):
+            t = ts[k]
+            if t != t_next:  # equal timestamps share one pair
+                step = None
+                if t_next is not None and model.held(kT - t) is None:
+                    step = model.held(t_next - t)
+                if step is None:
+                    pair = model.boundary_operator(kT - t)
+                else:
+                    (Phi, Qd), (M, c) = step, pair
+                    pair = (Phi.T @ M @ Phi, float(np.vdot(M, Qd)) + c)
+            self._pairs[k], t_next = pair, t
+        self._pairs[self.anchor] = model.boundary_operator(kT - ts[self.anchor])
+        return fol, covs
 
     def chain(self, cov: np.ndarray, i: int, seq) -> list[np.ndarray]:
         """Running covariances of ``cov``, held at index i, through ``seq``."""
@@ -260,12 +280,9 @@ class RankKernel:
         return out
 
     def rank(self, cov: np.ndarray, j: int) -> float:
-        """``<M_j, cov> + c_j`` of ``cov`` held at index j."""
+        """``<M_j, cov> + c_j`` of ``cov`` held at j, the anchor or a root
+        follower of the opened instance."""
         pair = self._pairs[j]
-        if pair is None:
-            pair = self._pairs[j] = (
-                self.model.held_boundary(self.kT - self.times[j]) or self._new_pair(j)
-            )
         return float(np.vdot(pair[0], cov)) + pair[1]
 
     def _new_step(self, i: int, j: int, dt: float) -> None:
@@ -276,33 +293,6 @@ class RankKernel:
         if h > (-1 if i == self.anchor else i):
             ts = self.times
             self.model.compose(dt, ts[h] - ts[i], ts[j] - ts[h])
-
-    def _new_pair(self, j: int):
-        """(M_j, c_j) of index j, whose length the model does not hold:
-        built backward from the nearest later pair that is known, through
-        held adjacent steps, else the model's, at the cost of an
-        exponential."""
-        ts, walk, k, pair = self.times, [], j, None
-        while pair is None:
-            nxt = 0 if k == self.anchor else k + 1
-            if nxt >= self.anchor:
-                break  # k is the last candidate: no later pair to build from
-            step = None  # equal timestamps share one pair
-            if ts[nxt] != ts[k]:
-                step = self.model.held(ts[nxt] - ts[k])
-                if step is None:
-                    break
-            walk.append((k, step))
-            k = nxt
-            pair = self._pairs[k] or self.model.held_boundary(self.kT - ts[k])
-        if pair is None:
-            return self.model.boundary_operator(self.kT - ts[j])
-        for k, step in reversed(walk):
-            if step is not None:
-                (Phi, Qd), (M, c) = step, pair
-                pair = (Phi.T @ M @ Phi, float(np.vdot(M, Qd)) + c)
-            self._pairs[k] = pair
-        return pair
 
 
 def _tie_edge(m: float) -> float:
@@ -378,7 +368,9 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
 
     Every covariance step and every rank, of a sequence or of a bound, goes
     through the instance's ``RankKernel``, and a node reads the context's
-    per-candidate tables.  The kernel composes the steps and boundary
+    per-candidate tables.  ``RankKernel.root`` opens the instance before
+    the first rank: it gives the root's followers and their chain, and
+    fills every boundary pair.  The kernel composes the steps and boundary
     pairs whose lengths the model does not hold from those it does, so a
     cold loose instance pays L + 2 exponentials: anchor -> 0, the L - 1
     adjacent steps, the last candidate's pair and the anchor's.  The
@@ -397,6 +389,7 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     B, off, air = ctx.budget, ctx.offsets, ctx.airtimes
     kernel = RankKernel(ctx, model)
     chain, rank, anchor = kernel.chain, kernel.rank, kernel.anchor
+    fol, covs = kernel.root(ctx.prior_cov)
     cut = 1.0 - 2.0 * MSE_TIE_RTOL
     nodes = ctx.L  # the root checks every candidate
     m = rank(ctx.prior_cov, anchor)
@@ -444,9 +437,7 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
                 return  # the child's subtree and every later sibling's
             expand(seq_j, d_j, cov_j, j, kids, covs_j, bound_j)
 
-    fol = [i for i in range(ctx.L) if max(off[i], 0.0) + air[i] < B]
     if fol:
-        covs = chain(ctx.prior_cov, anchor, fol)
         expand((), 0.0, ctx.prior_cov, anchor, fol, covs, bound_of(fol, covs))
     _, seq, cov, d = _winner(window)
     t = kernel.times[seq[-1] if seq else anchor]
@@ -481,12 +472,15 @@ def exhaustive_oracle(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluati
     """Ground truth: enumerate all 2^L subsets, chain each schedulable one
     from the anchor with the instance's ``RankKernel`` (no pruning, no
     running-covariance reuse), rank the end of its chain, and return the
-    ``_winner``, scored like every policy's answer.  Guarded to L <= 20."""
+    ``_winner``, scored like every policy's answer.  Guarded to L <= 20.
+    ``RankKernel.root`` opens the kernel, as in ``bnb_search``, so both
+    rank with pairs built the same way."""
     if ctx.L > _ORACLE_MAX_L:
         raise DomainError(f"exhaustive oracle limited to L <= {_ORACLE_MAX_L}")
     if ctx.budget <= 0.0:
         return harvest_none(ctx, model)
     kernel = RankKernel(ctx, model)
+    kernel.root(ctx.prior_cov)
     m = kernel.rank(ctx.prior_cov, kernel.anchor)  # (), schedulable as B > 0
     # Each sequence that tied the least rank seen when it was scored;
     # _winner drops those that do not tie the final least rank.
@@ -514,10 +508,18 @@ POLICIES = {
 }
 
 
+def _policy_rule(policy: str):
+    """``POLICIES[policy]``; an unknown name raises ConfigError."""
+    try:
+        return POLICIES[policy]
+    except KeyError:
+        raise ConfigError(f"unknown policy {policy!r}; expected one of {tuple(POLICIES)}") from None
+
+
 def decide(policy: str, ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
-    """Run the named policy on one instance; a non-finite predicted MSE
-    raises NumericError."""
-    ev = POLICIES[policy](ctx, model)
+    """Run the named policy on one instance; an unknown policy raises
+    ConfigError, and a non-finite predicted MSE NumericError."""
+    ev = _policy_rule(policy)(ctx, model)
     if not math.isfinite(ev.mse):
         raise NumericError(f"cycle {ctx.cycle_index}: predicted MSE is {ev.mse}")
     return ev

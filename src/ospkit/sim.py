@@ -177,10 +177,7 @@ def decision_cycles(
         kalman._cycle_index("cycle count", cycles)
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
-    if policy not in scheduler.POLICIES:
-        raise ConfigError(
-            f"unknown policy {policy!r}; expected one of {tuple(scheduler.POLICIES)}"
-        )
+    scheduler._policy_rule(policy)
     if len(channel.obs_airtime) != model.n_observers:
         raise ConfigError(
             f"channel config has {len(channel.obs_airtime)} observer airtime "
@@ -259,8 +256,9 @@ def run_simulation(
     only for the chosen sequence.  A non-finite predicted MSE or squared error raises
     NumericError; a bad run (``decision_cycles`` lists the checks, and
     ``inputs`` missing a cycle, or with a vector of the wrong length or
-    with a non-finite entry) raises ConfigError before the initial state
-    is drawn.
+    with a non-finite entry, or an ``initial_state`` without
+    ``model.n_states`` entries once flattened, all finite) raises
+    ConfigError before the initial state is drawn.
     """
     S = model.n_states
     P0 = np.eye(S) if initial_cov is None else np.asarray(initial_cov, dtype=float)
@@ -279,6 +277,10 @@ def run_simulation(
                 )
             if not np.isfinite(inputs[j]).all():
                 raise ConfigError(f"inputs[{j}] contains non-finite entries")
+    if initial_state is not None:
+        x_true = np.asarray(initial_state, dtype=float).reshape(-1)
+        if x_true.size != S or not np.isfinite(x_true).all():
+            raise ConfigError(f"initial_state must be {S} finite numbers, got {x_true.tolist()}")
     xh = np.zeros(S)  # the estimate's mean at the cycle start
     t_true = 0.0
 
@@ -287,13 +289,11 @@ def run_simulation(
 
     # Default initial world: draw the true state from the executive's prior
     # N(0, P0) so predicted and realized errors are consistent from cycle 1
-    # on.  An explicit initial_state overrides the draw.
+    # on.  An explicit initial_state, checked above, overrides the draw.
     if initial_state is None and P0.any():
         x_true = dynamics._noise_factor(P0) @ rng_proc.standard_normal(S)
     elif initial_state is None:
         x_true = np.zeros(S)
-    else:
-        x_true = np.asarray(initial_state, dtype=float)
 
     logs: list[CycleLog] = []
     for ctx, ev in cycles:

@@ -9,6 +9,7 @@ import pytest
 
 from ospkit import (
     Candidate,
+    DimensionError,
     DomainError,
     OrderingError,
     cycle_candidates,
@@ -169,6 +170,15 @@ class TestCycleCandidates:
             subsets.add(frozenset(c.observer for c in got))
         assert len(subsets) > 1
         assert set().union(*subsets) == set(range(4))
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_one_airtime_per_observer(self, n):
+        # Three airtimes for blackout's six observers used to raise a bare
+        # IndexError, and eight to drop the extra two silently.
+        model = parse_config_dict(preset_config("blackout-6of6-100000")).model
+        assert len(cycle_candidates(model, 1, np.full(6, 1e-4))) == 6
+        with pytest.raises(DimensionError, match=rf"\(6\), got {n}$"):
+            cycle_candidates(model, 1, np.full(n, 1e-4))
 
     def test_one_candidate_class(self):
         assert kalman.Candidate is scheduler.Candidate is ospkit.Candidate

@@ -188,7 +188,7 @@ class TestCompose:
         assert got[1].tobytes() == dynamics.symmetrize(Qd).tobytes()
         assert model.discretize(dt) is got and model.held(dt) is got
         assert model.compose(dt, a, b) is got and model.compose(dt, b, a) is got
-        M, c = model.held_boundary(dt)
+        M, c = model.boundary_operator(dt)
         assert M.tobytes() == (got[0].T @ got[0]).tobytes() and c == float(np.trace(got[1]))
         assert model.boundary_operator(dt)[0] is M
         F = model.noise_factor(dt)

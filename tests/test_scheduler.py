@@ -458,12 +458,13 @@ class TestRankKernel:
         for n in range(60):
             L = int(rng.integers(1, 11))
             ctx = random_context(rng, model, L, loose=n % 2 == 0, ties=which == "dup")
-            size = int(rng.integers(0, L + 1))
-            seq = tuple(sorted(rng.choice(L, size=size, replace=False).tolist()))
             kernel = RankKernel(ctx, model)
-            # The root's bound chain holds the adjacent steps, so the
-            # kernel can have the model compose the far steps of seq.
-            kernel.chain(ctx.prior_cov, kernel.anchor, range(L))
+            # Opening the instance chains the root followers, which holds
+            # the steps between them, so the kernel can have the model
+            # compose the far steps of a sequence of followers.
+            fol, _ = kernel.root(ctx.prior_cov)
+            size = int(rng.integers(0, len(fol) + 1))
+            seq = tuple(sorted(rng.choice(fol, size=size, replace=False).tolist()))
             covs = [ctx.prior_cov, *kernel.chain(ctx.prior_cov, kernel.anchor, seq)]
             held = [(kernel.anchor, ctx.t0)] + [(j, ctx.candidates[j].timestamp) for j in seq]
             for cov, (j, t) in zip(covs, held):
@@ -474,6 +475,39 @@ class TestRankKernel:
             assert covs[-1].tobytes() == cov.tobytes(), n
             composed_chains += crosses(ctx, seq, composed)
         assert composed_chains > 0
+
+    @pytest.mark.parametrize("which", ["search", "dup"])
+    def test_an_opened_instance_ranks_from_its_table(self, which, monkeypatch):
+        # root fills the pair of the anchor and of every root follower, a
+        # composed one included; rank then only reads the table, and each
+        # pair ranks as the trace of predict_cov to kT, to rounding.
+        model = make_search_model() if which == "search" else make_dup_model()
+        calls = []
+        methods = {
+            name: f for name, f in vars(SystemModel).items()
+            if callable(f) and name not in ("__init__", "__post_init__")
+        }
+        rng = np.random.default_rng(101)
+        composed_pairs = 0
+        for n in range(60):
+            ctx = random_context(rng, model, int(rng.integers(1, 11)),
+                                 loose=n % 2 == 0, ties=which == "dup")
+            kernel = RankKernel(ctx, model)
+            fol, covs = kernel.root(ctx.prior_cov)
+            held = [(kernel.anchor, ctx.prior_cov), *zip(fol, covs)]
+            with monkeypatch.context() as spy:
+                for name, f in methods.items():
+                    spy.setattr(SystemModel, name,
+                                lambda *a, _n=name, _f=f, **kw: calls.append(_n) or _f(*a, **kw))
+                ranks = [kernel.rank(cov, j) for j, cov in held]
+            assert not calls, (n, calls)
+            composed_pairs += sum(
+                model.held(ctx.cycle_end - kernel.times[j]) is None for j in fol
+            )
+            for (j, cov), got in zip(held, ranks):
+                want = float(np.trace(predict_cov(model, cov, kernel.times[j], ctx.cycle_end)))
+                assert got == pytest.approx(want, rel=1e-12, abs=0), (n, j)
+        assert composed_pairs > 0
 
     @pytest.mark.parametrize("L", [8, 12])
     def test_cold_loose_instance_pays_L_plus_2_exponentials(self, L, monkeypatch):
@@ -510,9 +544,12 @@ class TestRankKernel:
             assert got.mse == mse and got.running_cov.tobytes() == cov.tobytes(), n
             assert (got.seq, got.mse) == (exhaustive_oracle(ctx, model).seq, mse), n
             composed_winners += crosses(ctx, got.seq, composed)
-            size = int(rng.integers(1, ctx.L + 1))
-            seq = tuple(sorted(rng.choice(ctx.L, size=size, replace=False).tolist()))
             kernel = RankKernel(ctx, model)
+            fol, _ = kernel.root(ctx.prior_cov)
+            if not fol:
+                continue
+            size = int(rng.integers(1, len(fol) + 1))
+            seq = tuple(sorted(rng.choice(fol, size=size, replace=False).tolist()))
             chained = kernel.chain(ctx.prior_cov, kernel.anchor, seq)[-1]
             cands = [ctx.candidates[i] for i in seq]
             mse, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, cands, ctx.cycle_end)

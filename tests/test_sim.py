@@ -317,6 +317,9 @@ class TestRunSimulation:
         np.testing.assert_allclose(
             logs[0].true_state.shape, (3,)
         )
+        # A column has model.n_states entries once flattened: the same run.
+        column = run_simulation(model, cfg, "none", 1, initial_state=x0[:, None])
+        assert column[0].true_state.tobytes() == logs[0].true_state.tobytes()
 
     def test_trace_shorter_than_run_rejected_up_front(self, model):
         cfg = ChannelConfig(
@@ -382,6 +385,21 @@ class TestRunSimulation:
         inputs[3] = [bad]
         with pytest.raises(ConfigError, match=r"^inputs\[3\] contains non-finite entries$"):
             run_simulation(cfg.model, cfg.channel, "bnb", 5, inputs=inputs)
+
+    @pytest.mark.parametrize(
+        "x0, match",
+        [([np.nan, 0.0, 0.0], r"got \[nan, 0\.0, 0\.0\]$"),
+         ([0.0, np.inf, 0.0], r"got \[0\.0, inf, 0\.0\]$"),
+         ([0.1, 0.2], r"^initial_state must be 3 finite numbers, got \[0\.1, 0\.2\]$"),
+         (np.zeros(4), r"got \[0\.0, 0\.0, 0\.0, 0\.0\]$")],
+        ids=["nan", "inf", "short", "long"],
+    )
+    def test_bad_initial_state_raises_before_cycle_one(self, x0, match):
+        # NaN used to surface as a NumericError on cycle 1's squared error,
+        # and a short state as numpy's matmul ValueError midway through.
+        cfg = parse_config_dict(preset_config("rate-fast"))
+        with pytest.raises(ConfigError, match=match):
+            run_simulation(cfg.model, cfg.channel, "bnb", 5, initial_state=x0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_squared_error_raises(self):
@@ -451,6 +469,18 @@ class TestDecisionCycles:
         model, channel, P0 = self.preset("rate-fast")
         with pytest.raises(ConfigError, match="psychic"):
             next(decision_cycles(model, channel, "psychic", P0, 1))
+
+    def test_decide_names_an_unknown_policy_as_the_pipeline_does(self):
+        # decide used to raise a bare KeyError: 'psychic'.
+        model, channel, P0 = self.preset("rate-fast")
+        ctx, _ = next(decision_cycles(model, channel, "bnb", P0, 1))
+        with pytest.raises(ConfigError) as pipeline:
+            decision_cycles(model, channel, "psychic", P0, 1)
+        with pytest.raises(ConfigError) as decided:
+            scheduler.decide("psychic", ctx, model)
+        assert str(decided.value) == str(pipeline.value) == (
+            "unknown policy 'psychic'; expected one of ('bnb', 'greedy', 'all', 'none')"
+        )
 
     def test_observer_count_mismatch_raises_before_cycle_one(self):
         model, channel, P0 = self.preset("blackout-6of6-100000")
