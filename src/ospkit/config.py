@@ -48,9 +48,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
+from .kalman import _cycle_index
 from .model import SystemModel, check_covariance
-from .scheduler import POLICIES, Candidate, CycleContext
+from .scheduler import Candidate, CycleContext, _policy_rule
 from .sim import ChannelConfig, CycleLog
 
 __all__ = [
@@ -231,11 +232,15 @@ def parse_config_dict(data: dict, base_dir: Path | None = None) -> ExperimentCon
 
     rb = data["run"]
     policy = rb.get("policy", "bnb")
-    if policy not in POLICIES:
-        errors.append(f"run.policy: {policy!r} not one of {tuple(POLICIES)}")
+    try:
+        _policy_rule(policy)
+    except ConfigError as exc:
+        errors.append(f"run.policy: {exc}")
     cycles = rb.get("cycles", 100)
-    if not (isinstance(cycles, int) and cycles >= 1):
-        errors.append(f"run.cycles: must be an integer >= 1, got {cycles!r}")
+    try:
+        _cycle_index("cycle count", cycles)
+    except DomainError as exc:
+        errors.append(f"run.cycles: {exc}")
         cycles = 1
     scale = rb.get("initial_cov_scale", 1.0)
     if not (isinstance(scale, (int, float)) and scale > 0):

@@ -170,12 +170,9 @@ def _expm(X: np.ndarray, norm: float) -> np.ndarray:
     times, until its norm is within theta_13, and the [13/13] approximant
     is squared s times.  The approximant is evaluated as
     I + 2 (V - U)^-1 U, which keeps the digits of e^X - I when e^X is near
-    I, and gives exactly I for X = 0.  A 1 x 1 X is ``np.exp``.  The
-    caller passes ``norm`` because it usually knows it from an unscaled
-    block.  X is not written into."""
+    I, and gives exactly I for X = 0.  The caller passes ``norm`` because
+    it usually knows it from an unscaled block.  X is not written into."""
     n = X.shape[0]
-    if n == 1:
-        return np.exp(X)
     eye = _EYE.get(n)
     if eye is None:
         eye = _EYE[n] = np.eye(n)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,8 +88,9 @@ class CycleContext:
     ``offsets`` (the cycle-relative timestamps), ``airtimes`` and
     ``observers``.  ``t0``/``prior_cov`` anchor the covariance chain at the
     latest earlier estimate; a ``t0`` of None anchors it at the cycle
-    start.  A ``cycle_index`` that is not an
-    integer >= 1 (a bool included), a non-finite ``t0``, timestamp or
+    start.  A ``cycle_index`` that is not an integer >= 1 (a bool
+    included), an observer id that is not an integer >= 0 (a bool
+    included; numpy integers pass), a non-finite ``t0``, timestamp or
     airtime, an observation airtime <= 0 or an action airtime < 0 raises
     DomainError; a candidate before ``t0`` or after the cycle end raises
     OrderingError.
@@ -127,6 +129,10 @@ class CycleContext:
         if not math.isfinite(self.t0):
             raise DomainError(f"prior anchor t0 must be finite, got {self.t0}")
         for c in self.candidates:
+            n = c.observer  # a plain int skips the numbers.Integral test
+            if (type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral))
+                    or n < 0):
+                raise DomainError(f"candidate observer ids must be integers >= 0, got {n!r}")
             if not math.isfinite(c.timestamp):
                 raise DomainError(f"candidate timestamps must be finite, got {c.timestamp}")
             if not 0.0 < c.airtime < math.inf:
@@ -363,8 +369,11 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     later siblings.  Without the guard a later sibling could reach a
     follower that the child cannot, and the cut would be unsound.
     ``nodes_visited`` counts the non-empty sequences checked for
-    feasibility.  The bound needs a positive semi-definite ``prior_cov``,
-    which ``decision_cycles`` and ``ospkit schedule`` check.
+    feasibility.  The bound needs a positive semi-definite ``prior_cov``.
+    ``ospkit schedule`` checks that in full, and so does
+    ``decision_cycles`` for the initial covariance; each later anchor is
+    a policy's boundary prediction, which it checks only for finite
+    entries and non-negative variances.
 
     Every covariance step and every rank, of a sequence or of a bound, goes
     through the instance's ``RankKernel``, and a node reads the context's

@@ -1,10 +1,12 @@
 """Cycle-by-cycle closed-loop simulation.
 
-Each decision cycle: build the candidate table, draw airtimes, compute the
-harvesting budget, run the selected policy, advance the true state with
-sampled process noise, synthesize observation values for the chosen
-sequence only, update the executive's estimate, and log predicted versus
-realized error at the cycle boundary.
+Each decision cycle: draw airtimes, build the candidate table, compute the
+harvesting budget and run the selected policy.  Then one walk in time
+order over the candidate timestamps and the cycle end: the true state
+steps to each with sampled process noise, and at each chosen candidate an
+observation value is synthesized from the state just reached and fused
+into the executive's estimate at once.  The estimate is then predicted to
+the cycle end, and predicted versus realized error is logged there.
 
 Separate RNG streams are used for process noise, observation noise, and
 the channel, so two policies run on the same seed experience the same
@@ -219,20 +221,6 @@ def _cycles(model, channel, policy, P0, cycles):
         yield ctx, ev
 
 
-def _fuse(model: SystemModel, xh, P, t: float, u, observed):
-    """Fuse (candidate, value) pairs in order into the estimate (xh, P)
-    held at time t, under the cycle's input ``u``; returns the estimate and
-    time of the last one."""
-    for c, y in observed:
-        xh = kalman.propagate_estimate(model, xh, u, t, c.timestamp)
-        P = kalman.predict_cov(model, P, t, c.timestamp)
-        xh, P = kalman.update_estimate(
-            xh, P, y, model.obs_row(c.observer), model.obs_var(c.observer)
-        )
-        t = c.timestamp
-    return xh, P, t
-
-
 def run_simulation(
     model: SystemModel,
     cfg: ChannelConfig,
@@ -250,15 +238,18 @@ def run_simulation(
     [jT, (j+1)T], for j = 0 .. K-1; each vector has exactly
     ``model.n_agents`` entries once flattened.  ``None`` means zero input
     throughout.  Policy ``all`` harvests every candidate ignoring the
-    budget; ``none`` harvests nothing.  The true state is advanced through
-    every candidate timestamp regardless of selection so that all policies
-    on one seed see the same trajectory; observation values are synthesized
-    only for the chosen sequence.  A non-finite predicted MSE or squared error raises
-    NumericError; a bad run (``decision_cycles`` lists the checks, and
-    ``inputs`` missing a cycle, or with a vector of the wrong length or
-    with a non-finite entry, or an ``initial_state`` without
-    ``model.n_states`` entries once flattened, all finite) raises
-    ConfigError before the initial state is drawn.
+    budget; ``none`` harvests nothing.  Each cycle walks its candidate
+    timestamps and then kT once, in time order: the true state steps to
+    every timestamp regardless of selection, so that all policies on one
+    seed see the same trajectory, and at each timestamp of ``ev.seq`` an
+    observation value is drawn from the state just reached and fused into
+    the estimate; after the walk the estimate is predicted to kT.  A
+    non-finite predicted MSE or squared error raises NumericError; a bad
+    run (``decision_cycles`` lists the checks, and ``inputs`` missing a
+    cycle, or with a vector of the wrong length or with a non-finite
+    entry, or an ``initial_state`` without ``model.n_states`` entries once
+    flattened, all finite) raises ConfigError before the initial state is
+    drawn.
     """
     S = model.n_states
     P0 = np.eye(S) if initial_cov is None else np.asarray(initial_cov, dtype=float)
@@ -277,42 +268,39 @@ def run_simulation(
                 )
             if not np.isfinite(inputs[j]).all():
                 raise ConfigError(f"inputs[{j}] contains non-finite entries")
+    rng_proc = np.random.default_rng([cfg.seed, _PROCESS_TAG])
+    rng_obs = np.random.default_rng([cfg.seed, _OBS_NOISE_TAG])
     if initial_state is not None:
         x_true = np.asarray(initial_state, dtype=float).reshape(-1)
         if x_true.size != S or not np.isfinite(x_true).all():
             raise ConfigError(f"initial_state must be {S} finite numbers, got {x_true.tolist()}")
+    elif P0.any():
+        # Draw the true state from the executive's prior N(0, P0), so that
+        # predicted and realized errors are consistent from cycle 1 on.
+        x_true = dynamics._noise_factor(P0) @ rng_proc.standard_normal(S)
+    else:
+        x_true = np.zeros(S)
     xh = np.zeros(S)  # the estimate's mean at the cycle start
     t_true = 0.0
-
-    rng_proc = np.random.default_rng([cfg.seed, _PROCESS_TAG])
-    rng_obs = np.random.default_rng([cfg.seed, _OBS_NOISE_TAG])
-
-    # Default initial world: draw the true state from the executive's prior
-    # N(0, P0) so predicted and realized errors are consistent from cycle 1
-    # on.  An explicit initial_state, checked above, overrides the draw.
-    if initial_state is None and P0.any():
-        x_true = dynamics._noise_factor(P0) @ rng_proc.standard_normal(S)
-    elif initial_state is None:
-        x_true = np.zeros(S)
 
     logs: list[CycleLog] = []
     for ctx, ev in cycles:
         u = None if inputs is None else inputs[ctx.cycle_index - 1]
-        # Advance the true state through all candidate timestamps, then to kT.
-        true_at = []
-        for t in ctx.timestamps + (ctx.cycle_end,):
+        # One walk in time order: the true state steps to each timestamp,
+        # then to kT, and each chosen observation is drawn from the state
+        # just reached and fused into the estimate (xh, P) held at t_est.
+        P, t_est = ctx.prior_cov, ctx.t0
+        for i, t in enumerate(ctx.timestamps + (ctx.cycle_end,)):
             x_true = step_true_state(model, x_true, u, t_true, t, rng_proc)
             t_true = t
-            true_at.append(x_true)
-
-        # Executive's estimate: fuse the chosen observations in order.
-        observed = []
-        for i in ev.seq:
-            c = ctx.candidates[i]
-            noise = np.sqrt(model.obs_var(c.observer)) * rng_obs.standard_normal()
-            observed.append((c, float(model.obs_row(c.observer) @ true_at[i]) + noise))
-        xh, _, t_est = _fuse(model, xh, ctx.prior_cov, ctx.t0, u, observed)
-
+            if i in ev.seq:  # ascending, so fused in time order
+                n = ctx.observers[i]
+                noise = np.sqrt(model.obs_var(n)) * rng_obs.standard_normal()
+                y = float(model.obs_row(n) @ x_true) + noise
+                xh = kalman.propagate_estimate(model, xh, u, t_est, t)
+                P = kalman.predict_cov(model, P, t_est, t)
+                xh, P = kalman.update_estimate(xh, P, y, model.obs_row(n), model.obs_var(n))
+                t_est = t
         xh = kalman.propagate_estimate(model, xh, u, t_est, ctx.cycle_end)
         sq_err = float(np.sum((x_true - xh) ** 2))
         if not math.isfinite(sq_err):

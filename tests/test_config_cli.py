@@ -59,6 +59,20 @@ class TestConfigParsing:
         msg = str(err.value)
         assert "T" in msg and "policy" in msg
 
+    def test_run_policy_and_cycles_name_their_rules(self):
+        # Each message is the rule's own, under its JSON path, and both are
+        # listed at once.
+        d = minimal_config_dict()
+        d["run"]["policy"] = "psychic"
+        d["run"]["cycles"] = 2.5
+        with pytest.raises(ConfigError) as err:
+            parse_config_dict(d)
+        assert str(err.value).splitlines() == [
+            "run.policy: unknown policy 'psychic'; expected one of "
+            "('bnb', 'greedy', 'all', 'none')",
+            "run.cycles: cycle count must be an integer >= 1, got 2.5",
+        ]
+
     def test_rejects_wrong_C_width(self):
         d = minimal_config_dict()
         d["model"]["C"] = [[1.0, 0.0]]

@@ -5,6 +5,7 @@ of both pruning rules."""
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -88,6 +89,21 @@ class TestOrdering:
             (0.004, 1),
             (0.004, 3),
         ]
+
+
+class TestCycleContext:
+    @pytest.mark.parametrize("observer", [-1, True, 1.5, "2", None])
+    def test_rejects_bad_observer_id(self, observer):
+        # -1 used to be ranked as the last observer's row, and True as
+        # observer 1's, by every search.
+        cands = (Candidate(0.002, 1e-3, 0), Candidate(0.001, 1e-3, observer))
+        message = rf"^candidate observer ids must be integers >= 0, got {re.escape(repr(observer))}$"
+        with pytest.raises(DomainError, match=message):
+            CycleContext(cands, (), 0.01, 1, None, np.eye(3))
+
+    def test_numpy_integer_observer_passes(self):
+        ctx = CycleContext((Candidate(0.001, 1e-3, np.int64(2)),), (), 0.01, 1, None, np.eye(3))
+        assert ctx.observers == (2,)
 
 
 class TestBudget:

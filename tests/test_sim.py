@@ -1,7 +1,8 @@
 """Simulation-layer tests: airtime sampling reproducibility and bounds,
 true-state stepping statistics, per-cycle log invariants, shared-world
-policy comparisons, the decision-cycle pipeline shared with the oracle
-command, and selection statistics."""
+policy comparisons, the one-walk cycle against its three-pass reference,
+the decision-cycle pipeline shared with the oracle command, and selection
+statistics."""
 from __future__ import annotations
 
 import dataclasses
@@ -27,10 +28,10 @@ from ospkit import (
     selection_stats,
     step_true_state,
 )
-from ospkit import dynamics
+from ospkit import dynamics, kalman
 from ospkit.cli import run_cli
 from ospkit.config import PRESET_NAMES, parse_config_dict, preset_config
-from ospkit.sim import _CHANNEL_TAG, _fuse
+from ospkit.sim import _CHANNEL_TAG, _OBS_NOISE_TAG, _PROCESS_TAG, CycleLog
 from conftest import A3, C_MIX, Q3, T3, make_model, plant, scalar_model
 
 
@@ -420,6 +421,89 @@ class TestRunSimulation:
         assert 0.5 < ratio < 2.0
 
 
+def reference_run_simulation(model, cfg, policy, K, initial_cov, inputs=None):
+    """``run_simulation``'s cycle as three passes, on a checked run: step
+    the true state through every timestamp and keep each state, draw the
+    chosen observations from the kept states, then fuse them in order."""
+    S = model.n_states
+    rng_proc = np.random.default_rng([cfg.seed, _PROCESS_TAG])
+    rng_obs = np.random.default_rng([cfg.seed, _OBS_NOISE_TAG])
+    x_true = np.zeros(S)
+    if initial_cov.any():
+        x_true = dynamics._noise_factor(initial_cov) @ rng_proc.standard_normal(S)
+    xh, t_true, logs = np.zeros(S), 0.0, []
+    for ctx, ev in decision_cycles(model, cfg, policy, initial_cov, K):
+        u = None if inputs is None else inputs[ctx.cycle_index - 1]
+        true_at = []
+        for t in ctx.timestamps + (ctx.cycle_end,):
+            x_true = step_true_state(model, x_true, u, t_true, t, rng_proc)
+            t_true = t
+            true_at.append(x_true)
+        observed = []
+        for i in ev.seq:
+            c = ctx.candidates[i]
+            noise = np.sqrt(model.obs_var(c.observer)) * rng_obs.standard_normal()
+            observed.append((c, float(model.obs_row(c.observer) @ true_at[i]) + noise))
+        P, t = ctx.prior_cov, ctx.t0
+        for c, y in observed:
+            xh = kalman.propagate_estimate(model, xh, u, t, c.timestamp)
+            P = kalman.predict_cov(model, P, t, c.timestamp)
+            xh, P = kalman.update_estimate(
+                xh, P, y, model.obs_row(c.observer), model.obs_var(c.observer)
+            )
+            t = c.timestamp
+        xh = kalman.propagate_estimate(model, xh, u, t, ctx.cycle_end)
+        logs.append(CycleLog(
+            cycle=ctx.cycle_index, policy=policy, candidates=ctx.candidates, seq=ev.seq,
+            end_of_harvest=ev.end_of_harvest, budget=ctx.budget, mse_pred=ev.mse,
+            sq_err=float(np.sum((x_true - xh) ** 2)), true_state=x_true.copy(),
+            est_state=xh, nodes_visited=ev.nodes_visited, t0=ctx.t0,
+            prior_cov=ctx.prior_cov,
+        ))
+    return logs
+
+
+def log_bits(log):
+    """Every field of a cycle log, floats and arrays as their bytes."""
+    return tuple(
+        v.tobytes() if isinstance(v, np.ndarray)
+        else np.float64(v).tobytes() if isinstance(v, float) else v
+        for v in dataclasses.astuple(log)
+    )
+
+
+class TestAgainstReference:
+    """The one walk per cycle against the three-pass reference: the same
+    draws from each generator and the same estimate calls on the same
+    arguments, so the logs agree bit for bit."""
+
+    @staticmethod
+    def assert_same_run(name, policy, seed, K, inputs=None):
+        cfg = parse_config_dict(preset_config(name))
+        channel = dataclasses.replace(cfg.channel, seed=seed)
+        P0 = cfg.initial_cov()
+        got = run_simulation(cfg.model, channel, policy, K, initial_cov=P0, inputs=inputs)
+        cfg = parse_config_dict(preset_config(name))
+        want = reference_run_simulation(cfg.model, channel, policy, K, P0, inputs)
+        assert len(got) == len(want) == K
+        for g, w in zip(got, want):
+            assert log_bits(g) == log_bits(w), g.cycle
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("policy", ["bnb", "greedy", "all", "none"])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets(self, name, policy, seed):
+        self.assert_same_run(name, policy, seed, 40)
+
+    @pytest.mark.parametrize("policy", ["bnb", "all"])
+    def test_rate_slow_with_inputs(self, policy):
+        # Cycle 53 ends on a candidate (53 T), so the walk's last timestamp
+        # is both a harvested candidate and the cycle end.
+        rng = np.random.default_rng(53)
+        inputs = {j: rng.normal(size=1) for j in range(60)}
+        self.assert_same_run("rate-slow", policy, 0, 60, inputs)
+
+
 class TestDecisionCycles:
     """The shared cycle pipeline against the simulator that runs on it."""
 
@@ -450,20 +534,33 @@ class TestDecisionCycles:
             prev_mse = ev.mse
 
     @pytest.mark.parametrize("policy", ["bnb", "greedy", "all"])
-    @pytest.mark.parametrize("name", PRESETS)
-    def test_fusion_covariance_is_running_cov(self, name, policy):
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_fusion_covariance_is_running_cov(self, name, policy, monkeypatch):
         # The simulator fuses with its own predict/update chain while the
-        # next cycle's anchor is the search's running covariance: the two
-        # must agree bit for bit.
+        # next cycle's anchor is the search's running covariance: each
+        # cycle's last posterior must equal ev.running_cov bit for bit.
         model, channel, P0 = self.preset(name)
-        x = np.zeros(model.n_states)
-        harvested = 0
-        for ctx, ev in decision_cycles(model, channel, policy, P0, 30):
-            observed = [(ctx.candidates[i], 0.0) for i in ev.seq]
-            _, P, _ = _fuse(model, x, ctx.prior_cov, ctx.t0, None, observed)
-            assert np.array_equal(P, ev.running_cov)
-            harvested += bool(ev.seq)
-        assert harvested > 0
+        cycles = list(decision_cycles(model, channel, policy, P0, 30))
+        posteriors = []
+        update = kalman.update_estimate
+
+        def spy(*args):
+            xh, P = update(*args)
+            posteriors.append(P)
+            return xh, P
+
+        monkeypatch.setattr(kalman, "update_estimate", spy)
+        model, channel, P0 = self.preset(name)
+        logs = run_simulation(model, channel, policy, 30, initial_cov=P0)
+        fused = iter(posteriors)
+        for log, (ctx, ev) in zip(logs, cycles):
+            assert log.seq == ev.seq
+            P = ctx.prior_cov
+            for _ in log.seq:
+                P = next(fused)
+            assert P.tobytes() == ev.running_cov.tobytes(), log.cycle
+        assert next(fused, None) is None
+        assert any(log.seq for log in logs)
 
     def test_unknown_policy_raises_before_cycle_one(self):
         model, channel, P0 = self.preset("rate-fast")
