@@ -10,13 +10,16 @@ Covariances are never mutated in place: each operator returns a new
 array, except that a zero-length predict returns its input.
 
 The update arithmetic is written once, in the unchecked kernel
-``_update``.  ``g_step``, the covariance step of every search node, feeds
-it the row and variance that ``SystemModel`` checked and stores, so it
-checks nothing per step; ``update_estimate``, the checked entry, checks
-the variance and then runs the same kernel.  Every operator over an
-interval is read from the model by the interval's length.  Both predict
-and update multiply with ``ndarray.dot``, which gives the bits of ``@``
-for less dispatch.
+``_update``.  ``g_step``, the covariance step of every chain the
+policies report, feeds it the row and variance that ``SystemModel``
+checked and stores, so it checks nothing per step; ``update_estimate``,
+the checked entry, checks the variance and then runs the same kernel.
+Every operator over an interval is read from the model by the
+interval's length.  Both predict and update multiply with
+``ndarray.dot``, which gives the bits of ``@`` for less dispatch.
+``_stacked_predictor`` and ``_update_rows`` are the stacked forms of
+predict and update, over many covariances at once, with which
+``scheduler.bnb_search`` sweeps its rows.
 """
 
 from __future__ import annotations
@@ -131,6 +134,12 @@ def predict_cov(model: SystemModel, P: np.ndarray, t_i: float, t_j: float) -> np
     return symmetrize(Phi.dot(P).dot(Phi.T) + Qd)
 
 
+def _predict(P: np.ndarray, Phi: np.ndarray, Qd: np.ndarray) -> np.ndarray:
+    """``predict_cov``'s arithmetic with a (Phi, Qd) in hand, unchecked;
+    ``predict_cov`` spells it out to save the call on every predict."""
+    return symmetrize(Phi.dot(P).dot(Phi.T) + Qd)
+
+
 def _update(P: np.ndarray, c: np.ndarray, r: float):
     """The scalar-update kernel: (P - Pc (Pc)^T / e, Pc, e), with Pc = P c
     and innovation variance e = c^T P c + r, for a symmetric float S x S P,
@@ -141,6 +150,30 @@ def _update(P: np.ndarray, c: np.ndarray, r: float):
     Pc = P.dot(c)
     e = float(c.dot(Pc)) + r
     return P - Pc[:, None] * Pc / e, Pc, e
+
+
+# The stacked kernels below step R covariances at once, each flattened to
+# a row of an R x S^2 array.  Their sums run in another order than the 2-D
+# kernels' (the BLAS dot fuses multiply-adds), so their rows agree with
+# ``_predict`` and ``_update`` to rounding, not bit for bit; the search
+# ranks and bounds with them and reports its answer through the 2-D ones.
+
+def _stacked_predictor(Phi: np.ndarray, Qd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, q) with ``rows.dot(K) + q`` the rows of Phi P Phi^T + Qd: K is
+    Phi (x) Phi transposed, its columns of (a, b) and (b, a) averaged, so
+    that every row comes out exactly symmetric, as ``symmetrize`` makes it."""
+    n = Phi.shape[0]
+    K = Phi[:, None, :, None] * Phi[None, :, None, :]  # [a, b, k, l] = Phi_ak Phi_bl
+    return ((K + K.transpose(1, 0, 2, 3)) / 2.0).reshape(n * n, n * n).T, Qd.ravel()
+
+
+def _update_rows(rows: np.ndarray, c: np.ndarray, r: float) -> np.ndarray:
+    """``_update``'s posterior of each row of a stack of flattened
+    symmetric covariances, exactly symmetric, unchecked."""
+    n = len(c)
+    Pc = rows.reshape(-1, n).dot(c).reshape(-1, n)
+    e = Pc.dot(c) + r
+    return rows - (Pc[:, :, None] * Pc[:, None, :]).reshape(len(rows), -1) / e[:, None]
 
 
 def g_step(

@@ -6,17 +6,15 @@ A sequence of candidate indices is schedulable iff its end-of-harvest time
 (FCFS, non-preemptive, cycle-relative) is strictly below the harvesting
 budget B = T - sum(action airtimes).  The search space is the family of
 strictly ascending index tuples (a subset forest).  The branch-and-bound
-search prunes on two rules.  Feasibility: any extension of a
-non-schedulable sequence is non-schedulable.  The objective: adding an
-observation never raises the predicted MSE, so the MSE of a sequence
-extended by every candidate that could still follow it bounds all its
-extensions from below, and a subtree whose bound exceeds every rank
-that could still win is skipped (Vitus, Zhang, Abate, Hu & Tomlin,
-"On efficient sensor scheduling for linear dynamical systems",
-Automatica 2012).  The same bound cuts across siblings: when a child
-can reach every later follower of its parent, each later sibling's
-subtree uses a subset of the child's observations, so a bound that cuts
-the child cuts those siblings too.
+search sweeps the forest in time order: it advances every live sequence
+through the candidates together, over stacked covariances, and prunes
+on two rules.  Feasibility: any extension of a non-schedulable sequence
+is non-schedulable.  The objective: adding an observation never raises
+the predicted MSE, so the MSE of a sequence extended by every candidate
+that could still follow it bounds all its extensions from below, and a
+sequence whose bound exceeds every rank that could still win is not
+extended (Vitus, Zhang, Abate, Hu & Tomlin, "On efficient sensor
+scheduling for linear dynamical systems", Automatica 2012).
 
 The winner depends on the instance alone, not on the order in which
 sequences are scored: with m the least rank over all schedulable
@@ -36,7 +34,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError, OrderingError
-from .kalman import Candidate, _cycle_index, _sequence_boundary, g_step, predict_cov
+from .kalman import (
+    Candidate, _cycle_index, _predict, _sequence_boundary, _stacked_predictor, _update,
+    _update_rows, g_step, predict_cov,
+)
 from .model import SystemModel
 
 __all__ = [
@@ -63,13 +64,29 @@ MSE_TIE_RTOL = 1e-12
 
 _ORACLE_MAX_L = 20
 
+# bnb_search bounds its rows only while the frontier holds more than this
+# many: below it, bounding a row costs more than sweeping it.  With caps of
+# 16/32/64/128/256, alternated in one process on one BLAS thread, the
+# search-wide pool of seed 1 took 1.05/0.96/1.02/1.19/1.23 ms at p95 and
+# 10 instances between loose and tight at L = 12 (ROADMAP's "mid") took
+# 2.2/1.9/1.8/2.0/2.0 ms each.
+_FRONTIER_CAP = 64
+# Most rows bnb_search sweeps at once (4096 3 x 3 covariances are about
+# 300 KB); a larger frontier is split and its halves swept in turn.
+_ROW_LIMIT = 4096
+
+
+def _as_candidates(raw) -> tuple[Candidate, ...]:
+    return tuple(c if isinstance(c, Candidate) else Candidate(*c) for c in raw)
+
+
+def _order_key(c: Candidate) -> tuple:
+    return (c.timestamp, c.observer)
+
 
 def order_observations(raw) -> tuple[Candidate, ...]:
     """Sort candidates ascending by timestamp, ties by observer id."""
-    cands = tuple(
-        c if isinstance(c, Candidate) else Candidate(*c) for c in raw
-    )
-    return tuple(sorted(cands, key=lambda c: (c.timestamp, c.observer)))
+    return tuple(sorted(_as_candidates(raw), key=_order_key))
 
 
 def harvesting_budget(T: float, action_airtimes) -> float:
@@ -109,7 +126,19 @@ class CycleContext:
     observers: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "candidates", order_observations(self.candidates))
+        cands = _as_candidates(self.candidates)
+        for c in cands:  # before the sort, which compares the ids
+            n = c.observer  # a plain int skips the numbers.Integral test
+            if (type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral))
+                    or n < 0):
+                raise DomainError(f"candidate observer ids must be integers >= 0, got {n!r}")
+            if not math.isfinite(c.timestamp):
+                raise DomainError(f"candidate timestamps must be finite, got {c.timestamp}")
+            if not 0.0 < c.airtime < math.inf:
+                raise DomainError(
+                    f"observation airtimes must be finite and > 0, got {c.airtime}"
+                )
+        object.__setattr__(self, "candidates", tuple(sorted(cands, key=_order_key)))
         object.__setattr__(
             self, "action_airtimes", tuple(float(a) for a in self.action_airtimes)
         )
@@ -128,17 +157,6 @@ class CycleContext:
             object.__setattr__(self, "t0", start)
         if not math.isfinite(self.t0):
             raise DomainError(f"prior anchor t0 must be finite, got {self.t0}")
-        for c in self.candidates:
-            n = c.observer  # a plain int skips the numbers.Integral test
-            if (type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral))
-                    or n < 0):
-                raise DomainError(f"candidate observer ids must be integers >= 0, got {n!r}")
-            if not math.isfinite(c.timestamp):
-                raise DomainError(f"candidate timestamps must be finite, got {c.timestamp}")
-            if not 0.0 < c.airtime < math.inf:
-                raise DomainError(
-                    f"observation airtimes must be finite and > 0, got {c.airtime}"
-                )
         if not all(0.0 <= a < math.inf for a in self.action_airtimes):
             raise DomainError(
                 f"action airtimes must be finite and >= 0, got {self.action_airtimes}"
@@ -188,6 +206,16 @@ class ScheduleEvaluation:
     boundary_cov: np.ndarray | None = field(default=None, repr=False)
 
 
+def _check_observers(ctx: CycleContext, model: SystemModel) -> None:
+    """DomainError unless every observer id of ``ctx`` names one of the
+    model's observers; ``CycleContext`` checked that they are integers >= 0."""
+    if ctx.observers and max(ctx.observers) >= model.n_observers:
+        raise DomainError(
+            f"candidate observer ids must be < {model.n_observers}, the model's "
+            f"observer count, got {max(ctx.observers)}"
+        )
+
+
 def _finish(d: float, ctx: CycleContext, j: int) -> float:
     """FCFS step: when candidate j finishes transmitting on a channel busy
     until d, cycle-relative: max(o_j, d) + O_j."""
@@ -216,22 +244,26 @@ class RankKernel:
     rank a covariance, built once per instance from ``(ctx, model)``.
 
     A covariance is held at candidate j's timestamp or, at the spare index
-    ``anchor`` (= L), at ``t0``.  ``chain`` steps it with ``g_step``, looked
-    up by its module-level name at each call, which reads the step's
-    (Phi, Qd) from the model.  ``root`` opens the instance: it chains the
-    anchor's covariance through the root followers and fills the boundary
-    pair (M_j, c_j) over kT - t_j of the anchor and of each follower, the
-    only indices a schedulable sequence holds.  ``rank`` then reads
-    ``<M_j, P> + c_j``, the boundary MSE of P held at j up to rounding.
+    ``anchor`` (= L), at ``t0``.  ``root`` opens the instance: it holds the
+    step from the anchor to the first root follower and between
+    consecutive ones (``steps``), and fills the boundary pair (M_j, c_j)
+    over kT - t_j of the anchor and of each root follower, the only
+    indices a schedulable sequence holds.  ``rank`` then reads
+    ``<M_j, P> + c_j``, the boundary MSE of P held at j up to rounding, and
+    ``rank_rows`` the same of each row of a stack of flattened
+    covariances.  ``chain`` steps a covariance with ``g_step``, looked up
+    by its module-level name at each call, which reads the step's
+    (Phi, Qd) from the model.
 
     Where the model does not hold a length, the kernel builds its operator
     from held ones, since lengths add, instead of paying an exponential:
 
     - a far step i -> j, j > i + 1 (the anchor counts as index -1), from
-      the held steps i -> j-1 and j-1 -> j, by ``model.compose``, so the
-      model holds it from then on;
+      the steps i -> j-1 and j-1 -> j, by ``model.compose``, so the model
+      holds it from then on; the step i -> j-1 is composed first when it
+      is far and not held;
     - a follower's pair from the next follower's pair and the step between
-      them, which the root chain holds: ``M_j = Phi^T M_{j+1} Phi`` and
+      them, which ``root`` holds: ``M_j = Phi^T M_{j+1} Phi`` and
       ``c_j = <M_{j+1}, Qd> + c_{j+1}``; equal timestamps share one pair.
 
     Every other pair, the last follower's and the anchor's among them, is
@@ -248,14 +280,23 @@ class RankKernel:
         self.observers = ctx.observers
         self._pairs = [None] * (ctx.L + 1)
 
-    def root(self, cov: np.ndarray) -> tuple[list[int], list[np.ndarray]]:
-        """(root followers, ``cov`` chained through them) for ``cov`` held at
-        the anchor; the followers are the i with ``_finish(0.0, ctx, i) < B``.
-        Then fills the pairs ``rank`` reads, backward over the followers."""
+    def root(self) -> list[int]:
+        """The root followers, the i with ``_finish(0.0, ctx, i) < B``.
+        Holds ``steps``, each follower's (Phi, Qd) from the previous one
+        (from the anchor for the first; None for a zero length), and
+        ``stacked``, their ``kalman._stacked_predictor`` forms but the
+        first's, then fills the pairs ``rank`` reads, backward over the
+        followers."""
         ctx, model, ts, kT = self.ctx, self.model, self.times, self.kT
         B, off, air = ctx.budget, ctx.offsets, ctx.airtimes
         fol = [i for i in range(ctx.L) if max(off[i], 0.0) + air[i] < B]
-        covs = self.chain(cov, self.anchor, fol)
+        self.steps, i = [], self.anchor
+        for j in fol:
+            dt = self._hold(i, j)
+            self.steps.append(model.discretize(dt) if dt else None)
+            i = j
+        # bnb_search steps the first follower with the 2-D kernels.
+        self.stacked = [None] + [s and _stacked_predictor(*s) for s in self.steps[1:]]
         pair, t_next = None, None
         for k in reversed(fol):
             t = ts[k]
@@ -270,16 +311,14 @@ class RankKernel:
                     pair = (Phi.T @ M @ Phi, float(np.vdot(M, Qd)) + c)
             self._pairs[k], t_next = pair, t
         self._pairs[self.anchor] = model.boundary_operator(kT - ts[self.anchor])
-        return fol, covs
+        return fol
 
     def chain(self, cov: np.ndarray, i: int, seq) -> list[np.ndarray]:
         """Running covariances of ``cov``, held at index i, through ``seq``."""
         model, ts, obs = self.model, self.times, self.observers
         t, out = ts[i], []
         for j in seq:
-            dt = ts[j] - t
-            if dt and model.held(dt) is None:  # a zero length reads nothing
-                self._new_step(i, j, dt)
+            self._hold(i, j)
             cov = g_step(model, cov, t, ts[j], obs[j])
             t, i = ts[j], j
             out.append(cov)
@@ -291,14 +330,27 @@ class RankKernel:
         pair = self._pairs[j]
         return float(np.vdot(pair[0], cov)) + pair[1]
 
-    def _new_step(self, i: int, j: int, dt: float) -> None:
+    def rank_rows(self, rows: np.ndarray, j: int) -> np.ndarray:
+        """``rank`` of each row of a stack of flattened covariances held at j."""
+        M, c = self._pairs[j]
+        return rows.dot(M.ravel()) + c
+
+    def _hold(self, i: int, j: int) -> float:
+        """The length dt of the step i -> j, after asking the model to
+        compose it (``_compose``) when dt > 0 and the model does not hold it."""
+        dt = self.times[j] - self.times[i]
+        if dt and self.model.held(dt) is None:
+            self._compose(i, j, dt)
+        return dt
+
+    def _compose(self, i: int, j: int, dt: float) -> None:
         """Ask the model to compose the step i -> j, of a length dt > 0 it
-        does not hold, when the step is far; where it cannot, ``g_step``'s
-        lookup pays the exponential."""
-        h = j - 1  # the candidate before j
-        if h > (-1 if i == self.anchor else i):
-            ts = self.times
-            self.model.compose(dt, ts[h] - ts[i], ts[j] - ts[h])
+        does not hold, when the step is far: each step i -> h, h up to j,
+        from the steps i -> h-1 and h-1 -> h, in time order.  Where a part
+        is missing, ``discretize`` pays the exponential."""
+        ts, compose = self.times, self.model.compose
+        for h in range((-1 if i == self.anchor else i) + 2, j + 1):
+            compose(ts[h] - ts[i], ts[h - 1] - ts[i], ts[h] - ts[h - 1])
 
 
 def _tie_edge(m: float) -> float:
@@ -311,7 +363,7 @@ def _winner(entries):
     rank, the least ``(len(seq), seq)`` among the entries ranked at or
     below ``_tie_edge(m)``.  The result does not depend on the order of
     ``entries``."""
-    if len(entries) == 1:  # the search's usual window, without two passes
+    if len(entries) == 1:  # no second pass for a single entry
         return entries[0]
     edge = _tie_edge(min(e[0] for e in entries))
     return min((e for e in entries if e[0] <= edge), key=lambda e: (len(e[1]), e[1]))
@@ -334,132 +386,198 @@ def _evaluate(
 
 def harvest_none(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     """Policy ``none``: the empty sequence, i.e. pure prediction."""
+    _check_observers(ctx, model)
     return _evaluate(ctx, model, (), forced_empty=not 0.0 < ctx.budget)
 
 
 def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
-    """Depth-first branch-and-bound over the subset forest.
+    """Branch-and-bound over the subset forest, swept in time order.
 
     Returns the ``_winner`` over the schedulable sequences, the empty
     sequence included whenever budget > 0; it is the sequence
     ``exhaustive_oracle`` returns.
 
-    The children of a node ``seq`` with end of harvest d are its followers,
-    the later candidates i with ``_finish(d, ctx, i) < B``; d only grows
-    along an extension, so a child's followers are among its parent's.
-    The node's bound is the boundary MSE of its covariance chained through
-    all its followers.  An update never raises a covariance in the Loewner
-    order, so the bound is at most the MSE of every descendant.  The search
-    keeps m, the least rank scored so far, and the window of scored
-    sequences ranked at or below ``_tie_edge(m)``, from which it drops
-    sequences when m falls.  It skips the rest of a node's subtree as soon
-    as ``bound * (1 - 2 * MSE_TIE_RTOL)`` exceeds ``_tie_edge(m)``: m is at
-    least the least rank of all, so no descendant can then tie the least
-    rank, and the slack covers the rounding between a bound and a rank.
-    The first child's covariance heads its parent's chain; when none of the
-    parent's later followers drops out of the child's, the rest of the
-    chain is the child's chain and its bound is the same, so both are
-    reused.
+    Only a root follower, a candidate i with ``_finish(0.0, ctx, i) < B``,
+    can be in a schedulable sequence.  The search holds a frontier of
+    *rows*, each a live sequence: its covariance, its end of harvest d and
+    a parent pointer.  It starts with the empty row and visits the root
+    followers in time order.  At follower j every row is predicted over
+    the step from the previous follower, and every row with
+    ``max(o_j, d) + O_j < B`` spawns the row that also takes j, updated
+    with j's row of C and ranked at its creation with j's boundary pair.
+    A row that skips j stays in the frontier, so after the last follower
+    every schedulable sequence has been a row, unless a bound cut it.  The
+    first follower's step runs the 2-D kernels of ``g_step``; every later
+    step runs the stacked ones, one predict and one masked update over
+    the frontier (``kalman._stacked_predictor``, ``kalman._update_rows``).
 
-    A cut child also cuts its later siblings when its followers are all of
-    its parent's later followers (``kids == rest``): every later sibling's
-    subtree then holds ``seq`` plus a subset of those followers, which is a
-    subset of the child's bound chain, so its rank is at least the child's
-    bound.  The search then leaves the parent's loop without bounding the
-    later siblings.  Without the guard a later sibling could reach a
-    follower that the child cannot, and the cut would be unsound.
-    ``nodes_visited`` counts the non-empty sequences checked for
-    feasibility.  The bound needs a positive semi-definite ``prior_cov``.
-    ``ospkit schedule`` checks that in full, and so does
-    ``decision_cycles`` for the initial covariance; each later anchor is
-    a policy's boundary prediction, which it checks only for finite
-    entries and non-negative variances.
+    Once the frontier holds more than ``_FRONTIER_CAP`` rows, each step
+    also bounds its rows (``_bound``).  A row's bound is its covariance
+    chained through every later follower that still fits after its d: an
+    update never raises a covariance in the Loewner order, so no
+    descendant ranks below it.  The incumbent m is the least rank seen,
+    of the rows and of each row's greedy completion, which takes each
+    later follower that still fits and so is schedulable.  A row with
+    ``bound * (1 - 2 * MSE_TIE_RTOL) > _tie_edge(m)`` is cut: no
+    descendant can tie the least rank, and the slack covers the rounding
+    between a bound and a rank.  A row that no later follower fits has no
+    descendant and leaves the frontier too.  Past ``_ROW_LIMIT`` rows the
+    frontier is split in two and the halves are swept in turn, depth
+    first, sharing m and the records, so memory stays bounded and the
+    answer exact.
 
-    Every covariance step and every rank, of a sequence or of a bound, goes
-    through the instance's ``RankKernel``, and a node reads the context's
-    per-candidate tables.  ``RankKernel.root`` opens the instance before
-    the first rank: it gives the root's followers and their chain, and
-    fills every boundary pair.  The kernel composes the steps and boundary
-    pairs whose lengths the model does not hold from those it does, so a
-    cold loose instance pays L + 2 exponentials: anchor -> 0, the L - 1
+    The winner is ``_winner`` over the recorded ranks.  The stacked
+    kernels agree with the 2-D ones only to rounding, so the winner is
+    reported from its own chain from the anchor (``RankKernel.chain``),
+    as the trace of ``predict_cov`` to kT: its ``mse`` and ``running_cov``
+    equal ``kalman.sequence_mse`` of its ``seq`` on the same model bit for
+    bit.  The empty row and the first follower's row already have those
+    bits and are reported without a second chain.  ``nodes_visited``
+    counts the non-empty rows created.  The bound needs a positive
+    semi-definite ``prior_cov``.  ``ospkit schedule`` checks that in full,
+    and so does ``decision_cycles`` for the initial covariance; each later
+    anchor is a policy's boundary prediction, which it checks only for
+    finite entries and non-negative variances.
+
+    ``RankKernel.root`` opens the instance: it holds the step between
+    consecutive root followers and fills every boundary pair, so a cold
+    loose instance pays L + 2 exponentials: anchor -> 0, the L - 1
     adjacent steps, the last candidate's pair and the anchor's.  The
-    model keeps each composed step, so every step of the search reads the
-    operator ``kalman.sequence_mse`` reads.  Only the winner is scored the
-    reported way, from its own chain, as the trace of ``predict_cov`` to
-    kT, so its ``mse`` and ``running_cov`` equal ``kalman.sequence_mse``
-    of its ``seq`` on the same model bit for bit, while the model holds
-    the chain's lengths (a full cache may evict a composed length, which
-    then comes back as its exponential).  A composed operator moves a
-    rank only by rounding, so ``seq`` and ``nodes_visited`` can move only
-    where a rank sits at a tie edge.
+    winner's far steps are composed from the adjacent ones (``chain``).
     """
+    _check_observers(ctx, model)
     if ctx.budget <= 0.0:
         return harvest_none(ctx, model)
-    B, off, air = ctx.budget, ctx.offsets, ctx.airtimes
     kernel = RankKernel(ctx, model)
-    chain, rank, anchor = kernel.chain, kernel.rank, kernel.anchor
-    fol, covs = kernel.root(ctx.prior_cov)
-    cut = 1.0 - 2.0 * MSE_TIE_RTOL
-    nodes = ctx.L  # the root checks every candidate
-    m = rank(ctx.prior_cov, anchor)
-    edge = _tie_edge(m)
-    window = [(m, (), ctx.prior_cov, 0.0)]
-
-    def bound_of(fol, covs):
-        """Rank of the end of ``covs``; -inf (never cut) for a single
-        follower, whose bound is the one child's own rank: visiting that
-        child costs no more than bounding it."""
-        if len(fol) > 1:
-            return rank(covs[-1], fol[-1])
-        return -math.inf
-
-    def expand(seq, d, cov, i, fol, covs, bound):
-        """Visit the children seq + (j,), j in fol, and their subtrees.
-        ``cov`` is held at index i, ``covs`` is ``cov`` chained through
-        ``fol``, and ``bound`` is ``bound_of(fol, covs)``."""
-        nonlocal m, edge, window, nodes
-        for n, j in enumerate(fol):
-            if bound * cut > edge:
-                return
-            d_j = max(off[j], d) + air[j]  # _finish(d, ctx, j)
-            rest = fol[n + 1 :]
-            nodes += len(rest)
-            # A root follower k has o_k + O_k < B, and rounding is monotone,
-            # so _finish(d_j, ctx, k) < B iff d_j + O_k < B.
-            kids = [k for k in rest if d_j + air[k] < B]
-            cov_j = covs[0] if n == 0 else chain(cov, i, (j,))[0]
-            seq_j = seq + (j,)
-            rank_j = rank(cov_j, j)
-            if rank_j <= edge:
-                if rank_j < m:
-                    m, edge = rank_j, _tie_edge(rank_j)
-                    window = [e for e in window if e[0] <= edge]
-                window.append((rank_j, seq_j, cov_j, d_j))
-            if not kids:
-                continue
-            if n == 0 and kids == rest:  # the child's chain is the rest of ours
-                covs_j, bound_j = covs[1:], bound
-            else:
-                covs_j = chain(cov_j, j, kids)
-                bound_j = bound_of(kids, covs_j)
-            if kids == rest and bound_j * cut > edge:
-                return  # the child's subtree and every later sibling's
-            expand(seq_j, d_j, cov_j, j, kids, covs_j, bound_j)
-
+    fol = kernel.root()
+    prior = ctx.prior_cov
+    entries = [(kernel.rank(prior, kernel.anchor), ())]
+    nodes = 0
     if fol:
-        expand((), 0.0, ctx.prior_cov, anchor, fol, covs, bound_of(fol, covs))
-    _, seq, cov, d = _winner(window)
-    t = kernel.times[seq[-1] if seq else anchor]
+        j = fol[0]
+        step = kernel.steps[0]
+        skip = prior if step is None else _predict(prior, *step)  # the empty row at t_j
+        obs = ctx.observers[j]
+        first = _update(skip, model.obs_row(obs), model.obs_var(obs))[0]
+        entries.append((kernel.rank(first, j), (j,)))
+        nodes = 1
+        if len(fol) > 1:
+            nodes += _sweep(kernel, fol, np.concatenate((skip, first)).reshape(2, -1), entries)
+    _, seq = _winner(entries)
+    if not seq:
+        cov, t = prior, ctx.t0
+    else:
+        cov = first if seq == (fol[0],) else kernel.chain(prior, kernel.anchor, seq)[-1]
+        t = ctx.timestamps[seq[-1]]
     boundary = predict_cov(model, cov, t, ctx.cycle_end)
     return ScheduleEvaluation(
-        seq, d, float(np.trace(boundary)), cov, nodes_visited=nodes, boundary_cov=boundary
+        seq, end_of_harvest(seq, ctx), float(np.trace(boundary)), cov,
+        nodes_visited=nodes, boundary_cov=boundary,
     )
+
+
+def _sweep(kernel: RankKernel, fol: list[int], rows: np.ndarray, entries: list) -> int:
+    """Sweep the rows of the empty sequence and of (fol[0],), both held at
+    fol[0]'s timestamp and ranked in ``entries``, through the later root
+    followers, as ``bnb_search`` describes.  Appends to ``entries`` every
+    row that ties the least rank, and returns how many rows it created."""
+    ctx, model = kernel.ctx, kernel.model
+    B, off, air, observers = ctx.budget, ctx.offsets, ctx.airtimes, ctx.observers
+    # Row 0 is the empty sequence and row 1 is (fol[0],); each later row
+    # is recorded in a block of its follower j: (j, parent ids, ranks).
+    # The incumbent m takes in the blocks' ranks when a bound needs it.
+    blocks = []
+    m, seen, count = min(e[0] for e in entries), 0, 2
+    frontier = [(1, rows, np.array([0.0, _finish(0.0, ctx, fol[0])]), np.arange(2))]
+    while frontier:
+        n, rows, d, ids = frontier.pop()
+        while n < len(fol) and len(rows):
+            j = fol[n]
+            step = kernel.stacked[n]
+            if step is not None:
+                rows = rows.dot(step[0]) + step[1]
+            take = d + air[j] < B  # _finish(d, ctx, j) < B: j is a root follower
+            new = rows[take]
+            if len(new):
+                new = _update_rows(new, model.obs_row(observers[j]), model.obs_var(observers[j]))
+                blocks.append((j, ids[take], kernel.rank_rows(new, j)))
+                rows = np.concatenate((rows, new))
+                d = np.concatenate((d, np.maximum(off[j], d[take]) + air[j]))
+                ids = np.concatenate((ids, np.arange(count, count + len(new))))
+                count += len(new)
+            n += 1
+            if len(rows) > _FRONTIER_CAP and n < len(fol):
+                m = min([m, *(b[2].min() for b in blocks[seen:])])
+                seen = len(blocks)
+                keep, m = _bound(kernel, fol, n, rows, d, m)
+                rows, d, ids = rows[keep], d[keep], ids[keep]
+                if len(rows) > _ROW_LIMIT:
+                    half = len(rows) // 2
+                    frontier.append((n, rows[half:], d[half:], ids[half:]))
+                    rows, d, ids = rows[:half], d[:half], ids[:half]
+    if blocks:
+        ranks = np.concatenate([b[2] for b in blocks])
+        edge = _tie_edge(min(ranks.min(), *(e[0] for e in entries)))
+        tied = np.flatnonzero(ranks <= edge)
+        if len(tied):
+            parent = [-1, 0, *np.concatenate([b[1] for b in blocks]).tolist()]
+            cand = [-1, fol[0]]
+            for j, par, _ in blocks:
+                cand += [j] * len(par)
+            for i, rank in zip((tied + 2).tolist(), ranks[tied].tolist()):
+                seq = []
+                while i > 0:
+                    seq.append(cand[i])
+                    i = parent[i]
+                entries.append((rank, tuple(reversed(seq))))
+    return count - 2
+
+
+def _bound(kernel: RankKernel, fol: list[int], n: int, rows, d, m: float):
+    """(rows to keep, the new incumbent) for the frontier ``rows`` with
+    ends of harvest ``d``, held at fol[n - 1]'s timestamp.  A row is kept
+    unless no later follower fits it or its bound cuts it.  The greedy
+    completions of the rows the bounds keep may lower the incumbent m,
+    and the bounds cut again; a cut row's completion ranks at least its
+    bound, so it could not lower m."""
+    ctx = kernel.ctx
+    keep = d + min(ctx.airtimes[k] for k in fol[n:]) < ctx.budget
+    bounds = _complete(kernel, fol, n, rows, d, greedy=False)
+    keep &= bounds * (1.0 - 2.0 * MSE_TIE_RTOL) <= _tie_edge(m)
+    if keep.any():
+        m = min(m, _complete(kernel, fol, n, rows[keep], d[keep], greedy=True).min())
+        keep &= bounds * (1.0 - 2.0 * MSE_TIE_RTOL) <= _tie_edge(m)
+    return keep, m
+
+
+def _complete(kernel: RankKernel, fol: list[int], n: int, rows, d, greedy: bool):
+    """Ranks at the last follower of ``rows``, with ends of harvest ``d``
+    and held at fol[n - 1]'s timestamp, chained, stacked, through fol[n:]:
+    through every follower that fits after d (the bound), or with
+    ``greedy`` through each that still fits after the ones taken before
+    it (the greedy completion, a schedulable sequence)."""
+    ctx, model = kernel.ctx, kernel.model
+    B, off, air, observers = ctx.budget, ctx.offsets, ctx.airtimes, ctx.observers
+    rows = rows.copy()  # updated in place below
+    for i in range(n, len(fol)):
+        k = fol[i]
+        step = kernel.stacked[i]
+        if step is not None:
+            rows = rows.dot(step[0]) + step[1]
+        fits = d + air[k] < B
+        if fits.any():
+            obs = observers[k]
+            rows[fits] = _update_rows(rows[fits], model.obs_row(obs), model.obs_var(obs))
+            if greedy:
+                d = np.where(fits, np.maximum(off[k], d) + air[k], d)
+    return kernel.rank_rows(rows, fol[-1])
 
 
 def greedy_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     """First-come-first-serve baseline: scan candidates in time order and
     keep each one whose append stays schedulable; skipped indices are never
     revisited."""
+    _check_observers(ctx, model)
     if ctx.budget <= 0.0:
         return harvest_none(ctx, model)
     seq: tuple[int, ...] = ()
@@ -474,6 +592,7 @@ def greedy_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
 
 def harvest_all(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     """Policy ``all``: every candidate in time order, ignoring the budget."""
+    _check_observers(ctx, model)
     return _evaluate(ctx, model, tuple(range(ctx.L)))
 
 
@@ -486,10 +605,11 @@ def exhaustive_oracle(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluati
     rank with pairs built the same way."""
     if ctx.L > _ORACLE_MAX_L:
         raise DomainError(f"exhaustive oracle limited to L <= {_ORACLE_MAX_L}")
+    _check_observers(ctx, model)
     if ctx.budget <= 0.0:
         return harvest_none(ctx, model)
     kernel = RankKernel(ctx, model)
-    kernel.root(ctx.prior_cov)
+    kernel.root()
     m = kernel.rank(ctx.prior_cov, kernel.anchor)  # (), schedulable as B > 0
     # Each sequence that tied the least rank seen when it was scored;
     # _winner drops those that do not tie the final least rank.

@@ -1,11 +1,13 @@
 """Shared fixtures and oracle helpers for the ospkit test suite."""
 from __future__ import annotations
 
+import random
+
 import mpmath
 import numpy as np
 import pytest
 
-from ospkit import Candidate, CycleContext, SystemModel
+from ospkit import Candidate, CycleContext, SystemModel, is_schedulable
 
 # Reference 3-state plant used throughout (flexible-link drive with a fast
 # actuator mode at -1000 and two coupled slow modes).
@@ -129,6 +131,51 @@ def random_context(rng, model, L=None, k=None, *, loose=False, ties=False) -> Cy
         t0=float(lo),
         prior_cov=np.eye(model.n_states),
     )
+
+
+def make_mid_model() -> SystemModel:
+    """32 observers over the reference plant, C rows N(0, 1) and noise
+    variances U(1e-3, 1) from ``random.Random(16)``; the cache is cold."""
+    rng = random.Random(16)
+    C = [[rng.gauss(0.0, 1.0) for _ in range(3)] for _ in range(32)]
+    R = np.diag([rng.uniform(1e-3, 1.0) for _ in range(32)])
+    return make_model(C, R, (T3,) * 32)
+
+
+def mid_context(rng, model, L) -> CycleContext:
+    """An instance between loose and tight, where the winner holds about half
+    of the L candidates: timestamps across the whole cycle, distinct
+    observers, airtimes U(0.02, 0.12) T and 0-2 actions of U(0, 0.15 T)."""
+    T = model.T
+    k = int(rng.integers(1, 50))
+    lo = (k - 1) * T
+    ts = np.sort(rng.uniform(lo, lo + T, size=L))
+    observers = rng.choice(model.n_observers, size=L, replace=False)
+    order = np.lexsort((observers, ts))
+    cands = tuple(
+        Candidate(float(ts[i]), float(rng.uniform(0.02, 0.12) * T), int(observers[i]))
+        for i in order
+    )
+    actions = tuple(float(a) for a in rng.uniform(0.0, 0.15 * T, size=int(rng.integers(0, 3))))
+    return CycleContext(
+        candidates=cands, action_airtimes=actions, T=T, cycle_index=k, t0=float(lo),
+        prior_cov=np.eye(model.n_states),
+    )
+
+
+def schedulable_count(ctx) -> int:
+    """How many non-empty sequences of ``ctx`` are schedulable, by
+    enumeration with ``is_schedulable``.  Every prefix of a schedulable
+    sequence is schedulable, so extending only schedulable ones finds
+    them all."""
+    count, stack = 0, [()]
+    while stack:
+        seq = stack.pop()
+        for j in range(seq[-1] + 1 if seq else 0, ctx.L):
+            if is_schedulable(seq + (j,), ctx):
+                count += 1
+                stack.append(seq + (j,))
+    return count
 
 
 def harvest_closed_form(seq, ctx) -> float:

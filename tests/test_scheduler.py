@@ -4,6 +4,7 @@ greedy baseline behavior, an order-independent tie rule, and the soundness
 of both pruning rules."""
 from __future__ import annotations
 
+import gc
 import itertools
 import re
 from dataclasses import replace
@@ -26,13 +27,15 @@ from ospkit import (
     predict_cov,
     sequence_mse,
 )
-from ospkit import dynamics, scheduler
+from ospkit import decision_cycles, dynamics, preset_config, scheduler
+from ospkit.config import parse_config_dict
 from ospkit.scheduler import (
     MSE_TIE_RTOL, RankKernel, _finish, _winner, harvest_all, harvest_none,
 )
 
 from conftest import (
     T3, harvest_closed_form, make_dup_model, make_model, make_search_model, random_context,
+    schedulable_count,
 )
 
 
@@ -97,6 +100,15 @@ class TestCycleContext:
         # -1 used to be ranked as the last observer's row, and True as
         # observer 1's, by every search.
         cands = (Candidate(0.002, 1e-3, 0), Candidate(0.001, 1e-3, observer))
+        message = rf"^candidate observer ids must be integers >= 0, got {re.escape(repr(observer))}$"
+        with pytest.raises(DomainError, match=message):
+            CycleContext(cands, (), 0.01, 1, None, np.eye(3))
+
+    @pytest.mark.parametrize("observer", [None, "2"])
+    def test_checks_the_ids_before_it_sorts(self, observer):
+        # At a tied timestamp the sort compares the ids, which ended in a
+        # TypeError before the ids were checked.
+        cands = (Candidate(0.001, 1e-3, 0), Candidate(0.001, 1e-3, observer))
         message = rf"^candidate observer ids must be integers >= 0, got {re.escape(repr(observer))}$"
         with pytest.raises(DomainError, match=message):
             CycleContext(cands, (), 0.01, 1, None, np.eye(3))
@@ -215,6 +227,22 @@ class TestSearches:
         search(ctx, model6)
         sequence_mse(model6, P, ctx.t0, ctx.candidates, ctx.cycle_end)
 
+    @pytest.mark.parametrize(
+        "search", [bnb_search, greedy_search, harvest_all, harvest_none, exhaustive_oracle]
+    )
+    @pytest.mark.parametrize("budget", ["positive", "degenerate"])
+    def test_rejects_an_observer_the_model_lacks(self, search, budget):
+        # The context does not know the model; each entry checks the ids
+        # against it, where a search ended in a bare IndexError.
+        model = parse_config_dict(preset_config("blackout-6of6-100000")).model
+        actions = (0.0,) if budget == "positive" else (0.02,)
+        ctx = CycleContext(
+            (Candidate(0.0, 1e-3, 0), Candidate(0.001, 1e-3, 6)), actions, 0.01, 1, None,
+            np.eye(3),
+        )
+        with pytest.raises(DomainError, match=r"^candidate observer ids must be < 6, .* got 6$"):
+            search(ctx, model)
+
     def test_bnb_matches_exhaustive(self, search_model):
         rng = np.random.default_rng(61)
         for _ in range(60):
@@ -230,6 +258,28 @@ class TestSearches:
         a = bnb_search(ctx, search_model)
         b = bnb_search(ctx, search_model)
         assert a.seq == b.seq and a.mse == b.mse and a.nodes_visited == b.nodes_visited
+
+    def test_a_search_leaves_no_reference_cycle(self):
+        # A search frees its objects on return, not at the next collector
+        # pass: with the collector off, ten searches on rate-fast and on
+        # blackout instances leave nothing for it to find.
+        instances = []
+        for name in ("rate-fast", "blackout-6of6-100000"):
+            cfg = parse_config_dict(preset_config(name))
+            cycles = decision_cycles(cfg.model, cfg.channel, "bnb", cfg.initial_cov(), 10)
+            instances += [(ctx, cfg.model) for ctx, _ in cycles]
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for ctx, model in instances:
+                bnb_search(ctx, model)
+            found = gc.collect()
+        finally:
+            gc.set_debug(0)
+            gc.enable()
+            gc.garbage.clear()
+        assert found == 0
 
     def test_tie_break_prefers_fewer_then_lexicographic(self, model6):
         # Two identical observers (same row, same noise, same timestamp):
@@ -291,12 +341,15 @@ class TestSearches:
             assert e.mse <= b.mse + 1e-12 * abs(b.mse)
 
     def test_node_count_bounds(self, search_model):
+        # nodes_visited counts the non-empty rows the sweep created, one per
+        # schedulable sequence at most.
         rng = np.random.default_rng(69)
         for _ in range(20):
             L = int(rng.integers(1, 9))
             ctx = random_context(rng, search_model, L=L)
             b = bnb_search(ctx, search_model)
-            assert 1 <= b.nodes_visited <= 2**L - 1
+            count = schedulable_count(ctx)
+            assert min(1, count) <= b.nodes_visited <= count <= 2**L - 1
             assert exhaustive_oracle(ctx, search_model).nodes_visited == 2**L
 
     def test_exhaustive_checks_all_subsets(self, search_model):
@@ -397,10 +450,10 @@ class TestBound:
 
     @pytest.mark.parametrize("L", [8, 12])
     def test_sibling_cut_bounds_the_g_steps(self, L, search_model, monkeypatch):
-        # When the winner is every candidate, each node's first child heads
-        # the bound chain and its second child's bound cuts it and all its
-        # later siblings: one chain of L steps, then one chain per depth.
-        # Bounding every later sibling took 92 and 298 steps here.
+        # The sweep steps its rows with the stacked kernels, and g_step
+        # runs only in the winner's own chain from the anchor: L steps when
+        # the winner is every candidate.  The depth-first search took
+        # L(L+1)/2 + 1 steps here, and 92 and 298 before its sibling cut.
         calls = []
         g_step = scheduler.g_step
         monkeypatch.setattr(
@@ -411,13 +464,13 @@ class TestBound:
             ctx = random_context(rng, search_model, L, loose=True)
             calls.clear()
             assert bnb_search(ctx, search_model).seq == tuple(range(L))
-            # The search's steps go through scheduler.g_step, so the count
-            # is the search's work.
-            assert 0 < len(calls) <= L * (L + 1) // 2 + 1, len(calls)
+            # The 2-D steps go through scheduler.g_step.
+            assert len(calls) == L, len(calls)
 
     def test_bnb_matches_exhaustive_on_large_ties(self, dup_model):
-        # The sibling cut skips whole runs of tied siblings; the search must
-        # still find the oracle's winner on instances deep enough to cut.
+        # The bound cuts rows among runs of tied ones; the search must
+        # still find the oracle's winner on instances whose frontier grows
+        # past the cap, where the bound runs.
         rng = np.random.default_rng(92)
         for n in range(30):
             ctx = random_context(
@@ -430,10 +483,11 @@ class TestBound:
     @pytest.mark.parametrize("seed", [89, 90, 91])
     def test_bnb_matches_exhaustive_on_ties(self, seed, dup_model):
         # Many subsets of this model tie within MSE_TIE_RTOL, and ties do
-        # not chain.  The depth-first search and the oracle, which
-        # enumerates by size, rank through one RankKernel and pick with
-        # _winner, so they must pick the same sequence; both report it with
-        # sequence_mse's arithmetic, so the MSEs are equal bit for bit.
+        # not chain.  The sweep, which ranks with the stacked kernels, and
+        # the oracle, which enumerates by size, rank with one RankKernel's
+        # pairs and pick with _winner, so they must pick the same sequence;
+        # both report it with sequence_mse's arithmetic, so the MSEs are
+        # equal bit for bit.
         rng = np.random.default_rng(seed)
         for n in range(400):
             ctx = random_context(
@@ -442,6 +496,62 @@ class TestBound:
             got = bnb_search(ctx, dup_model)
             want = exhaustive_oracle(ctx, dup_model)
             assert (got.seq, got.mse) == (want.seq, want.mse), n
+
+    def test_a_split_frontier_keeps_the_oracle_winner(self, dup_model, monkeypatch):
+        # Past _ROW_LIMIT rows the frontier is split and its halves swept in
+        # turn, sharing the incumbent and the recorded ranks, so the answer
+        # is the oracle's on tie-heavy instances.  The limits are lowered
+        # so that small instances split.
+        monkeypatch.setattr(scheduler, "_FRONTIER_CAP", 2)
+        monkeypatch.setattr(scheduler, "_ROW_LIMIT", 4)
+        kept = []
+        bound = scheduler._bound
+
+        def spy(*a):
+            keep, m = bound(*a)
+            kept.append(int(keep.sum()))
+            return keep, m
+
+        monkeypatch.setattr(scheduler, "_bound", spy)
+        rng = np.random.default_rng(93)
+        split = 0
+        for n in range(60):
+            ctx = random_context(
+                rng, dup_model, int(rng.integers(6, 11)), loose=n % 2 == 0, ties=True
+            )
+            kept.clear()
+            got = bnb_search(ctx, dup_model)
+            want = exhaustive_oracle(ctx, dup_model)
+            assert (got.seq, got.mse) == (want.seq, want.mse), n
+            split += max(kept, default=0) > 4
+        assert split > 20, split
+
+    def test_a_frontier_past_the_row_limit_keeps_the_oracle_winner(self, dup_model, monkeypatch):
+        # Observers 0, 3, ..., 15 of dup_model have noise variance 1e12.
+        # With a prior of 1e-3 I, all subsets of 14 of their candidates on
+        # a 4-point grid of timestamps tie within 1e-14, so no bound cuts
+        # a row and the frontier passes the hard row limit.
+        kept = []
+        bound = scheduler._bound
+
+        def spy(*a):
+            keep, m = bound(*a)
+            kept.append(int(keep.sum()))
+            return keep, m
+
+        monkeypatch.setattr(scheduler, "_bound", spy)
+        rng = np.random.default_rng(94)
+        ts = np.sort(rng.integers(0, 4, size=14)) * 0.0015
+        cands = tuple(
+            Candidate(float(t), float(rng.uniform(2e-5, 5e-5)), 3 * int(rng.integers(0, 6)))
+            for t in ts
+        )
+        ctx = CycleContext(cands, (), T3, 1, None, 1e-3 * np.eye(3))
+        got = bnb_search(ctx, dup_model)
+        assert max(kept) > scheduler._ROW_LIMIT
+        want = exhaustive_oracle(ctx, dup_model)
+        assert (got.seq, got.mse) == (want.seq, want.mse)
+        assert got.nodes_visited == schedulable_count(ctx) == 2**14 - 1
 
     def test_reports_the_winner_through_sequence_mse(self, dup_model):
         # The search ranks by <M, P> + c but reports the winner's MSE and
@@ -475,10 +585,10 @@ class TestRankKernel:
             L = int(rng.integers(1, 11))
             ctx = random_context(rng, model, L, loose=n % 2 == 0, ties=which == "dup")
             kernel = RankKernel(ctx, model)
-            # Opening the instance chains the root followers, which holds
-            # the steps between them, so the kernel can have the model
-            # compose the far steps of a sequence of followers.
-            fol, _ = kernel.root(ctx.prior_cov)
+            # Opening the instance holds the steps between the root
+            # followers, so the kernel can have the model compose the far
+            # steps of a sequence of followers.
+            fol = kernel.root()
             size = int(rng.integers(0, len(fol) + 1))
             seq = tuple(sorted(rng.choice(fol, size=size, replace=False).tolist()))
             covs = [ctx.prior_cov, *kernel.chain(ctx.prior_cov, kernel.anchor, seq)]
@@ -495,8 +605,9 @@ class TestRankKernel:
     @pytest.mark.parametrize("which", ["search", "dup"])
     def test_an_opened_instance_ranks_from_its_table(self, which, monkeypatch):
         # root fills the pair of the anchor and of every root follower, a
-        # composed one included; rank then only reads the table, and each
-        # pair ranks as the trace of predict_cov to kT, to rounding.
+        # composed one included; rank and rank_rows then only read the
+        # table, and each pair ranks as the trace of predict_cov to kT, to
+        # rounding, one covariance at a time or stacked.
         model = make_search_model() if which == "search" else make_dup_model()
         calls = []
         methods = {
@@ -509,20 +620,23 @@ class TestRankKernel:
             ctx = random_context(rng, model, int(rng.integers(1, 11)),
                                  loose=n % 2 == 0, ties=which == "dup")
             kernel = RankKernel(ctx, model)
-            fol, covs = kernel.root(ctx.prior_cov)
+            fol = kernel.root()
+            covs = kernel.chain(ctx.prior_cov, kernel.anchor, fol)
             held = [(kernel.anchor, ctx.prior_cov), *zip(fol, covs)]
             with monkeypatch.context() as spy:
                 for name, f in methods.items():
                     spy.setattr(SystemModel, name,
                                 lambda *a, _n=name, _f=f, **kw: calls.append(_n) or _f(*a, **kw))
                 ranks = [kernel.rank(cov, j) for j, cov in held]
+                stacked = [kernel.rank_rows(cov.reshape(1, -1), j)[0] for j, cov in held]
             assert not calls, (n, calls)
             composed_pairs += sum(
                 model.held(ctx.cycle_end - kernel.times[j]) is None for j in fol
             )
-            for (j, cov), got in zip(held, ranks):
+            for (j, cov), got, row in zip(held, ranks, stacked):
                 want = float(np.trace(predict_cov(model, cov, kernel.times[j], ctx.cycle_end)))
                 assert got == pytest.approx(want, rel=1e-12, abs=0), (n, j)
+                assert row == pytest.approx(want, rel=1e-12, abs=0), (n, j)
         assert composed_pairs > 0
 
     @pytest.mark.parametrize("L", [8, 12])
@@ -561,7 +675,7 @@ class TestRankKernel:
             assert (got.seq, got.mse) == (exhaustive_oracle(ctx, model).seq, mse), n
             composed_winners += crosses(ctx, got.seq, composed)
             kernel = RankKernel(ctx, model)
-            fol, _ = kernel.root(ctx.prior_cov)
+            fol = kernel.root()
             if not fol:
                 continue
             size = int(rng.integers(1, len(fol) + 1))
