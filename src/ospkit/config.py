@@ -51,7 +51,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .kalman import _cycle_index
 from .model import SystemModel, check_covariance
-from .scheduler import Candidate, CycleContext, _policy_rule
+from .scheduler import Candidate, CycleContext, _check_instance, _policy_rule
 from .sim import ChannelConfig, CycleLog
 
 __all__ = [
@@ -281,12 +281,16 @@ def load_config(path) -> ExperimentConfig:
 
 
 def load_instance(path) -> tuple[SystemModel, CycleContext]:
-    """A checked cycle-instance file: the model and the cycle it poses."""
+    """A checked cycle-instance file: the model and the cycle it poses.
+
+    ``prior_cov`` is checked in full (``check_covariance``), and the cycle
+    against the model by ``scheduler._check_instance``, the check every
+    policy makes; a failure is a ConfigError naming the file."""
     data = read_json_object(path)
     _check_document(data, ("model", "instance"))
     model = parse_model(data["model"])
     inst = data["instance"]
-    S, N = model.n_states, model.n_observers
+    S = model.n_states
     try:
         scale = float(inst.get("prior_cov_scale", 1.0))
         prior_cov = check_covariance("prior_cov", inst.get("prior_cov", scale * np.eye(S)), S)
@@ -301,11 +305,9 @@ def load_instance(path) -> tuple[SystemModel, CycleContext]:
             t0=float(inst["t0"]) if "t0" in inst else None,
             prior_cov=prior_cov,
         )
+        _check_instance(ctx, model)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: malformed instance: {type(exc).__name__}: {exc}")
-    bad = [c.observer for c in ctx.candidates if c.observer not in range(N)]
-    if bad:
-        raise ConfigError(f"{path}: candidate observers {bad} not in [0, {N})")
     return model, ctx
 
 

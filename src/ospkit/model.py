@@ -10,7 +10,7 @@ import numpy as np
 from . import dynamics
 from .errors import ConfigError, DimensionError, DomainError
 
-__all__ = ["SystemModel", "check_covariance"]
+__all__ = ["SystemModel", "check_covariance", "check_period"]
 
 _SYM_TOL = 1e-10
 _PSD_TOL = -1e-10
@@ -40,6 +40,16 @@ def check_covariance(name: str, M, n: int) -> np.ndarray:
     if np.linalg.eigvalsh(M).min() < _PSD_TOL:
         raise DomainError(f"{name} must be positive semi-definite")
     return M
+
+
+def check_period(T) -> None:
+    """DomainError unless the decision period T is a number (not a bool),
+    finite and > 0; ``SystemModel`` and ``scheduler.CycleContext`` check
+    theirs here."""
+    if isinstance(T, bool):
+        raise DomainError(f"decision period T must be a number, got {T!r}")
+    if not 0.0 < T < math.inf:
+        raise DomainError(f"decision period T must be finite and > 0, got {T}")
 
 
 @dataclass(frozen=True)
@@ -94,8 +104,7 @@ class SystemModel:
             B = B[:, None]
         C = np.atleast_2d(np.asarray(self.C, dtype=float))
         R = np.atleast_2d(np.asarray(self.R, dtype=float))
-        if isinstance(self.T, bool):
-            raise DomainError(f"decision period T must be a number, got {self.T!r}")
+        check_period(self.T)
         if any(isinstance(p, bool) for p in self.observer_periods):
             raise DomainError(
                 f"observer_periods must be numbers, got {tuple(self.observer_periods)!r}"
@@ -123,8 +132,6 @@ class SystemModel:
             )
         if not np.all(np.diag(R) > 0.0):
             raise DomainError("R must have a positive diagonal")
-        if not 0.0 < self.T < math.inf:
-            raise DomainError(f"decision period T must be finite and > 0, got {self.T}")
         if len(periods) != N:
             raise DimensionError(
                 f"need one observer period per C row ({N}), got {len(periods)}"

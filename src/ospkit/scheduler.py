@@ -33,12 +33,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericError, OrderingError
+from .errors import ConfigError, DimensionError, DomainError, NumericError, OrderingError
 from .kalman import (
     Candidate, _cycle_index, _predict, _sequence_boundary, _stacked_predictor, _update,
     _update_rows, g_step, predict_cov,
 )
-from .model import SystemModel
+from .model import SystemModel, check_period
 
 __all__ = [
     "Candidate",
@@ -94,6 +94,16 @@ def harvesting_budget(T: float, action_airtimes) -> float:
     return T - sum(action_airtimes)
 
 
+def _finite_variances(P: np.ndarray) -> bool:
+    """True iff the square matrix P has only finite entries and no negative
+    variance: O(S^2) reads and no factorization, so short of
+    ``model.check_covariance``'s positive semi-definite test, which the
+    search's bound needs.  ``CycleContext`` and ``sim.decision_cycles``
+    (for each new anchor) reject what fails it.  At a plant's few states
+    these Python-level reads cost a third of two numpy reductions."""
+    return all(map(math.isfinite, P.flat)) and min(P.diagonal().tolist(), default=0.0) >= 0.0
+
+
 @dataclass(frozen=True)
 class CycleContext:
     """One decision cycle's solvable instance.
@@ -105,12 +115,17 @@ class CycleContext:
     ``offsets`` (the cycle-relative timestamps), ``airtimes`` and
     ``observers``.  ``t0``/``prior_cov`` anchor the covariance chain at the
     latest earlier estimate; a ``t0`` of None anchors it at the cycle
-    start.  A ``cycle_index`` that is not an integer >= 1 (a bool
-    included), an observer id that is not an integer >= 0 (a bool
-    included; numpy integers pass), a non-finite ``t0``, timestamp or
-    airtime, an observation airtime <= 0 or an action airtime < 0 raises
-    DomainError; a candidate before ``t0`` or after the cycle end raises
-    OrderingError.
+    start.  A ``T`` that ``SystemModel`` would reject (``check_period``),
+    a ``cycle_index`` that is not an integer >= 1 (a bool included), an
+    observer id that is not an integer >= 0 (a bool included; numpy
+    integers pass), a non-finite ``t0``, timestamp or airtime, an
+    observation airtime <= 0, an action airtime < 0, or a ``prior_cov``
+    with a non-finite entry or a negative variance (``_finite_variances``)
+    raises DomainError; a ``prior_cov`` that is not a square matrix raises
+    DimensionError; a candidate before ``t0`` or after the cycle end
+    raises OrderingError.  Whether ``prior_cov`` is positive semi-definite
+    is left to ``model.check_covariance``, and whether it has the model's
+    size to ``_check_instance``, as the context does not know the model.
     """
 
     candidates: tuple[Candidate, ...]
@@ -142,7 +157,13 @@ class CycleContext:
         object.__setattr__(
             self, "action_airtimes", tuple(float(a) for a in self.action_airtimes)
         )
-        object.__setattr__(self, "prior_cov", np.asarray(self.prior_cov, dtype=float))
+        check_period(self.T)
+        P = np.asarray(self.prior_cov, dtype=float)
+        if P.ndim != 2 or P.shape[0] != P.shape[1]:
+            raise DimensionError(f"prior_cov must be a square matrix, got shape {P.shape}")
+        if not _finite_variances(P):
+            raise DomainError("prior_cov has a non-finite entry or a negative variance")
+        object.__setattr__(self, "prior_cov", P)
         object.__setattr__(
             self, "budget", harvesting_budget(self.T, self.action_airtimes)
         )
@@ -206,13 +227,21 @@ class ScheduleEvaluation:
     boundary_cov: np.ndarray | None = field(default=None, repr=False)
 
 
-def _check_observers(ctx: CycleContext, model: SystemModel) -> None:
+def _check_instance(ctx: CycleContext, model: SystemModel) -> None:
     """DomainError unless every observer id of ``ctx`` names one of the
-    model's observers; ``CycleContext`` checked that they are integers >= 0."""
+    model's observers, and DimensionError unless ``prior_cov`` is S x S
+    for the model's S states; ``CycleContext`` checked that the ids are
+    integers >= 0 and that ``prior_cov`` is square.  ``RankKernel`` and
+    ``_evaluate``, through which every policy reads the model, call it."""
     if ctx.observers and max(ctx.observers) >= model.n_observers:
         raise DomainError(
             f"candidate observer ids must be < {model.n_observers}, the model's "
             f"observer count, got {max(ctx.observers)}"
+        )
+    S, n = model.n_states, len(ctx.prior_cov)
+    if n != S:
+        raise DimensionError(
+            f"prior_cov must be {S}x{S} for the model's {S} states, got {n}x{n}"
         )
 
 
@@ -241,19 +270,25 @@ def is_schedulable(seq, ctx: CycleContext) -> bool:
 
 class RankKernel:
     """The one place where ``bnb_search`` and ``exhaustive_oracle`` step or
-    rank a covariance, built once per instance from ``(ctx, model)``.
+    rank a covariance, and the one step that opens an instance against a
+    model: ``RankKernel(ctx, model)`` checks the instance
+    (``_check_instance``) and fills every pair it ranks with.
 
     A covariance is held at candidate j's timestamp or, at the spare index
-    ``anchor`` (= L), at ``t0``.  ``root`` opens the instance: it holds the
-    step from the anchor to the first root follower and between
-    consecutive ones (``steps``), and fills the boundary pair (M_j, c_j)
-    over kT - t_j of the anchor and of each root follower, the only
-    indices a schedulable sequence holds.  ``rank`` then reads
-    ``<M_j, P> + c_j``, the boundary MSE of P held at j up to rounding, and
-    ``rank_rows`` the same of each row of a stack of flattened
-    covariances.  ``chain`` steps a covariance with ``g_step``, looked up
-    by its module-level name at each call, which reads the step's
-    (Phi, Qd) from the model.
+    ``anchor`` (= L), at ``t0``.  Only a root follower, an i with
+    ``_finish(0.0, ctx, i) < B``, can be in a schedulable sequence; the
+    followers are ``fol``, in time order.  The constructor holds the step
+    from the anchor to the first follower (``first``, a (Phi, Qd), or
+    None for a zero length) and the step from each later follower's
+    predecessor in ``stacked``, as its ``kalman._stacked_predictor`` form
+    (``stacked[0]`` is None: ``bnb_search`` steps the first follower with
+    the 2-D kernels).  It then fills the boundary pair (M_j, c_j) over
+    kT - t_j of the anchor and of each follower, backward over the
+    followers.  ``rank`` reads ``<M_j, P> + c_j``, the boundary MSE of P
+    held at j up to rounding, and ``rank_rows`` the same of each row of a
+    stack of flattened covariances.  ``chain`` steps a covariance with
+    ``g_step``, looked up by its module-level name at each call, which
+    reads the step's (Phi, Qd) from the model.
 
     Where the model does not hold a length, the kernel builds its operator
     from held ones, since lengths add, instead of paying an exponential:
@@ -262,9 +297,10 @@ class RankKernel:
       the steps i -> j-1 and j-1 -> j, by ``model.compose``, so the model
       holds it from then on; the step i -> j-1 is composed first when it
       is far and not held;
-    - a follower's pair from the next follower's pair and the step between
-      them, which ``root`` holds: ``M_j = Phi^T M_{j+1} Phi`` and
-      ``c_j = <M_{j+1}, Qd> + c_{j+1}``; equal timestamps share one pair.
+    - a follower's pair, when the model does not hold its length, from the
+      next follower's pair and the step between them, just held:
+      ``M_j = Phi^T M_{j+1} Phi`` and ``c_j = <M_{j+1}, Qd> + c_{j+1}``;
+      equal timestamps share one pair.
 
     Every other pair, the last follower's and the anchor's among them, is
     ``model.boundary_operator``'s, so no instance pays more exponentials
@@ -275,47 +311,35 @@ class RankKernel:
     """
 
     def __init__(self, ctx: CycleContext, model: SystemModel):
+        _check_instance(ctx, model)
         self.ctx, self.model, self.kT, self.anchor = ctx, model, ctx.cycle_end, ctx.L
-        self.times = ctx.timestamps + (ctx.t0,)
-        self.observers = ctx.observers
-        self._pairs = [None] * (ctx.L + 1)
-
-    def root(self) -> list[int]:
-        """The root followers, the i with ``_finish(0.0, ctx, i) < B``.
-        Holds ``steps``, each follower's (Phi, Qd) from the previous one
-        (from the anchor for the first; None for a zero length), and
-        ``stacked``, their ``kalman._stacked_predictor`` forms but the
-        first's, then fills the pairs ``rank`` reads, backward over the
-        followers."""
-        ctx, model, ts, kT = self.ctx, self.model, self.times, self.kT
-        B, off, air = ctx.budget, ctx.offsets, ctx.airtimes
-        fol = [i for i in range(ctx.L) if max(off[i], 0.0) + air[i] < B]
-        self.steps, i = [], self.anchor
+        self.times = ts = ctx.timestamps + (ctx.t0,)
+        B, off, air, kT = ctx.budget, ctx.offsets, ctx.airtimes, self.kT
+        self.fol = fol = [i for i in range(ctx.L) if max(off[i], 0.0) + air[i] < B]
+        steps, i = [], self.anchor
         for j in fol:
             dt = self._hold(i, j)
-            self.steps.append(model.discretize(dt) if dt else None)
+            steps.append(model.discretize(dt) if dt else None)
             i = j
-        # bnb_search steps the first follower with the 2-D kernels.
-        self.stacked = [None] + [s and _stacked_predictor(*s) for s in self.steps[1:]]
+        self.first = steps[0] if steps else None
+        self.stacked = [None] + [s and _stacked_predictor(*s) for s in steps[1:]]
+        self._pairs = pairs = [None] * (ctx.L + 1)
         pair, t_next = None, None
-        for k in reversed(fol):
+        for n in range(len(fol) - 1, -1, -1):
+            k = fol[n]
             t = ts[k]
             if t != t_next:  # equal timestamps share one pair
-                step = None
-                if t_next is not None and model.held(kT - t) is None:
-                    step = model.held(t_next - t)
-                if step is None:
+                if t_next is None or model.held(kT - t) is not None:
                     pair = model.boundary_operator(kT - t)
-                else:
-                    (Phi, Qd), (M, c) = step, pair
+                else:  # steps[n + 1] holds the length t_next - t > 0
+                    (Phi, Qd), (M, c) = steps[n + 1], pair
                     pair = (Phi.T @ M @ Phi, float(np.vdot(M, Qd)) + c)
-            self._pairs[k], t_next = pair, t
-        self._pairs[self.anchor] = model.boundary_operator(kT - ts[self.anchor])
-        return fol
+            pairs[k], t_next = pair, t
+        pairs[self.anchor] = model.boundary_operator(kT - ts[self.anchor])
 
     def chain(self, cov: np.ndarray, i: int, seq) -> list[np.ndarray]:
         """Running covariances of ``cov``, held at index i, through ``seq``."""
-        model, ts, obs = self.model, self.times, self.observers
+        model, ts, obs = self.model, self.times, self.ctx.observers
         t, out = ts[i], []
         for j in seq:
             self._hold(i, j)
@@ -326,7 +350,7 @@ class RankKernel:
 
     def rank(self, cov: np.ndarray, j: int) -> float:
         """``<M_j, cov> + c_j`` of ``cov`` held at j, the anchor or a root
-        follower of the opened instance."""
+        follower."""
         pair = self._pairs[j]
         return float(np.vdot(pair[0], cov)) + pair[1]
 
@@ -374,7 +398,8 @@ def _evaluate(
 ) -> ScheduleEvaluation:
     """Score ``seq`` from scratch: its end of harvest, and its predicted MSE,
     running covariance and boundary covariance from the cycle's anchor,
-    as ``kalman.sequence_mse`` scores it."""
+    as ``kalman.sequence_mse`` scores it, after ``_check_instance``."""
+    _check_instance(ctx, model)
     boundary, cov = _sequence_boundary(
         model, ctx.prior_cov, ctx.t0, [ctx.candidates[i] for i in seq], ctx.cycle_end
     )
@@ -386,7 +411,6 @@ def _evaluate(
 
 def harvest_none(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     """Policy ``none``: the empty sequence, i.e. pure prediction."""
-    _check_observers(ctx, model)
     return _evaluate(ctx, model, (), forced_empty=not 0.0 < ctx.budget)
 
 
@@ -439,30 +463,30 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     anchor is a policy's boundary prediction, which it checks only for
     finite entries and non-negative variances.
 
-    ``RankKernel.root`` opens the instance: it holds the step between
-    consecutive root followers and fills every boundary pair, so a cold
+    ``RankKernel(ctx, model)`` opens the instance in one step: it checks
+    it against the model, finds the root followers, holds the step
+    between consecutive ones and fills every boundary pair, so a cold
     loose instance pays L + 2 exponentials: anchor -> 0, the L - 1
     adjacent steps, the last candidate's pair and the anchor's.  The
     winner's far steps are composed from the adjacent ones (``chain``).
     """
-    _check_observers(ctx, model)
     if ctx.budget <= 0.0:
         return harvest_none(ctx, model)
     kernel = RankKernel(ctx, model)
-    fol = kernel.root()
+    fol = kernel.fol
     prior = ctx.prior_cov
     entries = [(kernel.rank(prior, kernel.anchor), ())]
     nodes = 0
     if fol:
         j = fol[0]
-        step = kernel.steps[0]
+        step = kernel.first
         skip = prior if step is None else _predict(prior, *step)  # the empty row at t_j
         obs = ctx.observers[j]
         first = _update(skip, model.obs_row(obs), model.obs_var(obs))[0]
         entries.append((kernel.rank(first, j), (j,)))
         nodes = 1
         if len(fol) > 1:
-            nodes += _sweep(kernel, fol, np.concatenate((skip, first)).reshape(2, -1), entries)
+            nodes += _sweep(kernel, np.concatenate((skip, first)).reshape(2, -1), entries)
     _, seq = _winner(entries)
     if not seq:
         cov, t = prior, ctx.t0
@@ -476,12 +500,13 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     )
 
 
-def _sweep(kernel: RankKernel, fol: list[int], rows: np.ndarray, entries: list) -> int:
+def _sweep(kernel: RankKernel, rows: np.ndarray, entries: list) -> int:
     """Sweep the rows of the empty sequence and of (fol[0],), both held at
     fol[0]'s timestamp and ranked in ``entries``, through the later root
-    followers, as ``bnb_search`` describes.  Appends to ``entries`` every
-    row that ties the least rank, and returns how many rows it created."""
-    ctx, model = kernel.ctx, kernel.model
+    followers ``fol = kernel.fol``, as ``bnb_search`` describes.  Appends
+    to ``entries`` every row that ties the least rank, and returns how
+    many rows it created."""
+    ctx, model, fol = kernel.ctx, kernel.model, kernel.fol
     B, off, air, observers = ctx.budget, ctx.offsets, ctx.airtimes, ctx.observers
     # Row 0 is the empty sequence and row 1 is (fol[0],); each later row
     # is recorded in a block of its follower j: (j, parent ids, ranks).
@@ -509,7 +534,7 @@ def _sweep(kernel: RankKernel, fol: list[int], rows: np.ndarray, entries: list) 
             if len(rows) > _FRONTIER_CAP and n < len(fol):
                 m = min([m, *(b[2].min() for b in blocks[seen:])])
                 seen = len(blocks)
-                keep, m = _bound(kernel, fol, n, rows, d, m)
+                keep, m = _bound(kernel, n, rows, d, m)
                 rows, d, ids = rows[keep], d[keep], ids[keep]
                 if len(rows) > _ROW_LIMIT:
                     half = len(rows) // 2
@@ -533,7 +558,7 @@ def _sweep(kernel: RankKernel, fol: list[int], rows: np.ndarray, entries: list) 
     return count - 2
 
 
-def _bound(kernel: RankKernel, fol: list[int], n: int, rows, d, m: float):
+def _bound(kernel: RankKernel, n: int, rows, d, m: float):
     """(rows to keep, the new incumbent) for the frontier ``rows`` with
     ends of harvest ``d``, held at fol[n - 1]'s timestamp.  A row is kept
     unless no later follower fits it or its bound cuts it.  The greedy
@@ -541,22 +566,23 @@ def _bound(kernel: RankKernel, fol: list[int], n: int, rows, d, m: float):
     and the bounds cut again; a cut row's completion ranks at least its
     bound, so it could not lower m."""
     ctx = kernel.ctx
-    keep = d + min(ctx.airtimes[k] for k in fol[n:]) < ctx.budget
-    bounds = _complete(kernel, fol, n, rows, d, greedy=False)
+    keep = d + min(ctx.airtimes[k] for k in kernel.fol[n:]) < ctx.budget
+    bounds = _complete(kernel, n, rows, d, greedy=False)
     keep &= bounds * (1.0 - 2.0 * MSE_TIE_RTOL) <= _tie_edge(m)
     if keep.any():
-        m = min(m, _complete(kernel, fol, n, rows[keep], d[keep], greedy=True).min())
+        m = min(m, _complete(kernel, n, rows[keep], d[keep], greedy=True).min())
         keep &= bounds * (1.0 - 2.0 * MSE_TIE_RTOL) <= _tie_edge(m)
     return keep, m
 
 
-def _complete(kernel: RankKernel, fol: list[int], n: int, rows, d, greedy: bool):
+def _complete(kernel: RankKernel, n: int, rows, d, greedy: bool):
     """Ranks at the last follower of ``rows``, with ends of harvest ``d``
-    and held at fol[n - 1]'s timestamp, chained, stacked, through fol[n:]:
-    through every follower that fits after d (the bound), or with
-    ``greedy`` through each that still fits after the ones taken before
-    it (the greedy completion, a schedulable sequence)."""
-    ctx, model = kernel.ctx, kernel.model
+    and held at fol[n - 1]'s timestamp, chained, stacked, through fol[n:],
+    with ``fol = kernel.fol``: through every follower that fits after d
+    (the bound), or with ``greedy`` through each that still fits after
+    the ones taken before it (the greedy completion, a schedulable
+    sequence)."""
+    ctx, model, fol = kernel.ctx, kernel.model, kernel.fol
     B, off, air, observers = ctx.budget, ctx.offsets, ctx.airtimes, ctx.observers
     rows = rows.copy()  # updated in place below
     for i in range(n, len(fol)):
@@ -577,7 +603,6 @@ def greedy_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     """First-come-first-serve baseline: scan candidates in time order and
     keep each one whose append stays schedulable; skipped indices are never
     revisited."""
-    _check_observers(ctx, model)
     if ctx.budget <= 0.0:
         return harvest_none(ctx, model)
     seq: tuple[int, ...] = ()
@@ -592,7 +617,6 @@ def greedy_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
 
 def harvest_all(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     """Policy ``all``: every candidate in time order, ignoring the budget."""
-    _check_observers(ctx, model)
     return _evaluate(ctx, model, tuple(range(ctx.L)))
 
 
@@ -601,15 +625,13 @@ def exhaustive_oracle(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluati
     from the anchor with the instance's ``RankKernel`` (no pruning, no
     running-covariance reuse), rank the end of its chain, and return the
     ``_winner``, scored like every policy's answer.  Guarded to L <= 20.
-    ``RankKernel.root`` opens the kernel, as in ``bnb_search``, so both
-    rank with pairs built the same way."""
+    The kernel opens the instance as in ``bnb_search``, so both rank with
+    pairs built the same way."""
     if ctx.L > _ORACLE_MAX_L:
         raise DomainError(f"exhaustive oracle limited to L <= {_ORACLE_MAX_L}")
-    _check_observers(ctx, model)
     if ctx.budget <= 0.0:
         return harvest_none(ctx, model)
     kernel = RankKernel(ctx, model)
-    kernel.root()
     m = kernel.rank(ctx.prior_cov, kernel.anchor)  # (), schedulable as B > 0
     # Each sequence that tied the least rank seen when it was scored;
     # _winner drops those that do not tie the final least rank.

@@ -211,9 +211,8 @@ def _cycles(model, channel, policy, P0, cycles):
         )
         ev = scheduler.decide(policy, ctx, model)
         prior_cov = ev.boundary_cov
-        # O(S^2) reads and no factorization: the search's bound needs a PSD
-        # anchor, and a broken one would otherwise surface cycles later.
-        if not (np.isfinite(prior_cov).all() and prior_cov.diagonal().min() >= 0.0):
+        # A broken anchor would otherwise surface cycles later.
+        if not scheduler._finite_variances(prior_cov):
             raise NumericError(
                 f"cycle {k}: the next cycle's anchor covariance has a non-finite "
                 "entry or a negative variance"

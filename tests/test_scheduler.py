@@ -15,6 +15,7 @@ import pytest
 from ospkit import (
     Candidate,
     CycleContext,
+    DimensionError,
     DomainError,
     SystemModel,
     bnb_search,
@@ -116,6 +117,40 @@ class TestCycleContext:
     def test_numpy_integer_observer_passes(self):
         ctx = CycleContext((Candidate(0.001, 1e-3, np.int64(2)),), (), 0.01, 1, None, np.eye(3))
         assert ctx.observers == (2,)
+
+    @pytest.mark.parametrize(
+        "T, message",
+        [
+            # True was taken as 1.0, nan was reported as the anchor's
+            # problem and -0.01 as a candidate after the cycle end.
+            (True, "decision period T must be a number, got True"),
+            (float("nan"), "decision period T must be finite and > 0, got nan"),
+            (float("inf"), "decision period T must be finite and > 0, got inf"),
+            (0.0, "decision period T must be finite and > 0, got 0.0"),
+            (-0.01, "decision period T must be finite and > 0, got -0.01"),
+        ],
+        ids=["bool", "nan", "inf", "zero", "negative"],
+    )
+    def test_checks_T_as_the_model_does(self, T, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            CycleContext((Candidate(0.002, 1e-3, 0),), (), T, 1, None, np.eye(3))
+
+    @pytest.mark.parametrize(
+        "prior, error",
+        [
+            # -I and an all-NaN prior were searched: bnb_search returned a
+            # negative MSE for -I and raised a bare ValueError for NaN.
+            (-np.eye(3), DomainError),
+            (np.full((3, 3), np.nan), DomainError),
+            (np.diag([1.0, np.inf, 1.0]), DomainError),
+            (np.ones((2, 3)), DimensionError),
+            (np.ones(3), DimensionError),
+        ],
+        ids=["negative", "nan", "inf", "not-square", "vector"],
+    )
+    def test_rejects_a_prior_that_is_no_covariance(self, prior, error):
+        with pytest.raises(error, match="^prior_cov "):
+            CycleContext((Candidate(0.002, 1e-3, 0),), (), 0.01, 1, None, prior)
 
 
 class TestBudget:
@@ -241,6 +276,19 @@ class TestSearches:
             np.eye(3),
         )
         with pytest.raises(DomainError, match=r"^candidate observer ids must be < 6, .* got 6$"):
+            search(ctx, model)
+
+    @pytest.mark.parametrize(
+        "search", [bnb_search, greedy_search, harvest_all, harvest_none, exhaustive_oracle]
+    )
+    @pytest.mark.parametrize("budget", ["positive", "degenerate"])
+    def test_rejects_a_prior_of_another_size(self, search, budget):
+        # The context does not know the model either; a 2 x 2 prior on the
+        # 3-state model ended in bare numpy errors.
+        model = parse_config_dict(preset_config("blackout-6of6-100000")).model
+        actions = (0.0,) if budget == "positive" else (0.02,)
+        ctx = CycleContext((Candidate(0.001, 1e-3, 0),), actions, 0.01, 1, None, np.eye(2))
+        with pytest.raises(DimensionError, match=r"^prior_cov must be 3x3 .* got 2x2$"):
             search(ctx, model)
 
     def test_bnb_matches_exhaustive(self, search_model):
@@ -584,11 +632,11 @@ class TestRankKernel:
         for n in range(60):
             L = int(rng.integers(1, 11))
             ctx = random_context(rng, model, L, loose=n % 2 == 0, ties=which == "dup")
-            kernel = RankKernel(ctx, model)
             # Opening the instance holds the steps between the root
             # followers, so the kernel can have the model compose the far
             # steps of a sequence of followers.
-            fol = kernel.root()
+            kernel = RankKernel(ctx, model)
+            fol = kernel.fol
             size = int(rng.integers(0, len(fol) + 1))
             seq = tuple(sorted(rng.choice(fol, size=size, replace=False).tolist()))
             covs = [ctx.prior_cov, *kernel.chain(ctx.prior_cov, kernel.anchor, seq)]
@@ -604,10 +652,10 @@ class TestRankKernel:
 
     @pytest.mark.parametrize("which", ["search", "dup"])
     def test_an_opened_instance_ranks_from_its_table(self, which, monkeypatch):
-        # root fills the pair of the anchor and of every root follower, a
-        # composed one included; rank and rank_rows then only read the
-        # table, and each pair ranks as the trace of predict_cov to kT, to
-        # rounding, one covariance at a time or stacked.
+        # The constructor fills the pair of the anchor and of every root
+        # follower, a composed one included; rank and rank_rows then only
+        # read the table, and each pair ranks as the trace of predict_cov
+        # to kT, to rounding, one covariance at a time or stacked.
         model = make_search_model() if which == "search" else make_dup_model()
         calls = []
         methods = {
@@ -620,7 +668,7 @@ class TestRankKernel:
             ctx = random_context(rng, model, int(rng.integers(1, 11)),
                                  loose=n % 2 == 0, ties=which == "dup")
             kernel = RankKernel(ctx, model)
-            fol = kernel.root()
+            fol = kernel.fol
             covs = kernel.chain(ctx.prior_cov, kernel.anchor, fol)
             held = [(kernel.anchor, ctx.prior_cov), *zip(fol, covs)]
             with monkeypatch.context() as spy:
@@ -675,7 +723,7 @@ class TestRankKernel:
             assert (got.seq, got.mse) == (exhaustive_oracle(ctx, model).seq, mse), n
             composed_winners += crosses(ctx, got.seq, composed)
             kernel = RankKernel(ctx, model)
-            fol = kernel.root()
+            fol = kernel.fol
             if not fol:
                 continue
             size = int(rng.integers(1, len(fol) + 1))
