@@ -453,6 +453,6 @@ def write_csv(logs: list[CycleLog], n_states: int, fh) -> None:
             _fmt(log.sq_err),
             str(log.nodes_visited),
         ]
-        row += [_fmt(v) for v in log.true_state]
-        row += [_fmt(v) for v in log.est_state]
+        row += [CSV_FLOAT_FMT % v for v in log.true_state.tolist()]
+        row += [CSV_FLOAT_FMT % v for v in log.est_state.tolist()]
         fh.write(",".join(row) + "\n")

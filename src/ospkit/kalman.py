@@ -210,7 +210,7 @@ def sequence_mse(
     Only ``.observer`` and ``.timestamp`` of each element are read.
     """
     boundary, cov = _sequence_boundary(model, P0, t0, seq, kT)
-    return float(np.trace(boundary)), cov
+    return float(boundary.trace()), cov
 
 
 def _sequence_boundary(model, P0, t0, seq, kT) -> tuple[np.ndarray, np.ndarray]:

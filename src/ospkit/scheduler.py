@@ -26,6 +26,7 @@ the same ``_winner``, so they agree by construction.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import numbers
@@ -66,10 +67,12 @@ _ORACLE_MAX_L = 20
 
 # bnb_search bounds its rows only while the frontier holds more than this
 # many: below it, bounding a row costs more than sweeping it.  With caps of
-# 16/32/64/128/256, alternated in one process on one BLAS thread, the
-# search-wide pool of seed 1 took 1.05/0.96/1.02/1.19/1.23 ms at p95 and
-# 10 instances between loose and tight at L = 12 (ROADMAP's "mid") took
-# 2.2/1.9/1.8/2.0/2.0 ms each.
+# 16/32/64/128/256, alternated in one process on one BLAS thread (a
+# 2-vCPU Xeon guest, two runs), the search-wide pool of seed 1 took
+# 1.69-1.94/1.52-1.85/1.56-1.80/1.39-1.90/1.44-2.00 ms at p95, and 10
+# instances between loose and tight at L = 12 (ROADMAP's "mid") took
+# 0.82-1.17/0.93-1.06/0.63-0.86/0.60-0.62/0.64-0.99 ms each: the caps
+# from 64 up are within the host's noise of one another.
 _FRONTIER_CAP = 64
 # Most rows bnb_search sweeps at once (4096 3 x 3 covariances are about
 # 300 KB); a larger frontier is split and its halves swept in turn.
@@ -404,7 +407,7 @@ def _evaluate(
         model, ctx.prior_cov, ctx.t0, [ctx.candidates[i] for i in seq], ctx.cycle_end
     )
     return ScheduleEvaluation(
-        seq, end_of_harvest(seq, ctx), float(np.trace(boundary)), cov,
+        seq, end_of_harvest(seq, ctx), float(boundary.trace()), cov,
         boundary_cov=boundary, **diagnostics,
     )
 
@@ -435,29 +438,36 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     step runs the stacked ones, one predict and one masked update over
     the frontier (``kalman._stacked_predictor``, ``kalman._update_rows``).
 
-    Once the frontier holds more than ``_FRONTIER_CAP`` rows, each step
-    also bounds its rows (``_bound``).  A row's bound is its covariance
-    chained through every later follower that still fits after its d: an
-    update never raises a covariance in the Loewner order, so no
-    descendant ranks below it.  The incumbent m is the least rank seen,
-    of the rows and of each row's greedy completion, which takes each
-    later follower that still fits and so is schedulable.  A row with
+    Once the frontier holds more than ``_FRONTIER_CAP`` rows, a step
+    after which two or more followers are left also bounds its rows
+    (``_bound``).  A row's bound is its covariance chained through every
+    later follower that still fits after its d: an update never raises a
+    covariance in the Loewner order, so no descendant ranks below it.
+    With one follower left the bound would be the rank of the row's one
+    possible child, so it would cost as much as the step it could save,
+    and no bound runs.  The incumbent m is the least rank seen, of the
+    rows and of each row's greedy completion, which takes each later
+    follower that still fits and so is schedulable.  A row with
     ``bound * (1 - 2 * MSE_TIE_RTOL) > _tie_edge(m)`` is cut: no
     descendant can tie the least rank, and the slack covers the rounding
     between a bound and a rank.  A row that no later follower fits has no
-    descendant and leaves the frontier too.  Past ``_ROW_LIMIT`` rows the
-    frontier is split in two and the halves are swept in turn, depth
+    descendant and leaves the frontier too.  Whether or not the step
+    bounds, a frontier of more than ``_ROW_LIMIT`` rows with a follower
+    still to come is split in two and the halves are swept in turn, depth
     first, sharing m and the records, so memory stays bounded and the
     answer exact.
 
-    The winner is ``_winner`` over the recorded ranks.  The stacked
-    kernels agree with the 2-D ones only to rounding, so the winner is
-    reported from its own chain from the anchor (``RankKernel.chain``),
-    as the trace of ``predict_cov`` to kT: its ``mse`` and ``running_cov``
-    equal ``kalman.sequence_mse`` of its ``seq`` on the same model bit for
-    bit.  The empty row and the first follower's row already have those
-    bits and are reported without a second chain.  ``nodes_visited``
-    counts the non-empty rows created.  The bound needs a positive
+    The winner is ``_winner`` over the recorded ranks; only the rows that
+    tie the least rank are decoded into sequences, through their parents.
+    The stacked kernels agree with the 2-D ones only to rounding, so the
+    winner is reported from its own chain from the anchor
+    (``RankKernel.chain``), as the trace of ``predict_cov`` to kT: its
+    ``mse`` and ``running_cov`` equal ``kalman.sequence_mse`` of its
+    ``seq`` on the same model bit for bit.  The empty row and the first
+    follower's row already have those bits and are reported without a
+    second chain.  ``nodes_visited`` counts the non-empty rows created:
+    every schedulable non-empty sequence, less the descendants of the rows
+    a bound cut.  The bound needs a positive
     semi-definite ``prior_cov``.  ``ospkit schedule`` checks that in full,
     and so does ``decision_cycles`` for the initial covariance; each later
     anchor is a policy's boundary prediction, which it checks only for
@@ -495,7 +505,7 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
         t = ctx.timestamps[seq[-1]]
     boundary = predict_cov(model, cov, t, ctx.cycle_end)
     return ScheduleEvaluation(
-        seq, end_of_harvest(seq, ctx), float(np.trace(boundary)), cov,
+        seq, end_of_harvest(seq, ctx), float(boundary.trace()), cov,
         nodes_visited=nodes, boundary_cov=boundary,
     )
 
@@ -509,11 +519,14 @@ def _sweep(kernel: RankKernel, rows: np.ndarray, entries: list) -> int:
     ctx, model, fol = kernel.ctx, kernel.model, kernel.fol
     B, off, air, observers = ctx.budget, ctx.offsets, ctx.airtimes, ctx.observers
     # Row 0 is the empty sequence and row 1 is (fol[0],); each later row
-    # is recorded in a block of its follower j: (j, parent ids, ranks).
-    # The incumbent m takes in the blocks' ranks when a bound needs it.
+    # is recorded in a block of its follower j: (first id, j, parent ids,
+    # ranks).  Until the first cut or split a row's position in the
+    # frontier is its id: ``ids`` is None then, and so are the parent ids
+    # of a block that every row spawned.  The incumbent m takes in the
+    # blocks' ranks when a bound needs it.
     blocks = []
     m, seen, count = min(e[0] for e in entries), 0, 2
-    frontier = [(1, rows, np.array([0.0, _finish(0.0, ctx, fol[0])]), np.arange(2))]
+    frontier = [(1, rows, np.array([0.0, _finish(0.0, ctx, fol[0])]), None)]
     while frontier:
         n, rows, d, ids = frontier.pop()
         while n < len(fol) and len(rows):
@@ -521,40 +534,49 @@ def _sweep(kernel: RankKernel, rows: np.ndarray, entries: list) -> int:
             step = kernel.stacked[n]
             if step is not None:
                 rows = rows.dot(step[0]) + step[1]
-            take = d + air[j] < B  # _finish(d, ctx, j) < B: j is a root follower
-            new = rows[take]
-            if len(new):
+            take = (d + air[j] < B).nonzero()[0]  # _finish(d, ctx, j) < B
+            if len(take):
+                if len(take) == len(rows):  # every row spawns: no selection
+                    new, dj, par = rows, d, ids
+                else:
+                    new, dj = rows.take(take, 0), d.take(take)
+                    par = take if ids is None else ids.take(take)
                 new = _update_rows(new, model.obs_row(observers[j]), model.obs_var(observers[j]))
-                blocks.append((j, ids[take], kernel.rank_rows(new, j)))
+                blocks.append((count, j, par, kernel.rank_rows(new, j)))
                 rows = np.concatenate((rows, new))
-                d = np.concatenate((d, np.maximum(off[j], d[take]) + air[j]))
-                ids = np.concatenate((ids, np.arange(count, count + len(new))))
+                d = np.concatenate((d, np.maximum(off[j], dj) + air[j]))
+                if ids is not None:
+                    ids = np.concatenate((ids, np.arange(count, count + len(new))))
                 count += len(new)
             n += 1
-            if len(rows) > _FRONTIER_CAP and n < len(fol):
-                m = min([m, *(b[2].min() for b in blocks[seen:])])
+            if len(fol) - n >= 2 and len(rows) > _FRONTIER_CAP:
+                m = min([m, *(b[3].min() for b in blocks[seen:])])
                 seen = len(blocks)
                 keep, m = _bound(kernel, n, rows, d, m)
-                rows, d, ids = rows[keep], d[keep], ids[keep]
-                if len(rows) > _ROW_LIMIT:
-                    half = len(rows) // 2
-                    frontier.append((n, rows[half:], d[half:], ids[half:]))
-                    rows, d, ids = rows[:half], d[:half], ids[:half]
+                keep = keep.nonzero()[0]
+                if len(keep) < len(rows):
+                    rows, d = rows.take(keep, 0), d.take(keep)
+                    ids = keep if ids is None else ids.take(keep)
+            if len(rows) > _ROW_LIMIT and n < len(fol):
+                if ids is None:
+                    ids = np.arange(count)
+                half = len(rows) // 2
+                frontier.append((n, rows[half:], d[half:], ids[half:]))
+                rows, d, ids = rows[:half], d[:half], ids[:half]
     if blocks:
-        ranks = np.concatenate([b[2] for b in blocks])
+        ranks = np.concatenate([b[3] for b in blocks])
         edge = _tie_edge(min(ranks.min(), *(e[0] for e in entries)))
-        tied = np.flatnonzero(ranks <= edge)
-        if len(tied):
-            parent = [-1, 0, *np.concatenate([b[1] for b in blocks]).tolist()]
-            cand = [-1, fol[0]]
-            for j, par, _ in blocks:
-                cand += [j] * len(par)
-            for i, rank in zip((tied + 2).tolist(), ranks[tied].tolist()):
-                seq = []
-                while i > 0:
-                    seq.append(cand[i])
-                    i = parent[i]
-                entries.append((rank, tuple(reversed(seq))))
+        tied = (ranks <= edge).nonzero()[0]
+        starts = [b[0] for b in blocks]
+        for i, rank in zip((tied + 2).tolist(), ranks.take(tied).tolist()):
+            seq = []
+            while i > 1:  # walk the parents back to row 1, (fol[0],), or row 0
+                start, j, par, _ = blocks[bisect.bisect_right(starts, i) - 1]
+                seq.append(j)
+                i = i - start if par is None else int(par[i - start])
+            if i:
+                seq.append(fol[0])
+            entries.append((rank, tuple(reversed(seq))))
     return count - 2
 
 
@@ -581,19 +603,28 @@ def _complete(kernel: RankKernel, n: int, rows, d, greedy: bool):
     with ``fol = kernel.fol``: through every follower that fits after d
     (the bound), or with ``greedy`` through each that still fits after
     the ones taken before it (the greedy completion, a schedulable
-    sequence)."""
+    sequence).  The caller's ``rows`` are not changed."""
     ctx, model, fol = kernel.ctx, kernel.model, kernel.fol
     B, off, air, observers = ctx.budget, ctx.offsets, ctx.airtimes, ctx.observers
-    rows = rows.copy()  # updated in place below
+    given = rows
     for i in range(n, len(fol)):
         k = fol[i]
         step = kernel.stacked[i]
         if step is not None:
             rows = rows.dot(step[0]) + step[1]
         fits = d + air[k] < B
-        if fits.any():
-            obs = observers[k]
-            rows[fits] = _update_rows(rows[fits], model.obs_row(obs), model.obs_var(obs))
+        take = fits.nonzero()[0]
+        if not len(take):
+            continue
+        c, r = model.obs_row(observers[k]), model.obs_var(observers[k])
+        if len(take) == len(rows):  # every row fits: no selection
+            rows = _update_rows(rows, c, r)
+            if greedy:
+                d = np.maximum(off[k], d) + air[k]
+        else:
+            if rows is given:  # a zero-length step has not copied them yet
+                rows = rows.copy()
+            rows[take] = _update_rows(rows.take(take, 0), c, r)
             if greedy:
                 d = np.where(fits, np.maximum(off[k], d) + air[k], d)
     return kernel.rank_rows(rows, fol[-1])

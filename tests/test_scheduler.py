@@ -578,9 +578,13 @@ class TestBound:
         # Observers 0, 3, ..., 15 of dup_model have noise variance 1e12.
         # With a prior of 1e-3 I, all subsets of 14 of their candidates on
         # a 4-point grid of timestamps tie within 1e-14, so no bound cuts
-        # a row and the frontier passes the hard row limit.
-        kept = []
-        bound = scheduler._bound
+        # a row and the frontier doubles at every follower.  Before the
+        # last follower it holds 2^13 rows, past the hard row limit, where
+        # no bound runs (one follower is left): the split alone keeps
+        # every stacked update within the limit, although the last
+        # follower spawns 2^13 rows.
+        kept, sizes = [], []
+        bound, update_rows = scheduler._bound, scheduler._update_rows
 
         def spy(*a):
             keep, m = bound(*a)
@@ -588,6 +592,9 @@ class TestBound:
             return keep, m
 
         monkeypatch.setattr(scheduler, "_bound", spy)
+        monkeypatch.setattr(
+            scheduler, "_update_rows", lambda rows, *a: sizes.append(len(rows)) or update_rows(rows, *a)
+        )
         rng = np.random.default_rng(94)
         ts = np.sort(rng.integers(0, 4, size=14)) * 0.0015
         cands = tuple(
@@ -596,10 +603,60 @@ class TestBound:
         )
         ctx = CycleContext(cands, (), T3, 1, None, 1e-3 * np.eye(3))
         got = bnb_search(ctx, dup_model)
-        assert max(kept) > scheduler._ROW_LIMIT
+        assert max(kept) == scheduler._ROW_LIMIT == max(sizes)
+        assert sizes[-2:] == [scheduler._ROW_LIMIT] * 2  # the last follower, once per half
         want = exhaustive_oracle(ctx, dup_model)
         assert (got.seq, got.mse) == (want.seq, want.mse)
         assert got.nodes_visited == schedulable_count(ctx) == 2**14 - 1
+
+    def test_bounds_only_with_two_followers_left(self, search_model, dup_model, monkeypatch):
+        # With one follower left a row's bound is its own next rank, so
+        # bounding costs a step and saves none: _bound never runs then.
+        left = []
+        bound = scheduler._bound
+
+        def spy(kernel, n, *a):
+            left.append(len(kernel.fol) - n)
+            return bound(kernel, n, *a)
+
+        monkeypatch.setattr(scheduler, "_bound", spy)
+        rng = np.random.default_rng(95)
+        for n in range(40):
+            model = search_model if n % 2 else dup_model
+            ctx = random_context(rng, model, int(rng.integers(8, 13)), loose=n % 4 < 2, ties=n % 3 == 0)
+            assert bnb_search(ctx, model).seq == exhaustive_oracle(ctx, model).seq, n
+        assert left and min(left) == 2, sorted(set(left))
+
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_tied_rows_decode_to_the_oracle_winner(self, cap, dup_model, monkeypatch):
+        # Row ids stay the rows' positions until the first cut, and only
+        # the tied rows are decoded.  With the default cap these instances
+        # (at most 6 candidates, so at most 64 rows) are never bounded and
+        # keep that form; with a cap of 2 the bound cuts rows, and the ids
+        # are carried from the first cut on.  Both must decode the
+        # oracle's winner.
+        if cap is not None:
+            monkeypatch.setattr(scheduler, "_FRONTIER_CAP", cap)
+        cuts = []
+        bound = scheduler._bound
+
+        def spy(kernel, n, rows, *a):
+            keep, m = bound(kernel, n, rows, *a)
+            cuts.append(len(rows) - int(keep.sum()))
+            return keep, m
+
+        monkeypatch.setattr(scheduler, "_bound", spy)
+        rng = np.random.default_rng(96)
+        for n in range(300):
+            L = int(rng.integers(1, 7)) if cap is None else int(rng.integers(4, 10))
+            ctx = random_context(rng, dup_model, L, loose=n % 2 == 0, ties=True)
+            got = bnb_search(ctx, dup_model)
+            want = exhaustive_oracle(ctx, dup_model)
+            assert (got.seq, got.mse) == (want.seq, want.mse), n
+        if cap is None:
+            assert not cuts
+        else:
+            assert sum(c > 0 for c in cuts) > 100, cuts
 
     def test_reports_the_winner_through_sequence_mse(self, dup_model):
         # The search ranks by <M, P> + c but reports the winner's MSE and
