@@ -7,11 +7,11 @@ the input block with ``_input_block``, and calls ``_discretize`` (Phi and
 Qd), ``_input_integral`` (the zero-order-hold input matrix) and
 ``_noise_factor`` (a factor of Qd) per length.  Lengths add, so
 ``_compose`` builds (Phi, Qd) over a sum of lengths from the pairs over
-its parts, for ``_discretize``'s substeps and for
-``SystemModel.compose``.  These kernels check nothing but the length
-(``_length``).  Each exponential is of a block matrix scaled by the
-length, so a singular state matrix A is supported everywhere and a zero
-length gives exactly I or zeros.  No kernel writes into its arguments.
+its parts, for ``_discretize``'s substeps.  These kernels check nothing
+but the length (``_length``).  Each exponential is of a block matrix
+scaled by the length, so a singular state matrix A is supported
+everywhere and a zero length gives exactly I or zeros.  No kernel writes
+into its arguments.
 
 The exponential is owned here, as ``_expm``: scaling and squaring over
 the [m/m] Pade approximants of N. J. Higham, "The scaling and squaring

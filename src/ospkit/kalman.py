@@ -68,6 +68,20 @@ def _cycle_index(name: str, k) -> None:
         raise DomainError(f"{name} must be an integer >= 1, got {k!r}")
 
 
+def _observer_id(n, N: int | None = None) -> None:
+    """The one check of an observer id n: an integer >= 0, not a bool
+    (numpy integers pass), and < N when the observer count N is given;
+    DomainError otherwise.  A plain int skips the ``numbers.Integral``
+    test, which costs far more."""
+    if (type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral))
+            or n < 0):
+        raise DomainError(f"candidate observer ids must be integers >= 0, got {n!r}")
+    if N is not None and n >= N:
+        raise DomainError(
+            f"candidate observer ids must be < {N}, the model's observer count, got {n}"
+        )
+
+
 def first_obs_timestamp(T: float, T_n: float, k: int) -> float | None:
     """Timestamp of observer's first observation in decision cycle k (>= 1).
 
@@ -120,8 +134,8 @@ def cycle_candidates(model: SystemModel, k: int, airtimes) -> list[Candidate]:
 
 def predict_cov(model: SystemModel, P: np.ndarray, t_i: float, t_j: float) -> np.ndarray:
     """A posteriori -> a priori: Phi P Phi^T + Q over [t_i, t_j], symmetrized,
-    with the (Phi, Qd) that ``model.discretize(t_j - t_i)`` holds for the
-    length, composed or not.
+    with the (Phi, Qd) of ``model.discretize(t_j - t_i)``, the length's
+    exponential.
 
     A zero-length interval returns ``P`` itself: for a symmetric P, as
     every anchor (``model.check_covariance``) and every operator result
@@ -183,10 +197,12 @@ def g_step(
     the update with the given observer's row.
 
     The search's covariance step, so it checks nothing itself: the
-    interval is checked by ``model.discretize`` when it is not held, and
+    interval is checked by ``model.discretize`` when it is not cached, and
     the row and variance were checked by ``SystemModel``, which stores
-    them; the update runs the kernel ``_update`` directly.  It has the
-    bits of ``update_estimate``'s posterior after ``predict_cov``."""
+    them; the update runs the kernel ``_update`` directly.  It does not
+    check the observer id either: the callers did (``sequence_mse``,
+    ``scheduler.CycleContext`` and ``scheduler._check_instance``).  It has
+    the bits of ``update_estimate``'s posterior after ``predict_cov``."""
     prior = predict_cov(model, P, t_i, t_j)
     return _update(prior, model.obs_row(observer), model.obs_var(observer))[0]
 
@@ -207,8 +223,13 @@ def sequence_mse(
     ``t0`` for the empty sequence).  Timestamps must be non-decreasing
     along the sequence and lie in [t0, kT]; simultaneous observations from
     distinct observers are allowed (zero-length predict between updates).
-    Only ``.observer`` and ``.timestamp`` of each element are read.
+    Only ``.observer`` and ``.timestamp`` of each element are read.  An
+    observer id that is not an integer >= 0 and < N, for the model's N
+    observers, raises DomainError (``_observer_id``).
     """
+    seq = tuple(seq)  # read twice: by the check, then by the chain
+    for obs in seq:
+        _observer_id(obs.observer, model.n_observers)
     boundary, cov = _sequence_boundary(model, P0, t0, seq, kT)
     return float(boundary.trace()), cov
 

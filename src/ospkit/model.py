@@ -69,14 +69,14 @@ class SystemModel:
     ``input_lambda`` (Lambda), ``boundary_operator`` (M, c), with which
     ``scheduler.RankKernel`` ranks covariances by ``<M, P> + c``, and
     ``noise_factor`` (a factor of Qd), with which ``sim.step_true_state``
-    draws process noise, share one memoized cache entry per length, and
-    ``held`` reads that entry without computing an exponential.  A miss
-    runs the unchecked ``dynamics`` kernels on the A, B and Q checked
-    here.  The cache is the one home of each length's (Phi, Qd), the
-    exponential or what ``compose`` built for ``scheduler.RankKernel``, so
-    every caller reads the same bits for a held length; the boundary pairs
-    the kernel composes stay with its instance.  Each observer's C row
-    and noise variance are stored once, for ``obs_row`` and ``obs_var``.
+    draws process noise, share one memoized cache entry per length.  A
+    miss runs the unchecked ``dynamics`` kernels on the A, B and Q checked
+    here.  The cache is a plain memo: each length's (Phi, Qd) is its
+    exponential, whatever was computed before, so every caller reads the
+    same bits for a length on any model; the boundary pairs
+    ``scheduler.RankKernel`` composes stay with its instance.  Each
+    observer's C row and noise variance are stored once, for ``obs_row``
+    and ``obs_var``.
     """
 
     A: np.ndarray
@@ -178,10 +178,12 @@ class SystemModel:
         The plant is time-invariant, so both depend only on dt.  A miss
         runs ``dynamics._discretize`` on the Van Loan block the model built
         once from its checked A and Q: it costs the check of dt, one
-        exponential and its substeps.
-        The cache keeps the ``DISC_CACHE_SIZE`` lengths added last; a full
-        cache evicts the one added first, with the ``input_lambda``,
-        ``boundary_operator`` and ``noise_factor`` values computed for it.
+        exponential and its substeps.  Every cached pair is that
+        exponential's, so the bits returned for dt never depend on what the
+        model computed before.  The cache keeps the ``DISC_CACHE_SIZE``
+        lengths added last; a full cache evicts the one added first, with
+        the ``input_lambda``, ``boundary_operator`` and ``noise_factor``
+        values computed for it.
         A negative or non-finite dt is never cached: ``dynamics._length``
         raises OrderingError or DomainError for it before the exponential,
         the one interval check for the callers passing dt = t - s.  The
@@ -189,45 +191,11 @@ class SystemModel:
         """
         entry = self._disc_cache.get(dt)
         if entry is None:
-            entry = self._add(dt, dynamics._discretize(self._van_loan, dt))
+            disc = dynamics._discretize(self._van_loan, dt)
+            if len(self._disc_cache) >= DISC_CACHE_SIZE:
+                del self._disc_cache[next(iter(self._disc_cache))]
+            self._disc_cache[dt] = entry = [disc, None, None, None]
         return entry[0]
-
-    def compose(self, dt: float, a: float, b: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """(Phi, Qd) over the length dt = a + b from the held pairs over a
-        and then b (``dynamics._compose``; lengths add), held from then on
-        as the length's one (Phi, Qd) instead of its exponential; None,
-        adding nothing, when a part is not held.  dt is the caller's own
-        length, not the float a + b; a held dt is returned as it is.  dt
-        is checked and cached as ``discretize`` checks and caches it."""
-        dynamics._length("compose", dt)
-        held = self.held(dt)
-        if held is not None:
-            return held
-        first, then = self.held(a), self.held(b)
-        if first is None or then is None:
-            return None
-        Phi, Qd = dynamics._compose(first, then)
-        return self._add(dt, (Phi, dynamics.symmetrize(Qd)))[0]
-
-    def held(self, dt: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """(Phi, Qd) over length dt when the cache holds it, else None.
-
-        Read-only: it never computes, checks, adds or evicts an entry.
-        ``scheduler.RankKernel`` asks it before it composes a step or a
-        boundary pair, so that it composes only where ``discretize`` or
-        ``boundary_operator`` would miss.
-        """
-        entry = self._disc_cache.get(dt)
-        return None if entry is None else entry[0]
-
-    def _add(self, dt: float, disc: tuple) -> list:
-        """Hold ``disc`` = (Phi, Qd) as the new entry of length dt, evicting
-        the entry added first when the cache is full."""
-        entry = [disc, None, None, None]
-        if len(self._disc_cache) >= DISC_CACHE_SIZE:
-            del self._disc_cache[next(iter(self._disc_cache))]
-        self._disc_cache[dt] = entry
-        return entry
 
     def input_lambda(self, dt: float) -> np.ndarray:
         """ZOH input matrix Lambda = (int_0^dt e^{A tau} dtau) B over length
@@ -241,7 +209,7 @@ class SystemModel:
 
     def boundary_operator(self, dt: float) -> tuple[np.ndarray, float]:
         """Boundary pair (M, c) = (Phi^T Phi, trace Qd) over length dt,
-        memoized with ``discretize``; a held length's pair costs no
+        memoized with ``discretize``; a cached length's pair costs no
         exponential.
 
         For a symmetric P, ``np.vdot(M, P) + c`` is the trace of

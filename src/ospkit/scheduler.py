@@ -29,15 +29,14 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, NumericError, OrderingError
 from .kalman import (
-    Candidate, _cycle_index, _predict, _sequence_boundary, _stacked_predictor, _update,
-    _update_rows, g_step, predict_cov,
+    Candidate, _cycle_index, _observer_id, _predict, _sequence_boundary, _stacked_predictor,
+    _update, _update_rows, g_step, predict_cov,
 )
 from .model import SystemModel, check_period
 
@@ -146,10 +145,7 @@ class CycleContext:
     def __post_init__(self):
         cands = _as_candidates(self.candidates)
         for c in cands:  # before the sort, which compares the ids
-            n = c.observer  # a plain int skips the numbers.Integral test
-            if (type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral))
-                    or n < 0):
-                raise DomainError(f"candidate observer ids must be integers >= 0, got {n!r}")
+            _observer_id(c.observer)
             if not math.isfinite(c.timestamp):
                 raise DomainError(f"candidate timestamps must be finite, got {c.timestamp}")
             if not 0.0 < c.airtime < math.inf:
@@ -236,11 +232,8 @@ def _check_instance(ctx: CycleContext, model: SystemModel) -> None:
     for the model's S states; ``CycleContext`` checked that the ids are
     integers >= 0 and that ``prior_cov`` is square.  ``RankKernel`` and
     ``_evaluate``, through which every policy reads the model, call it."""
-    if ctx.observers and max(ctx.observers) >= model.n_observers:
-        raise DomainError(
-            f"candidate observer ids must be < {model.n_observers}, the model's "
-            f"observer count, got {max(ctx.observers)}"
-        )
+    if ctx.observers:
+        _observer_id(max(ctx.observers), model.n_observers)
     S, n = model.n_states, len(ctx.prior_cov)
     if n != S:
         raise DimensionError(
@@ -293,24 +286,17 @@ class RankKernel:
     ``g_step``, looked up by its module-level name at each call, which
     reads the step's (Phi, Qd) from the model.
 
-    Where the model does not hold a length, the kernel builds its operator
-    from held ones, since lengths add, instead of paying an exponential:
-
-    - a far step i -> j, j > i + 1 (the anchor counts as index -1), from
-      the steps i -> j-1 and j-1 -> j, by ``model.compose``, so the model
-      holds it from then on; the step i -> j-1 is composed first when it
-      is far and not held;
-    - a follower's pair, when the model does not hold its length, from the
-      next follower's pair and the step between them, just held:
-      ``M_j = Phi^T M_{j+1} Phi`` and ``c_j = <M_{j+1}, Qd> + c_{j+1}``;
-      equal timestamps share one pair.
-
-    Every other pair, the last follower's and the anchor's among them, is
-    ``model.boundary_operator``'s, so no instance pays more exponentials
-    than without the kernel.  Every step reads the model's operator for its
-    length, so a chain has the bits of ``kalman.sequence_mse``'s running
-    covariance on the same model while the model holds the chain's
-    lengths.  Ranks agree with the trace of ``predict_cov`` to rounding.
+    Only the anchor's pair and the pair at the last follower timestamp
+    are ``model.boundary_operator``'s.  Every other follower's pair is
+    composed, since lengths add, from the next follower's pair and the
+    step between them, which the kernel holds:
+    ``M_j = Phi^T M_{j+1} Phi`` and ``c_j = <M_{j+1}, Qd> + c_{j+1}``;
+    equal timestamps share one pair.  So the pairs cost at most two
+    exponentials, and they depend on the instance alone, not on what the
+    model computed before.  Every step of a chain, a far one that skips
+    candidates included, is the model's exponential for its length, so a
+    chain has the bits of ``kalman.sequence_mse``'s running covariance on
+    any model.  Ranks agree with the trace of ``predict_cov`` to rounding.
     """
 
     def __init__(self, ctx: CycleContext, model: SystemModel):
@@ -321,7 +307,7 @@ class RankKernel:
         self.fol = fol = [i for i in range(ctx.L) if max(off[i], 0.0) + air[i] < B]
         steps, i = [], self.anchor
         for j in fol:
-            dt = self._hold(i, j)
+            dt = ts[j] - ts[i]
             steps.append(model.discretize(dt) if dt else None)
             i = j
         self.first = steps[0] if steps else None
@@ -332,7 +318,7 @@ class RankKernel:
             k = fol[n]
             t = ts[k]
             if t != t_next:  # equal timestamps share one pair
-                if t_next is None or model.held(kT - t) is not None:
+                if t_next is None:
                     pair = model.boundary_operator(kT - t)
                 else:  # steps[n + 1] holds the length t_next - t > 0
                     (Phi, Qd), (M, c) = steps[n + 1], pair
@@ -345,9 +331,8 @@ class RankKernel:
         model, ts, obs = self.model, self.times, self.ctx.observers
         t, out = ts[i], []
         for j in seq:
-            self._hold(i, j)
             cov = g_step(model, cov, t, ts[j], obs[j])
-            t, i = ts[j], j
+            t = ts[j]
             out.append(cov)
         return out
 
@@ -361,23 +346,6 @@ class RankKernel:
         """``rank`` of each row of a stack of flattened covariances held at j."""
         M, c = self._pairs[j]
         return rows.dot(M.ravel()) + c
-
-    def _hold(self, i: int, j: int) -> float:
-        """The length dt of the step i -> j, after asking the model to
-        compose it (``_compose``) when dt > 0 and the model does not hold it."""
-        dt = self.times[j] - self.times[i]
-        if dt and self.model.held(dt) is None:
-            self._compose(i, j, dt)
-        return dt
-
-    def _compose(self, i: int, j: int, dt: float) -> None:
-        """Ask the model to compose the step i -> j, of a length dt > 0 it
-        does not hold, when the step is far: each step i -> h, h up to j,
-        from the steps i -> h-1 and h-1 -> h, in time order.  Where a part
-        is missing, ``discretize`` pays the exponential."""
-        ts, compose = self.times, self.model.compose
-        for h in range((-1 if i == self.anchor else i) + 2, j + 1):
-            compose(ts[h] - ts[i], ts[h - 1] - ts[i], ts[h] - ts[h - 1])
 
 
 def _tie_edge(m: float) -> float:
@@ -463,7 +431,7 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     winner is reported from its own chain from the anchor
     (``RankKernel.chain``), as the trace of ``predict_cov`` to kT: its
     ``mse`` and ``running_cov`` equal ``kalman.sequence_mse`` of its
-    ``seq`` on the same model bit for bit.  The empty row and the first
+    ``seq`` bit for bit, on any model.  The empty row and the first
     follower's row already have those bits and are reported without a
     second chain.  ``nodes_visited`` counts the non-empty rows created:
     every schedulable non-empty sequence, less the descendants of the rows
@@ -477,8 +445,9 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     it against the model, finds the root followers, holds the step
     between consecutive ones and fills every boundary pair, so a cold
     loose instance pays L + 2 exponentials: anchor -> 0, the L - 1
-    adjacent steps, the last candidate's pair and the anchor's.  The
-    winner's far steps are composed from the adjacent ones (``chain``).
+    adjacent steps, the last candidate's pair and the anchor's.  A far
+    step of the winner's chain, one that skips a root follower, costs one
+    more exponential per length, as it does in ``kalman.sequence_mse``.
     """
     if ctx.budget <= 0.0:
         return harvest_none(ctx, model)

@@ -250,8 +250,8 @@ class TestCovarianceOperators:
     def test_g_step_bits_match_the_reference_step(self, S):
         # The kernel multiplies with ndarray.dot and skips the checks; its
         # bits are those of the @ / np.outer step, for zero and non-zero
-        # lengths, with the model's exponential (Phi, Qd) and with one the
-        # model composed from two lengths, as the search's kernel asks it.
+        # lengths and for a far length t_k - t_i, the sum of two lengths
+        # the model already holds, which is its own exponential.
         rng = np.random.default_rng(2000 + S)
         model, P = random_plant(rng, S)
         for _ in range(40):
@@ -264,11 +264,9 @@ class TestCovarianceOperators:
             a = float(rng.uniform(1e-4, 0.3))
             model.discretize(a), model.discretize(dt)
             t_k = t_i + a + dt
-            Phi, Qd = dynamics._compose(model.held(a), model.held(dt))
-            composed = model.compose(t_k - t_i, a, dt)
-            assert model.held(t_k - t_i) is composed
-            assert composed[0].tobytes() == Phi.tobytes()
-            assert composed[1].tobytes() == symmetrize(Qd).tobytes()
+            Phi, Qd = model.discretize(t_k - t_i)
+            want_Phi, want_Qd = dynamics._discretize(model._van_loan, t_k - t_i)
+            assert Phi.tobytes() == want_Phi.tobytes() and Qd.tobytes() == want_Qd.tobytes()
             got = g_step(model, P, t_i, t_k, n)
             want = reference_g_step(model, P, t_i, t_k, n)
             assert got.tobytes() == want.tobytes()
@@ -311,6 +309,14 @@ class TestSequenceMse:
         mse, _ = sequence_mse(model, np.eye(3), 0.0, seq, 0.01)
         assert np.isfinite(mse) and mse > 0.0
 
+    def test_an_iterator_scores_as_its_list(self):
+        # The observer check reads the sequence before the chain does.
+        model = make_model(C_MIX, np.diag([1e-2] * 6), (T3,) * 6)
+        seq = [Candidate(0.002, 1e-3, 0), Candidate(0.004, 1e-3, 1)]
+        want = sequence_mse(model, np.eye(3), 0.0, seq, T3)
+        got = sequence_mse(model, np.eye(3), 0.0, iter(seq), T3)
+        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
     def test_prefix_reuse_matches_from_scratch(self):
         model = make_model(C_MIX, np.diag([1e-2, 1.0] * 3), (T3,) * 6)
         rng = np.random.default_rng(41)
@@ -344,6 +350,17 @@ class TestSequenceMse:
         seq = [Candidate(0.006, 1e-3, 0), Candidate(0.002, 1e-3, 1)]
         with pytest.raises(OrderingError):
             sequence_mse(model, np.eye(3), 0.0, seq, 0.01)
+
+    @pytest.mark.parametrize(
+        "observer", [-1, True, 6, 1.5], ids=["negative", "bool", "past-the-count", "float"]
+    )
+    def test_rejects_an_observer_id_the_model_lacks(self, observer):
+        # Blackout has six observers; a negative id or a bool would index a
+        # real observer's row and be scored silently.
+        model = parse_config_dict(preset_config("blackout-6of6-100000")).model
+        seq = [Candidate(0.0, 1e-4, 0), Candidate(model.T / 2, 1e-4, observer)]
+        with pytest.raises(DomainError, match="candidate observer ids must be"):
+            sequence_mse(model, np.eye(model.n_states), 0.0, seq, model.T)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -105,28 +105,16 @@ class TestDiscretize:
             return expm(M, norm)
 
         monkeypatch.setattr(dynamics, "_expm", counted_expm)
-        model.discretize(dt)
+        pair = model.discretize(dt)
         assert len(calls) == 1
-        model.discretize(dt)
+        assert model.discretize(dt) is pair
         model.boundary_operator(dt)
-        assert len(calls) == 1
+        assert len(calls) == 1 and list(model._disc_cache) == [dt]
 
     def test_zero_length_is_exact(self, model):
         Phi, Qd = model.discretize(0.0)
         assert np.array_equal(Phi, np.eye(3)) and not Qd.any()
         assert not model.input_lambda(0.0).any()
-
-    def test_held_reads_without_computing(self, model, monkeypatch):
-        # held never computes, adds or evicts: None until discretize has
-        # computed the length, then discretize's own pair.
-        misses = []
-        kernel = dynamics._discretize
-        monkeypatch.setattr(dynamics, "_discretize", lambda *a: misses.append(1) or kernel(*a))
-        assert model.held(1e-3) is None
-        assert not model._disc_cache and not misses
-        pair = model.discretize(1e-3)
-        assert model.held(1e-3) is pair and len(misses) == 1
-        assert model.held(2e-3) is None and list(model._disc_cache) == [1e-3]
 
     def test_cache_is_not_an_init_field(self, model):
         with pytest.raises(TypeError):
@@ -164,60 +152,6 @@ class TestDiscretize:
         cfg = preset_run(tmp_path, "unconstrained")
         run_simulation(cfg.model, cfg.channel, "none", 1600, initial_cov=cfg.initial_cov())
         assert 0 < len(cfg.model._disc_cache) <= 32
-
-
-class TestCompose:
-    """A composed length is the model's one (Phi, Qd) for that length."""
-
-    def test_needs_both_parts_held(self, model):
-        model.discretize(1e-3)
-        for a, b in ((1e-3, 2e-3), (2e-3, 1e-3), (2e-3, 4e-3)):
-            assert model.compose(a + b, a, b) is None
-        assert list(model._disc_cache) == [1e-3]
-
-    def test_composed_entry_is_the_length_s_operator(self, model, monkeypatch):
-        a, b = 1e-3, 2.5e-3
-        first, then = model.discretize(a), model.discretize(b)
-        misses = []
-        kernel = dynamics._discretize
-        monkeypatch.setattr(dynamics, "_discretize", lambda *x: misses.append(1) or kernel(*x))
-        dt = 3.5e-3
-        got = model.compose(dt, a, b)
-        Phi, Qd = dynamics._compose(first, then)
-        assert got[0].tobytes() == Phi.tobytes()
-        assert got[1].tobytes() == dynamics.symmetrize(Qd).tobytes()
-        assert model.discretize(dt) is got and model.held(dt) is got
-        assert model.compose(dt, a, b) is got and model.compose(dt, b, a) is got
-        M, c = model.boundary_operator(dt)
-        assert M.tobytes() == (got[0].T @ got[0]).tobytes() and c == float(np.trace(got[1]))
-        assert model.boundary_operator(dt)[0] is M
-        F = model.noise_factor(dt)
-        assert F.tobytes() == dynamics._noise_factor(got[1]).tobytes()
-        assert not misses and list(model._disc_cache) == [a, b, dt]
-
-    def test_counts_toward_the_cache_size(self):
-        model = scalar_model(a=-3.0, q=0.5)
-        lengths = [(i + 1) * 1e-5 for i in range(DISC_CACHE_SIZE)]
-        for dt in lengths:
-            model.discretize(dt)
-        dt = lengths[1] + lengths[2]
-        assert dt not in model._disc_cache
-        got = model.compose(dt, lengths[1], lengths[2])
-        assert len(model._disc_cache) == DISC_CACHE_SIZE
-        assert lengths[0] not in model._disc_cache
-        assert list(model._disc_cache)[-1] == dt and model.held(dt) is got
-
-    @pytest.mark.parametrize(
-        "dt, error",
-        [(-1e-3, OrderingError), (np.nan, DomainError), (np.inf, DomainError),
-         (-np.inf, DomainError)],
-        ids=["negative", "nan", "inf", "minus-inf"],
-    )
-    def test_bad_length_raises_and_caches_nothing(self, model, dt, error):
-        model.discretize(1e-3)
-        with pytest.raises(error):
-            model.compose(dt, 1e-3, 1e-3)
-        assert list(model._disc_cache) == [1e-3]
 
 
 class TestBoundaryOperator:

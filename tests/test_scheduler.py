@@ -35,33 +35,19 @@ from ospkit.scheduler import (
 )
 
 from conftest import (
-    T3, harvest_closed_form, make_dup_model, make_model, make_search_model, random_context,
-    schedulable_count,
+    T3, harvest_closed_form, make_dup_model, make_mid_model, make_model, make_search_model,
+    mid_context, random_context, schedulable_count,
 )
 
 
-@pytest.fixture()
-def composed(monkeypatch):
-    """The lengths ``SystemModel.compose`` composed, in order, counted by a
-    spy on the method."""
-    lengths = []
-    compose = SystemModel.compose
-
-    def spy(self, dt, a, b):
-        held = self.held(dt)
-        out = compose(self, dt, a, b)
-        if out is not None and held is None:
-            lengths.append(dt)
-        return out
-
-    monkeypatch.setattr(SystemModel, "compose", spy)
-    return lengths
-
-
-def crosses(ctx, seq, lengths) -> bool:
-    """True iff chaining ``seq`` from the anchor steps over one of ``lengths``."""
-    ts = [ctx.t0] + [ctx.timestamps[i] for i in seq]
-    return any(b - a in lengths for a, b in zip(ts, ts[1:]))
+def far_steps(kernel, seq) -> int:
+    """How many steps of ``seq``'s chain from the anchor are far: each skips
+    a root follower across a nonzero gap, so opening the instance did not
+    discretize its length."""
+    pos = {j: n for n, j in enumerate(kernel.fol)}
+    pos[kernel.anchor] = -1
+    ts, chain = kernel.times, (kernel.anchor, *seq)
+    return sum(pos[j] > pos[i] + 1 and ts[j] > ts[i] for i, j in zip(chain, chain[1:]))
 
 
 def ctx_from(offs_airs, actions=(), T=0.01, k=1, n_states=3):
@@ -678,20 +664,17 @@ class TestRankKernel:
     covariance."""
 
     @pytest.mark.parametrize("which", ["search", "dup"])
-    def test_ranks_are_the_predicted_boundary_mse(self, which, composed):
+    def test_ranks_are_the_predicted_boundary_mse(self, which):
         # Along a chain from the anchor, each rank <M_j, P> + c_j is the
         # trace of P predicted to kT, to rounding, the anchor's included;
         # the chain ends on sequence_mse's running covariance, bit for bit,
-        # also when it crossed a step the model composed for the kernel.
+        # also when it crossed a far step.
         model = make_search_model() if which == "search" else make_dup_model()
         rng = np.random.default_rng(97)
-        composed_chains = 0
+        far_chains = 0
         for n in range(60):
             L = int(rng.integers(1, 11))
             ctx = random_context(rng, model, L, loose=n % 2 == 0, ties=which == "dup")
-            # Opening the instance holds the steps between the root
-            # followers, so the kernel can have the model compose the far
-            # steps of a sequence of followers.
             kernel = RankKernel(ctx, model)
             fol = kernel.fol
             size = int(rng.integers(0, len(fol) + 1))
@@ -704,8 +687,8 @@ class TestRankKernel:
             cands = [ctx.candidates[j] for j in seq]
             _, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, cands, ctx.cycle_end)
             assert covs[-1].tobytes() == cov.tobytes(), n
-            composed_chains += crosses(ctx, seq, composed)
-        assert composed_chains > 0
+            far_chains += far_steps(kernel, seq) > 0
+        assert far_chains > 0
 
     @pytest.mark.parametrize("which", ["search", "dup"])
     def test_an_opened_instance_ranks_from_its_table(self, which, monkeypatch):
@@ -735,9 +718,7 @@ class TestRankKernel:
                 ranks = [kernel.rank(cov, j) for j, cov in held]
                 stacked = [kernel.rank_rows(cov.reshape(1, -1), j)[0] for j, cov in held]
             assert not calls, (n, calls)
-            composed_pairs += sum(
-                model.held(ctx.cycle_end - kernel.times[j]) is None for j in fol
-            )
+            composed_pairs += sum(kernel.times[j] != kernel.times[fol[-1]] for j in fol)
             for (j, cov), got, row in zip(held, ranks, stacked):
                 want = float(np.trace(predict_cov(model, cov, kernel.times[j], ctx.cycle_end)))
                 assert got == pytest.approx(want, rel=1e-12, abs=0), (n, j)
@@ -747,9 +728,10 @@ class TestRankKernel:
     @pytest.mark.parametrize("L", [8, 12])
     def test_cold_loose_instance_pays_L_plus_2_exponentials(self, L, monkeypatch):
         # anchor -> 0, the L - 1 adjacent steps, the last candidate's
-        # boundary pair and the anchor's length T; every far step and every
-        # other pair is composed.  Paying one exponential per length took
-        # 25 and 37 here.
+        # boundary pair and the anchor's length T; every other pair is
+        # composed, and the winner takes every candidate, so its chain has
+        # no far step.  Paying one exponential per length took 25 and 37
+        # here.
         misses = []
         kernel = dynamics._discretize
         monkeypatch.setattr(dynamics, "_discretize", lambda *a: misses.append(1) or kernel(*a))
@@ -762,37 +744,54 @@ class TestRankKernel:
             assert got.seq == tuple(range(L))
             assert len(misses) <= L + 2, len(misses)
 
-    def test_composed_chains_agree_and_winners_keep_their_bits(self, composed):
-        # On one model shared by many instances, as in a run, the kernel
-        # has the model compose steps it does not hold, and the model keeps
-        # them.  So a chain through a composed step has sequence_mse's
-        # bits, and a winner whose chain crossed one is reported from its
-        # own chain with sequence_mse's bits, and the oracle's.
-        model = make_search_model()
-        rng = np.random.default_rng(99)
-        composed_chains = composed_winners = 0
-        for n in range(120):
-            ctx = random_context(rng, model, int(rng.integers(2, 11)), loose=n % 2 == 0)
+    def test_winners_have_sequence_mse_bits_on_a_fresh_model(self):
+        # On one model shared by many instances, as in a run, every
+        # winner's mse and running covariance are sequence_mse's on a model
+        # that has computed nothing before, bit for bit, also when the
+        # winner's chain crosses a far step; the oracle agrees.
+        model = make_mid_model()
+        rng = np.random.default_rng(102)
+        far_winners = 0
+        for n in range(60):
+            ctx = mid_context(rng, model, int(rng.integers(4, 11)))
             got = bnb_search(ctx, model)
             cands = [ctx.candidates[i] for i in got.seq]
-            mse, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, cands, ctx.cycle_end)
+            mse, cov = sequence_mse(make_mid_model(), ctx.prior_cov, ctx.t0, cands, ctx.cycle_end)
             assert got.mse == mse and got.running_cov.tobytes() == cov.tobytes(), n
             assert (got.seq, got.mse) == (exhaustive_oracle(ctx, model).seq, mse), n
-            composed_winners += crosses(ctx, got.seq, composed)
-            kernel = RankKernel(ctx, model)
-            fol = kernel.fol
-            if not fol:
-                continue
-            size = int(rng.integers(1, len(fol) + 1))
-            seq = tuple(sorted(rng.choice(fol, size=size, replace=False).tolist()))
-            chained = kernel.chain(ctx.prior_cov, kernel.anchor, seq)[-1]
-            cands = [ctx.candidates[i] for i in seq]
-            mse, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, cands, ctx.cycle_end)
-            assert chained.tobytes() == cov.tobytes(), n
-            assert kernel.rank(chained, seq[-1]) == pytest.approx(mse, rel=1e-12, abs=0)
-            composed_chains += crosses(ctx, seq, composed)
-        assert composed_chains > 10 and composed_winners > 0, (
-            composed_chains, composed_winners)
+            far_winners += far_steps(RankKernel(ctx, model), got.seq) > 0
+        assert far_winners > 10, far_winners
+
+    def test_pairs_do_not_depend_on_what_the_model_computed(self):
+        # An instance opens with the same pairs, byte for byte, on a fresh
+        # model and on one that has just searched it: the search's winner
+        # chain and boundary prediction leave lengths in the cache, and no
+        # pair may read them.
+        model = make_mid_model()
+        rng = np.random.default_rng(103)
+        for n in range(60):
+            ctx = mid_context(rng, model, int(rng.integers(4, 17)))
+            fresh = RankKernel(ctx, make_mid_model())._pairs
+            bnb_search(ctx, model)
+            again = RankKernel(ctx, model)._pairs
+            for j, (a, b) in enumerate(zip(fresh, again)):
+                assert (a is None) == (b is None), (n, j)
+                if a is not None:
+                    assert a[0].tobytes() == b[0].tobytes() and a[1] == b[1], (n, j)
+
+    def test_greedy_does_not_depend_on_what_the_model_computed(self):
+        # The oracle chains every schedulable subset, far steps included;
+        # greedy_search after it on the same model returns what it returns
+        # on a fresh model, bit for bit.
+        model = make_mid_model()
+        rng = np.random.default_rng(104)
+        for n in range(60):
+            ctx = mid_context(rng, model, int(rng.integers(4, 11)))
+            exhaustive_oracle(ctx, model)
+            got, want = greedy_search(ctx, model), greedy_search(ctx, make_mid_model())
+            assert (got.seq, got.mse) == (want.seq, want.mse), n
+            assert got.running_cov.tobytes() == want.running_cov.tobytes(), n
+            assert got.boundary_cov.tobytes() == want.boundary_cov.tobytes(), n
 
     def test_oracle_scores_only_its_winner(self, search_model, monkeypatch):
         # The oracle chains and ranks every schedulable subset through the
