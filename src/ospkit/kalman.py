@@ -94,6 +94,12 @@ def first_obs_timestamp(T: float, T_n: float, k: int) -> float | None:
     if not (0.0 < T < math.inf and 0.0 < T_n < math.inf):
         raise DomainError(f"periods must be finite and > 0, got T={T}, T_n={T_n}")
     _cycle_index("cycle index", k)
+    return _first_obs(T, T_n, k)
+
+
+def _first_obs(T: float, T_n: float, k: int) -> float | None:
+    """``first_obs_timestamp``'s arithmetic on periods and a cycle index
+    that the caller checked; it checks nothing."""
     if abs(T_n - T) <= _GRID_EPS * T:
         return (k - 1) * T
     if T_n < T:
@@ -119,14 +125,18 @@ def _snap_to_boundary(t: float, T: float) -> float:
 def cycle_candidates(model: SystemModel, k: int, airtimes) -> list[Candidate]:
     """Cycle k's candidates, one per observer with an observation in it,
     observer n with airtime ``airtimes[n]``; unordered (``CycleContext`` orders them).
-    ``airtimes`` needs one entry per observer, or DimensionError is raised."""
+    ``airtimes`` needs one entry per observer, or DimensionError is raised.
+    k is checked once (``_cycle_index``), and each timestamp is
+    ``first_obs_timestamp``'s, from its unchecked kernel ``_first_obs``:
+    ``SystemModel`` checked T and the periods."""
     if len(airtimes) != model.n_observers:
         raise DimensionError(
             f"need one airtime per observer ({model.n_observers}), got {len(airtimes)}"
         )
-    out = []
+    _cycle_index("cycle index", k)
+    T, out = model.T, []
     for n, T_n in enumerate(model.observer_periods):
-        t = first_obs_timestamp(model.T, T_n, k)
+        t = _first_obs(T, T_n, k)
         if t is not None:
             out.append(Candidate(t, float(airtimes[n]), n))
     return out

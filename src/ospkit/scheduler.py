@@ -301,9 +301,9 @@ class RankKernel:
 
     def __init__(self, ctx: CycleContext, model: SystemModel):
         _check_instance(ctx, model)
-        self.ctx, self.model, self.kT, self.anchor = ctx, model, ctx.cycle_end, ctx.L
+        self.ctx, self.model, self.anchor = ctx, model, ctx.L
         self.times = ts = ctx.timestamps + (ctx.t0,)
-        B, off, air, kT = ctx.budget, ctx.offsets, ctx.airtimes, self.kT
+        B, off, air, kT = ctx.budget, ctx.offsets, ctx.airtimes, ctx.cycle_end
         self.fol = fol = [i for i in range(ctx.L) if max(off[i], 0.0) + air[i] < B]
         steps, i = [], self.anchor
         for j in fol:

@@ -3,10 +3,11 @@
 Each decision cycle: draw airtimes, build the candidate table, compute the
 harvesting budget and run the selected policy.  Then one walk in time
 order over the candidate timestamps and the cycle end: the true state
-steps to each with sampled process noise, and at each chosen candidate an
-observation value is synthesized from the state just reached and fused
-into the executive's estimate at once.  The estimate is then predicted to
-the cycle end, and predicted versus realized error is logged there.
+steps to each new one with sampled process noise, and at each chosen
+candidate an observation value is synthesized from the state just reached
+and fused into the executive's estimate at once.  The estimate is then
+predicted to the cycle end, and predicted versus realized error is logged
+there.
 
 Separate RNG streams are used for process noise, observation noise, and
 the channel, so two policies run on the same seed experience the same
@@ -59,8 +60,10 @@ class ChannelConfig:
     seed: int = 0
     trace: tuple[tuple[float, ...], ...] | None = None
     # (lo, hi - lo) of the observer bounds, then of the action bounds, as
-    # two arrays, for sample_airtimes.
+    # two arrays, and the seed's 32-bit words (``_words``), for
+    # sample_airtimes.
     _bounds: tuple = field(init=False, repr=False, compare=False)
+    _seed_words: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
@@ -88,15 +91,30 @@ class ChannelConfig:
                 )
         lo, hi = np.array([*self.obs_airtime, *self.action_airtime], dtype=float).reshape(-1, 2).T
         object.__setattr__(self, "_bounds", (lo, hi - lo))
+        object.__setattr__(self, "_seed_words", tuple(_words(self.seed)))
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words of an integer n >= 0, least significant first, as
+    ``np.random.SeedSequence`` splits an int of its entropy (0 is one word)."""
+    words = [n & 0xFFFFFFFF]
+    while n > 0xFFFFFFFF:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
 
 
 def sample_airtimes(cfg: ChannelConfig, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Airtimes for cycle k: (per-observer, per-action).
 
-    Deterministic under (seed, k).  With a trace configured, row k-1 is
-    used instead of random draws.  A cycle index that is not an integer
-    >= 1 (a bool included) or is past the trace's last row raises
-    DomainError.
+    Deterministic under (seed, k): the draws are those of
+    ``np.random.default_rng([seed, k, _CHANNEL_TAG])``.  The generator is
+    seeded with the same entropy as a ``np.uint32`` array, the seed's
+    words (kept by the config), k's, then the tag's, which ``SeedSequence``
+    takes as it is instead of splitting each int again.  With a trace
+    configured, row k-1 is used instead of random draws.  A cycle index
+    that is not an integer >= 1 (a bool included) or is past the trace's
+    last row raises DomainError.
     """
     kalman._cycle_index("cycle index", k)
     if cfg.trace is not None and k > len(cfg.trace):
@@ -105,7 +123,9 @@ def sample_airtimes(cfg: ChannelConfig, k: int) -> tuple[np.ndarray, np.ndarray]
     if cfg.trace is not None:
         row = cfg.trace[k - 1]
         return np.asarray(row[:n_obs]), np.asarray(row[n_obs:])
-    rng = np.random.default_rng([cfg.seed, k, _CHANNEL_TAG])
+    rng = np.random.default_rng(
+        np.array((*cfg._seed_words, *_words(k), _CHANNEL_TAG), dtype=np.uint32)
+    )
     # One draw for all entries, scaled as Generator.uniform scales each
     # (lo + (hi - lo) * u), so the bits are those of one uniform call per
     # entry.  Generator.uniform over arrays gives the same bits, but its
@@ -243,6 +263,9 @@ def run_simulation(
     seed see the same trajectory, and at each timestamp of ``ev.seq`` an
     observation value is drawn from the state just reached and fused into
     the estimate; after the walk the estimate is predicted to kT.  A
+    timestamp equal to the last one reached is not stepped to:
+    ``step_true_state`` over a zero length draws no noise and returns the
+    state unchanged, so skipping it changes no bits.  A
     non-finite predicted MSE or squared error raises NumericError; a bad
     run (``decision_cycles`` lists the checks, and ``inputs`` missing a
     cycle, or with a vector of the wrong length or with a non-finite
@@ -290,8 +313,9 @@ def run_simulation(
         # just reached and fused into the estimate (xh, P) held at t_est.
         P, t_est = ctx.prior_cov, ctx.t0
         for i, t in enumerate(ctx.timestamps + (ctx.cycle_end,)):
-            x_true = step_true_state(model, x_true, u, t_true, t, rng_proc)
-            t_true = t
+            if t != t_true:  # a zero-length step draws nothing and moves nothing
+                x_true = step_true_state(model, x_true, u, t_true, t, rng_proc)
+                t_true = t
             if i in ev.seq:  # ascending, so fused in time order
                 n = ctx.observers[i]
                 noise = np.sqrt(model.obs_var(n)) * rng_obs.standard_normal()
@@ -301,7 +325,7 @@ def run_simulation(
                 xh, P = kalman.update_estimate(xh, P, y, model.obs_row(n), model.obs_var(n))
                 t_est = t
         xh = kalman.propagate_estimate(model, xh, u, t_est, ctx.cycle_end)
-        sq_err = float(np.sum((x_true - xh) ** 2))
+        sq_err = float(((x_true - xh) ** 2).sum())
         if not math.isfinite(sq_err):
             raise NumericError(f"cycle {ctx.cycle_index}: squared error is {sq_err}")
 

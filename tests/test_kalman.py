@@ -180,6 +180,25 @@ class TestCycleCandidates:
         with pytest.raises(DimensionError, match=rf"\(6\), got {n}$"):
             cycle_candidates(model, 1, np.full(n, 1e-4))
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_each_timestamp_is_first_obs_timestamps(self, name):
+        # cycle_candidates checks k once and runs first_obs_timestamp's
+        # arithmetic unchecked; rate-fast and rate-slow hold an observer
+        # faster and one slower than the cycle.
+        model = parse_config_dict(preset_config(name)).model
+        airtimes = np.linspace(1e-4, 6e-4, model.n_observers)
+        for k in range(1, 2001):
+            want = [
+                Candidate(t, float(airtimes[n]), n)
+                for n, T_n in enumerate(model.observer_periods)
+                if (t := first_obs_timestamp(model.T, T_n, k)) is not None
+            ]
+            got = cycle_candidates(model, k, airtimes)
+            assert got == want, k
+            assert [np.float64(c.timestamp).tobytes() for c in got] == [
+                np.float64(c.timestamp).tobytes() for c in want
+            ], k
+
     def test_one_candidate_class(self):
         assert kalman.Candidate is scheduler.Candidate is ospkit.Candidate
 

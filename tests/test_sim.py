@@ -28,7 +28,7 @@ from ospkit import (
     selection_stats,
     step_true_state,
 )
-from ospkit import dynamics, kalman
+from ospkit import dynamics, kalman, sim
 from ospkit.cli import run_cli
 from ospkit.config import PRESET_NAMES, parse_config_dict, preset_config
 from ospkit.sim import _CHANNEL_TAG, _OBS_NOISE_TAG, _PROCESS_TAG, CycleLog
@@ -66,6 +66,19 @@ class TestSampleAirtimes:
             want = [rng.uniform(lo, hi) for lo, hi in (*cfg.obs_airtime, *cfg.action_airtime)]
             obs, act = sample_airtimes(cfg, k)
             assert np.concatenate([obs, act]).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 4, 2**32 - 1, 2**32, 2**64 + 3])
+    def test_array_entropy_draws_as_the_seed_list(self, seed):
+        # The generator is seeded from the seed's, k's and the tag's 32-bit
+        # words in one uint32 array.  Seeds and cycle indices of one and of
+        # two or three words: a wrong word order or width changes the draws.
+        cfg = chan(3, 1e-4, 3e-4, actions=((0.0, 1e-3), (2e-3, 4e-3)), seed=seed)
+        for k in (1, 77, 2**32 + 1, np.int64(77)):
+            rng = np.random.default_rng([seed, int(k), _CHANNEL_TAG])
+            want = [rng.uniform(lo, hi) for lo, hi in (*cfg.obs_airtime, *cfg.action_airtime)]
+            obs, act = sample_airtimes(cfg, k)
+            assert obs.tobytes() == np.array(want[:3]).tobytes(), k
+            assert act.tobytes() == np.array(want[3:]).tobytes(), k
 
     def test_bounds_and_mean(self):
         cfg = chan(1, 1e-4, 3e-4, seed=1)
@@ -200,6 +213,19 @@ class TestStepTrueState:
             SystemModel, "noise_factor", lambda self, dt: factor(self.discretize(dt)[1])
         )
         assert run()[1] == cached
+
+    @pytest.mark.parametrize("policy", ["none", "all"])
+    def test_zero_length_steps_are_not_taken(self, policy, monkeypatch):
+        # unconstrained offers its six candidates at the cycle start, where
+        # the true state already is, so each cycle steps once, to its end
+        # (seven steps a cycle, six of zero length, before).
+        cfg = parse_config_dict(preset_config("unconstrained"))
+        calls = []
+        step = sim.step_true_state
+        monkeypatch.setattr(sim, "step_true_state", lambda *a: calls.append(a[3:5]) or step(*a))
+        run_simulation(cfg.model, cfg.channel, policy, 10)
+        assert len(calls) == 10
+        assert all(s < t for s, t in calls)
 
     def test_rate_fast_run_reads_each_length_once_per_step(self, monkeypatch):
         # A noisy step with an input looks its length up through one
@@ -679,7 +705,8 @@ class TestDecisionCycles:
 
 
 @pytest.mark.parametrize(
-    "entry", ["first_obs_timestamp", "sample_airtimes", "CycleContext", "run length"]
+    "entry",
+    ["first_obs_timestamp", "cycle_candidates", "sample_airtimes", "CycleContext", "run length"],
 )
 def test_cycle_index_rule_is_one_rule(entry):
     # Every entry that takes a cycle index, and the run length, rejects a
@@ -689,6 +716,8 @@ def test_cycle_index_rule_is_one_rule(entry):
     name, error, call = {
         "first_obs_timestamp": (
             "index", DomainError, lambda k: first_obs_timestamp(0.01, 0.003, k)),
+        "cycle_candidates": (
+            "index", DomainError, lambda k: cycle_candidates(cfg.model, k, [1e-4])),
         "sample_airtimes": ("index", DomainError, lambda k: sample_airtimes(cfg.channel, k)),
         "CycleContext": (
             "index", DomainError, lambda k: CycleContext((), (), 0.01, k, None, np.eye(3))),
