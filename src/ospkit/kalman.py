@@ -158,12 +158,6 @@ def predict_cov(model: SystemModel, P: np.ndarray, t_i: float, t_j: float) -> np
     return symmetrize(Phi.dot(P).dot(Phi.T) + Qd)
 
 
-def _predict(P: np.ndarray, Phi: np.ndarray, Qd: np.ndarray) -> np.ndarray:
-    """``predict_cov``'s arithmetic with a (Phi, Qd) in hand, unchecked;
-    ``predict_cov`` spells it out to save the call on every predict."""
-    return symmetrize(Phi.dot(P).dot(Phi.T) + Qd)
-
-
 def _update(P: np.ndarray, c: np.ndarray, r: float):
     """The scalar-update kernel: (P - Pc (Pc)^T / e, Pc, e), with Pc = P c
     and innovation variance e = c^T P c + r, for a symmetric float S x S P,
@@ -179,7 +173,7 @@ def _update(P: np.ndarray, c: np.ndarray, r: float):
 # The stacked kernels below step R covariances at once, each flattened to
 # a row of an R x S^2 array.  Their sums run in another order than the 2-D
 # kernels' (the BLAS dot fuses multiply-adds), so their rows agree with
-# ``_predict`` and ``_update`` to rounding, not bit for bit; the search
+# ``predict_cov`` and ``_update`` to rounding, not bit for bit; the search
 # ranks and bounds with them and reports its answer through the 2-D ones.
 
 def _stacked_predictor(Phi: np.ndarray, Qd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,24 +234,22 @@ def sequence_mse(
     seq = tuple(seq)  # read twice: by the check, then by the chain
     for obs in seq:
         _observer_id(obs.observer, model.n_observers)
-    boundary, cov = _sequence_boundary(model, P0, t0, seq, kT)
+    boundary, cov = _sequence_boundary(model, np.asarray(P0, dtype=float), t0, seq, kT)
     return float(boundary.trace()), cov
 
 
 def _sequence_boundary(model, P0, t0, seq, kT) -> tuple[np.ndarray, np.ndarray]:
     """``sequence_mse`` before the trace: (the running covariance predicted
-    to ``kT``, the running covariance).  The first is the covariance at
-    the cycle boundary, which ``sim.decision_cycles`` carries as the next
-    cycle's anchor."""
-    cov = np.asarray(P0, dtype=float)
-    t_prev = t0
+    to ``kT``, the running covariance), for a float array ``P0``, which it
+    does not convert.  The first is the covariance at the cycle boundary,
+    which ``sim.decision_cycles`` carries as the next cycle's anchor."""
+    cov, t_prev = P0, t0
     for obs in seq:
-        if obs.timestamp < t_prev or obs.timestamp > kT:
-            raise OrderingError(
-                f"observation at t={obs.timestamp} outside [{t_prev}, {kT}]"
-            )
-        cov = g_step(model, cov, t_prev, obs.timestamp, obs.observer)
-        t_prev = obs.timestamp
+        t = obs.timestamp
+        if t < t_prev or t > kT:
+            raise OrderingError(f"observation at t={t} outside [{t_prev}, {kT}]")
+        cov = g_step(model, cov, t_prev, t, obs.observer)
+        t_prev = t
     return predict_cov(model, cov, t_prev, kT), cov
 
 

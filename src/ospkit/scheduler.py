@@ -20,8 +20,10 @@ The winner depends on the instance alone, not on the order in which
 sequences are scored: with m the least rank over all schedulable
 sequences, it is the least ``(len(seq), seq)`` among the sequences ranked
 within ``MSE_TIE_RTOL`` of m (``_winner``).  ``bnb_search`` and
-``exhaustive_oracle`` chain and rank with one ``RankKernel`` and pick with
-the same ``_winner``, so they agree by construction.
+``exhaustive_oracle`` rank with one ``RankKernel``'s table of boundary
+pairs and pick with the same ``_winner``, so they agree by construction.
+Every policy's answer is scored in one place, ``_score``, with
+``kalman.sequence_mse``'s arithmetic.
 """
 
 from __future__ import annotations
@@ -35,9 +37,12 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, NumericError, OrderingError
 from .kalman import (
-    Candidate, _cycle_index, _observer_id, _predict, _sequence_boundary, _stacked_predictor,
-    _update, _update_rows, g_step, predict_cov,
+    Candidate, _cycle_index, _observer_id, _sequence_boundary, _stacked_predictor,
+    _update, _update_rows, predict_cov,
 )
+# Not called here; perfbench/test_smoke.py checks that its tracer rebinds
+# scheduler.g_step, so the name stays bound.
+from .kalman import g_step  # noqa: F401
 from .model import SystemModel, check_period
 
 __all__ = [
@@ -251,10 +256,10 @@ def end_of_harvest(seq, ctx: CycleContext) -> float:
     """Cycle-relative time when the last observation of ``seq`` finishes
     transmitting: d <- max(o_j, d) + O_j over the sequence, d = 0 for the
     empty sequence."""
-    d = 0.0
+    d, L = 0.0, ctx.L
     for i in seq:
-        if not 0 <= i < ctx.L:
-            raise DomainError(f"candidate index {i} out of range [0, {ctx.L})")
+        if not 0 <= i < L:
+            raise DomainError(f"candidate index {i} out of range [0, {L})")
         d = _finish(d, ctx, i)
     return d
 
@@ -265,26 +270,23 @@ def is_schedulable(seq, ctx: CycleContext) -> bool:
 
 
 class RankKernel:
-    """The one place where ``bnb_search`` and ``exhaustive_oracle`` step or
-    rank a covariance, and the one step that opens an instance against a
-    model: ``RankKernel(ctx, model)`` checks the instance
-    (``_check_instance``) and fills every pair it ranks with.
+    """The one place where ``bnb_search`` and ``exhaustive_oracle`` rank a
+    covariance, and the one step that opens an instance against a model:
+    ``RankKernel(ctx, model)`` checks the instance (``_check_instance``)
+    and fills every pair it ranks with.
 
     A covariance is held at candidate j's timestamp or, at the spare index
     ``anchor`` (= L), at ``t0``.  Only a root follower, an i with
     ``_finish(0.0, ctx, i) < B``, can be in a schedulable sequence; the
     followers are ``fol``, in time order.  The constructor holds the step
-    from the anchor to the first follower (``first``, a (Phi, Qd), or
-    None for a zero length) and the step from each later follower's
-    predecessor in ``stacked``, as its ``kalman._stacked_predictor`` form
-    (``stacked[0]`` is None: ``bnb_search`` steps the first follower with
-    the 2-D kernels).  It then fills the boundary pair (M_j, c_j) over
-    kT - t_j of the anchor and of each follower, backward over the
-    followers.  ``rank`` reads ``<M_j, P> + c_j``, the boundary MSE of P
-    held at j up to rounding, and ``rank_rows`` the same of each row of a
-    stack of flattened covariances.  ``chain`` steps a covariance with
-    ``g_step``, looked up by its module-level name at each call, which
-    reads the step's (Phi, Qd) from the model.
+    from each follower's predecessor in ``stacked``, as its
+    ``kalman._stacked_predictor`` form, or None for a zero length
+    (``stacked[0]`` is None: ``bnb_search`` steps the prior to the first
+    follower with ``predict_cov``).  It then fills the boundary pair
+    (M_j, c_j) over kT - t_j of the anchor and of each follower, backward
+    over the followers.  ``rank`` reads ``<M_j, P> + c_j``, the boundary
+    MSE of P held at j up to rounding, and ``rank_rows`` the same of each
+    row of a stack of flattened covariances.
 
     Only the anchor's pair and the pair at the last follower timestamp
     are ``model.boundary_operator``'s.  Every other follower's pair is
@@ -293,25 +295,21 @@ class RankKernel:
     ``M_j = Phi^T M_{j+1} Phi`` and ``c_j = <M_{j+1}, Qd> + c_{j+1}``;
     equal timestamps share one pair.  So the pairs cost at most two
     exponentials, and they depend on the instance alone, not on what the
-    model computed before.  Every step of a chain, a far one that skips
-    candidates included, is the model's exponential for its length, so a
-    chain has the bits of ``kalman.sequence_mse``'s running covariance on
-    any model.  Ranks agree with the trace of ``predict_cov`` to rounding.
+    model computed before.  Ranks agree with the trace of ``predict_cov``
+    to rounding.
     """
 
     def __init__(self, ctx: CycleContext, model: SystemModel):
         _check_instance(ctx, model)
         self.ctx, self.model, self.anchor = ctx, model, ctx.L
-        self.times = ts = ctx.timestamps + (ctx.t0,)
+        ts = ctx.timestamps
         B, off, air, kT = ctx.budget, ctx.offsets, ctx.airtimes, ctx.cycle_end
         self.fol = fol = [i for i in range(ctx.L) if max(off[i], 0.0) + air[i] < B]
-        steps, i = [], self.anchor
-        for j in fol:
+        steps = [None]  # steps[n]: fol[n - 1] -> fol[n], None for a zero length
+        for i, j in zip(fol, fol[1:]):
             dt = ts[j] - ts[i]
             steps.append(model.discretize(dt) if dt else None)
-            i = j
-        self.first = steps[0] if steps else None
-        self.stacked = [None] + [s and _stacked_predictor(*s) for s in steps[1:]]
+        self.stacked = [s and _stacked_predictor(*s) for s in steps]
         self._pairs = pairs = [None] * (ctx.L + 1)
         pair, t_next = None, None
         for n in range(len(fol) - 1, -1, -1):
@@ -324,17 +322,7 @@ class RankKernel:
                     (Phi, Qd), (M, c) = steps[n + 1], pair
                     pair = (Phi.T @ M @ Phi, float(np.vdot(M, Qd)) + c)
             pairs[k], t_next = pair, t
-        pairs[self.anchor] = model.boundary_operator(kT - ts[self.anchor])
-
-    def chain(self, cov: np.ndarray, i: int, seq) -> list[np.ndarray]:
-        """Running covariances of ``cov``, held at index i, through ``seq``."""
-        model, ts, obs = self.model, self.times, self.ctx.observers
-        t, out = ts[i], []
-        for j in seq:
-            cov = g_step(model, cov, t, ts[j], obs[j])
-            t = ts[j]
-            out.append(cov)
-        return out
+        pairs[self.anchor] = model.boundary_operator(kT - ctx.t0)
 
     def rank(self, cov: np.ndarray, j: int) -> float:
         """``<M_j, cov> + c_j`` of ``cov`` held at j, the anchor or a root
@@ -360,24 +348,42 @@ def _winner(entries):
     ``entries``."""
     if len(entries) == 1:  # no second pass for a single entry
         return entries[0]
-    edge = _tie_edge(min(e[0] for e in entries))
-    return min((e for e in entries if e[0] <= edge), key=lambda e: (len(e[1]), e[1]))
+    edge = _tie_edge(min(entries)[0])
+    return min((len(e[1]), e[1], e) for e in entries if e[0] <= edge)[2]
 
 
-def _evaluate(
-    ctx: CycleContext, model: SystemModel, seq: tuple[int, ...], **diagnostics
+def _score(
+    ctx: CycleContext, model: SystemModel, seq: tuple[int, ...], cov: np.ndarray, done: int,
+    nodes_visited: int = 0, forced_empty: bool = False,
 ) -> ScheduleEvaluation:
-    """Score ``seq`` from scratch: its end of harvest, and its predicted MSE,
-    running covariance and boundary covariance from the cycle's anchor,
-    as ``kalman.sequence_mse`` scores it, after ``_check_instance``."""
-    _check_instance(ctx, model)
+    """The one place a ``ScheduleEvaluation`` is built.  ``cov`` is the
+    running covariance after the first ``done`` elements of ``seq`` (the
+    anchor's ``prior_cov`` when ``done`` is 0); ``kalman._sequence_boundary``
+    steps it through the rest of ``seq`` and predicts it to the cycle end.
+    The result records ``seq``'s end of harvest, the trace of the boundary
+    covariance as its MSE, the running and boundary covariances and the
+    two diagnostics, passed by name and not as ``**kwargs``, which cost a
+    dict per call.  A ``cov`` that ``kalman.g_step`` chained from the
+    anchor has the bits of ``kalman.sequence_mse``'s scoring from scratch.
+    Unchecked: the caller checked the instance against the model."""
+    t = ctx.timestamps[seq[done - 1]] if done else ctx.t0
     boundary, cov = _sequence_boundary(
-        model, ctx.prior_cov, ctx.t0, [ctx.candidates[i] for i in seq], ctx.cycle_end
+        model, cov, t, [ctx.candidates[i] for i in seq[done:]], ctx.cycle_end
     )
     return ScheduleEvaluation(
         seq, end_of_harvest(seq, ctx), float(boundary.trace()), cov,
-        boundary_cov=boundary, **diagnostics,
+        nodes_visited, forced_empty, boundary,
     )
+
+
+def _evaluate(
+    ctx: CycleContext, model: SystemModel, seq: tuple[int, ...],
+    nodes_visited: int = 0, forced_empty: bool = False,
+) -> ScheduleEvaluation:
+    """Score ``seq`` from scratch, after ``_check_instance``: ``_score``
+    from the cycle's anchor, as ``kalman.sequence_mse`` scores it."""
+    _check_instance(ctx, model)
+    return _score(ctx, model, seq, ctx.prior_cov, 0, nodes_visited, forced_empty)
 
 
 def harvest_none(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
@@ -402,9 +408,10 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     with j's row of C and ranked at its creation with j's boundary pair.
     A row that skips j stays in the frontier, so after the last follower
     every schedulable sequence has been a row, unless a bound cut it.  The
-    first follower's step runs the 2-D kernels of ``g_step``; every later
-    step runs the stacked ones, one predict and one masked update over
-    the frontier (``kalman._stacked_predictor``, ``kalman._update_rows``).
+    first follower's step runs the 2-D kernels of ``g_step``
+    (``predict_cov``, ``kalman._update``); every later step runs the
+    stacked ones, one predict and one masked update over the frontier
+    (``kalman._stacked_predictor``, ``kalman._update_rows``).
 
     Once the frontier holds more than ``_FRONTIER_CAP`` rows, a step
     after which two or more followers are left also bounds its rows
@@ -428,12 +435,12 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     The winner is ``_winner`` over the recorded ranks; only the rows that
     tie the least rank are decoded into sequences, through their parents.
     The stacked kernels agree with the 2-D ones only to rounding, so the
-    winner is reported from its own chain from the anchor
-    (``RankKernel.chain``), as the trace of ``predict_cov`` to kT: its
-    ``mse`` and ``running_cov`` equal ``kalman.sequence_mse`` of its
-    ``seq`` bit for bit, on any model.  The empty row and the first
-    follower's row already have those bits and are reported without a
-    second chain.  ``nodes_visited`` counts the non-empty rows created:
+    winner is reported by ``_score`` from a 2-D prefix that the search
+    holds: from the first follower's row when the winner takes ``fol[0]``,
+    which has ``g_step``'s bits and saves a step, and from the prior
+    otherwise.  Its ``mse`` and ``running_cov`` equal
+    ``kalman.sequence_mse`` of its ``seq`` bit for bit, on any model.
+    ``nodes_visited`` counts the non-empty rows created:
     every schedulable non-empty sequence, less the descendants of the rows
     a bound cut.  The bound needs a positive
     semi-definite ``prior_cov``.  ``ospkit schedule`` checks that in full,
@@ -452,14 +459,12 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     if ctx.budget <= 0.0:
         return harvest_none(ctx, model)
     kernel = RankKernel(ctx, model)
-    fol = kernel.fol
-    prior = ctx.prior_cov
+    fol, prior = kernel.fol, ctx.prior_cov
     entries = [(kernel.rank(prior, kernel.anchor), ())]
-    nodes = 0
+    nodes, first = 0, None
     if fol:
         j = fol[0]
-        step = kernel.first
-        skip = prior if step is None else _predict(prior, *step)  # the empty row at t_j
+        skip = predict_cov(model, prior, ctx.t0, ctx.timestamps[j])  # the empty row at t_j
         obs = ctx.observers[j]
         first = _update(skip, model.obs_row(obs), model.obs_var(obs))[0]
         entries.append((kernel.rank(first, j), (j,)))
@@ -467,16 +472,8 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
         if len(fol) > 1:
             nodes += _sweep(kernel, np.concatenate((skip, first)).reshape(2, -1), entries)
     _, seq = _winner(entries)
-    if not seq:
-        cov, t = prior, ctx.t0
-    else:
-        cov = first if seq == (fol[0],) else kernel.chain(prior, kernel.anchor, seq)[-1]
-        t = ctx.timestamps[seq[-1]]
-    boundary = predict_cov(model, cov, t, ctx.cycle_end)
-    return ScheduleEvaluation(
-        seq, end_of_harvest(seq, ctx), float(boundary.trace()), cov,
-        nodes_visited=nodes, boundary_cov=boundary,
-    )
+    cov, done = (first, 1) if seq and seq[0] == fol[0] else (prior, 0)
+    return _score(ctx, model, seq, cov, done, nodes_visited=nodes)
 
 
 def _sweep(kernel: RankKernel, rows: np.ndarray, entries: list) -> int:
@@ -622,17 +619,19 @@ def harvest_all(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
 
 def exhaustive_oracle(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     """Ground truth: enumerate all 2^L subsets, chain each schedulable one
-    from the anchor with the instance's ``RankKernel`` (no pruning, no
-    running-covariance reuse), rank the end of its chain, and return the
-    ``_winner``, scored like every policy's answer.  Guarded to L <= 20.
-    The kernel opens the instance as in ``bnb_search``, so both rank with
+    from the anchor with ``kalman._sequence_boundary`` (no pruning, no
+    running-covariance reuse), rank the end of its chain with the
+    instance's ``RankKernel``, and return the ``_winner``, scored by
+    ``_score`` like every policy's answer.  Guarded to L <= 20.  The
+    kernel opens the instance as in ``bnb_search``, so both rank with
     pairs built the same way."""
     if ctx.L > _ORACLE_MAX_L:
         raise DomainError(f"exhaustive oracle limited to L <= {_ORACLE_MAX_L}")
     if ctx.budget <= 0.0:
         return harvest_none(ctx, model)
     kernel = RankKernel(ctx, model)
-    m = kernel.rank(ctx.prior_cov, kernel.anchor)  # (), schedulable as B > 0
+    prior, cands = ctx.prior_cov, ctx.candidates
+    m = kernel.rank(prior, kernel.anchor)  # (), schedulable as B > 0
     # Each sequence that tied the least rank seen when it was scored;
     # _winner drops those that do not tie the final least rank.
     entries = [(m, ())]
@@ -640,12 +639,12 @@ def exhaustive_oracle(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluati
         for seq in itertools.combinations(range(ctx.L), size):
             if not is_schedulable(seq, ctx):
                 continue
-            covs = kernel.chain(ctx.prior_cov, kernel.anchor, seq)
-            rank = kernel.rank(covs[-1], seq[-1])
+            cov = _sequence_boundary(model, prior, ctx.t0, [cands[i] for i in seq], ctx.cycle_end)[1]
+            rank = kernel.rank(cov, seq[-1])
             if rank <= _tie_edge(m):
                 m = min(m, rank)
                 entries.append((rank, seq))
-    return _evaluate(ctx, model, _winner(entries)[1], nodes_visited=2**ctx.L)
+    return _score(ctx, model, _winner(entries)[1], prior, 0, nodes_visited=2**ctx.L)
 
 
 # Policy name -> decision rule (ctx, model) -> ScheduleEvaluation.  Each entry

@@ -21,6 +21,7 @@ from ospkit import (
     bnb_search,
     end_of_harvest,
     exhaustive_oracle,
+    g_step,
     greedy_search,
     harvesting_budget,
     is_schedulable,
@@ -28,10 +29,10 @@ from ospkit import (
     predict_cov,
     sequence_mse,
 )
-from ospkit import decision_cycles, dynamics, preset_config, scheduler
+from ospkit import decision_cycles, dynamics, kalman, preset_config, scheduler
 from ospkit.config import parse_config_dict
 from ospkit.scheduler import (
-    MSE_TIE_RTOL, RankKernel, _finish, _winner, harvest_all, harvest_none,
+    MSE_TIE_RTOL, RankKernel, _evaluate, _finish, _winner, harvest_all, harvest_none,
 )
 
 from conftest import (
@@ -46,8 +47,41 @@ def far_steps(kernel, seq) -> int:
     discretize its length."""
     pos = {j: n for n, j in enumerate(kernel.fol)}
     pos[kernel.anchor] = -1
-    ts, chain = kernel.times, (kernel.anchor, *seq)
+    ts, chain = held_times(kernel.ctx), (kernel.anchor, *seq)
     return sum(pos[j] > pos[i] + 1 and ts[j] > ts[i] for i, j in zip(chain, chain[1:]))
+
+
+def held_times(ctx) -> tuple[float, ...]:
+    """The time at which a covariance held at each index is held: candidate
+    j's timestamp, and ``t0`` at the spare index L, ``RankKernel``'s
+    anchor."""
+    return ctx.timestamps + (ctx.t0,)
+
+
+def chain(ctx, model, seq) -> list[np.ndarray]:
+    """The running covariances of ``seq``'s chain from the anchor, one
+    ``g_step`` per candidate."""
+    cov, t, out = ctx.prior_cov, ctx.t0, []
+    for j in seq:
+        cov = g_step(model, cov, t, ctx.timestamps[j], ctx.observers[j])
+        t = ctx.timestamps[j]
+        out.append(cov)
+    return out
+
+
+def takes_first_follower(ctx, model, seq) -> bool:
+    """Whether ``seq`` takes the instance's first root follower, so that
+    ``bnb_search`` reports it from that follower's row."""
+    fol = RankKernel(ctx, model).fol
+    return bool(seq) and seq[0] == fol[0]
+
+
+def assert_same_score(got, want, where):
+    """``got`` and ``want`` score one sequence with the same bits in every
+    field that scoring sets."""
+    assert (got.seq, got.mse, got.end_of_harvest) == (want.seq, want.mse, want.end_of_harvest), where
+    assert got.running_cov.tobytes() == want.running_cov.tobytes(), where
+    assert got.boundary_cov.tobytes() == want.boundary_cov.tobytes(), where
 
 
 def ctx_from(offs_airs, actions=(), T=0.01, k=1, n_states=3):
@@ -485,21 +519,20 @@ class TestBound:
     @pytest.mark.parametrize("L", [8, 12])
     def test_sibling_cut_bounds_the_g_steps(self, L, search_model, monkeypatch):
         # The sweep steps its rows with the stacked kernels, and g_step
-        # runs only in the winner's own chain from the anchor: L steps when
-        # the winner is every candidate.  The depth-first search took
-        # L(L+1)/2 + 1 steps here, and 92 and 298 before its sibling cut.
+        # runs only in the winner's report, which starts from the first
+        # follower's row that the search holds: L - 1 steps when the winner
+        # is every candidate (L when the report chained from the anchor).
+        # The depth-first search took L(L+1)/2 + 1 steps here, and 92 and
+        # 298 before its sibling cut.
         calls = []
-        g_step = scheduler.g_step
-        monkeypatch.setattr(
-            scheduler, "g_step", lambda *a: calls.append(1) or g_step(*a)
-        )
+        step = kalman.g_step
+        monkeypatch.setattr(kalman, "g_step", lambda *a: calls.append(1) or step(*a))
         rng = np.random.default_rng(86)
         for _ in range(3):
             ctx = random_context(rng, search_model, L, loose=True)
             calls.clear()
             assert bnb_search(ctx, search_model).seq == tuple(range(L))
-            # The 2-D steps go through scheduler.g_step.
-            assert len(calls) == L, len(calls)
+            assert len(calls) == L - 1, len(calls)
 
     def test_bnb_matches_exhaustive_on_large_ties(self, dup_model):
         # The bound cuts rows among runs of tied ones; the search must
@@ -644,6 +677,39 @@ class TestBound:
         else:
             assert sum(c > 0 for c in cuts) > 100, cuts
 
+    @pytest.mark.parametrize("which", ["search", "dup", "mid"])
+    def test_both_report_branches_keep_the_bits_of_a_fresh_score(self, which):
+        # A winner that takes the first follower is reported from that
+        # follower's row, any other winner from the prior.  Either way the
+        # result is _evaluate's from scratch on a model that has computed
+        # nothing before, bit for bit, in every field it scores.
+        make = {"search": make_search_model, "dup": make_dup_model, "mid": make_mid_model}[which]
+        model = make()
+        rng = np.random.default_rng(106)
+        branches = {True: 0, False: 0}
+        for n in range(150):
+            if which == "mid":
+                ctx = mid_context(rng, model, int(rng.integers(4, 11)))
+            else:
+                ctx = random_context(rng, model, int(rng.integers(1, 11)),
+                                     loose=n % 2 == 0, ties=which == "dup")
+            got = bnb_search(ctx, model)
+            assert_same_score(got, _evaluate(ctx, make(), got.seq), n)
+            branches[takes_first_follower(ctx, model, got.seq)] += 1
+        # mid winners always take the first follower; the other pools mix.
+        assert branches[True] > 50, branches
+        assert which == "mid" or branches[False] > 5, branches
+
+    @pytest.mark.parametrize("preset, takes", [("blackout-6of6-100000", False), ("rate-fast", True)])
+    def test_preset_winners_keep_the_bits_of_a_fresh_score(self, preset, takes):
+        # Every blackout-6of6-100000 winner skips the first follower, and
+        # every rate-fast winner takes it: one report branch each.
+        cfg = parse_config_dict(preset_config(preset))
+        fresh = parse_config_dict(preset_config(preset)).model
+        for ctx, got in decision_cycles(cfg.model, cfg.channel, "bnb", cfg.initial_cov(), 100):
+            assert_same_score(got, _evaluate(ctx, fresh, got.seq), ctx.cycle_index)
+            assert takes_first_follower(ctx, cfg.model, got.seq) is takes, ctx.cycle_index
+
     def test_reports_the_winner_through_sequence_mse(self, dup_model):
         # The search ranks by <M, P> + c but reports the winner's MSE and
         # running covariance as sequence_mse scores them, bit for bit.
@@ -660,15 +726,14 @@ class TestBound:
 
 
 class TestRankKernel:
-    """The one place where the search and the oracle step and rank a
-    covariance."""
+    """The one place where the search and the oracle rank a covariance."""
 
     @pytest.mark.parametrize("which", ["search", "dup"])
     def test_ranks_are_the_predicted_boundary_mse(self, which):
-        # Along a chain from the anchor, each rank <M_j, P> + c_j is the
-        # trace of P predicted to kT, to rounding, the anchor's included;
-        # the chain ends on sequence_mse's running covariance, bit for bit,
-        # also when it crossed a far step.
+        # Along a g_step chain from the anchor, each rank <M_j, P> + c_j is
+        # the trace of P predicted to kT, to rounding, the anchor's
+        # included; the chain ends on sequence_mse's running covariance,
+        # bit for bit, also when it crossed a far step.
         model = make_search_model() if which == "search" else make_dup_model()
         rng = np.random.default_rng(97)
         far_chains = 0
@@ -679,7 +744,7 @@ class TestRankKernel:
             fol = kernel.fol
             size = int(rng.integers(0, len(fol) + 1))
             seq = tuple(sorted(rng.choice(fol, size=size, replace=False).tolist()))
-            covs = [ctx.prior_cov, *kernel.chain(ctx.prior_cov, kernel.anchor, seq)]
+            covs = [ctx.prior_cov, *chain(ctx, model, seq)]
             held = [(kernel.anchor, ctx.t0)] + [(j, ctx.candidates[j].timestamp) for j in seq]
             for cov, (j, t) in zip(covs, held):
                 want = float(np.trace(predict_cov(model, cov, t, ctx.cycle_end)))
@@ -708,9 +773,8 @@ class TestRankKernel:
             ctx = random_context(rng, model, int(rng.integers(1, 11)),
                                  loose=n % 2 == 0, ties=which == "dup")
             kernel = RankKernel(ctx, model)
-            fol = kernel.fol
-            covs = kernel.chain(ctx.prior_cov, kernel.anchor, fol)
-            held = [(kernel.anchor, ctx.prior_cov), *zip(fol, covs)]
+            fol, ts = kernel.fol, held_times(ctx)
+            held = [(kernel.anchor, ctx.prior_cov), *zip(fol, chain(ctx, model, fol))]
             with monkeypatch.context() as spy:
                 for name, f in methods.items():
                     spy.setattr(SystemModel, name,
@@ -718,9 +782,9 @@ class TestRankKernel:
                 ranks = [kernel.rank(cov, j) for j, cov in held]
                 stacked = [kernel.rank_rows(cov.reshape(1, -1), j)[0] for j, cov in held]
             assert not calls, (n, calls)
-            composed_pairs += sum(kernel.times[j] != kernel.times[fol[-1]] for j in fol)
+            composed_pairs += sum(ts[j] != ts[fol[-1]] for j in fol)
             for (j, cov), got, row in zip(held, ranks, stacked):
-                want = float(np.trace(predict_cov(model, cov, kernel.times[j], ctx.cycle_end)))
+                want = float(np.trace(predict_cov(model, cov, ts[j], ctx.cycle_end)))
                 assert got == pytest.approx(want, rel=1e-12, abs=0), (n, j)
                 assert row == pytest.approx(want, rel=1e-12, abs=0), (n, j)
         assert composed_pairs > 0
@@ -794,21 +858,26 @@ class TestRankKernel:
             assert got.boundary_cov.tobytes() == want.boundary_cov.tobytes(), n
 
     def test_oracle_scores_only_its_winner(self, search_model, monkeypatch):
-        # The oracle chains and ranks every schedulable subset through the
-        # kernel; it reaches kalman's sequence scoring once, through
-        # _evaluate, to score the winner the way every policy's answer is
-        # scored.
-        calls = []
-        score = scheduler._sequence_boundary
+        # The oracle chains each schedulable non-empty subset once with
+        # kalman's chain and ranks its end with the kernel; it builds one
+        # ScheduleEvaluation, through _score, for its winner, which
+        # chains once more.
+        chains, scores = [], []
+        boundary, score = scheduler._sequence_boundary, scheduler._score
         monkeypatch.setattr(
-            scheduler, "_sequence_boundary", lambda *a: calls.append(1) or score(*a)
+            scheduler, "_sequence_boundary", lambda *a: chains.append(1) or boundary(*a)
+        )
+        monkeypatch.setattr(
+            scheduler, "_score", lambda *a, **kw: scores.append(1) or score(*a, **kw)
         )
         rng = np.random.default_rng(98)
         for n in range(20):
             ctx = random_context(rng, search_model, int(rng.integers(1, 9)), loose=n % 2 == 0)
-            calls.clear()
+            chains.clear()
+            scores.clear()
             exhaustive_oracle(ctx, search_model)
-            assert len(calls) == 1, n
+            assert len(scores) == 1, n
+            assert len(chains) == schedulable_count(ctx) + 1, n
 
 
 class TestStats:
