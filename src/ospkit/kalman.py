@@ -10,10 +10,12 @@ Covariances are never mutated in place: each operator returns a new
 array, except that a zero-length predict returns its input.
 
 The update arithmetic is written once, in the unchecked kernel
-``_update``.  ``g_step``, the covariance step of every chain the
-policies report, feeds it the row and variance that ``SystemModel``
-checked and stores, so it checks nothing per step; ``update_estimate``,
-the checked entry, checks the variance and then runs the same kernel.
+``_update``.  ``_sequence_boundary``, the one chain stepper, which
+scores every chain the policies report, feeds it the row and variance
+that ``SystemModel`` checked and stores, so it checks nothing per step,
+and keeps each step's gain for the simulator's fusion; ``g_step`` is
+one of its steps.  ``update_estimate``, the checked entry, checks the
+variance and then runs the same kernel.
 Every operator over an interval is read from the model by the
 interval's length.  Both predict and update multiply with
 ``ndarray.dot``, which gives the bits of ``@`` for less dispatch.
@@ -198,15 +200,15 @@ def g_step(
     model: SystemModel, P: np.ndarray, t_i: float, t_j: float, observer: int
 ) -> np.ndarray:
     """A posteriori -> a posteriori: ``predict_cov`` over [t_i, t_j], then
-    the update with the given observer's row.
+    the update with the given observer's row: one step of
+    ``_sequence_boundary``'s chain, without its gain.
 
-    The search's covariance step, so it checks nothing itself: the
-    interval is checked by ``model.discretize`` when it is not cached, and
-    the row and variance were checked by ``SystemModel``, which stores
-    them; the update runs the kernel ``_update`` directly.  It does not
-    check the observer id either: the callers did (``sequence_mse``,
-    ``scheduler.CycleContext`` and ``scheduler._check_instance``).  It has
-    the bits of ``update_estimate``'s posterior after ``predict_cov``."""
+    It checks nothing itself: the interval is checked by
+    ``model.discretize`` when it is not cached, and the row and variance
+    were checked by ``SystemModel``, which stores them; the update runs
+    the kernel ``_update`` directly.  It does not check the observer id
+    either: the caller does.  It has the bits of ``update_estimate``'s
+    posterior after ``predict_cov``."""
     prior = predict_cov(model, P, t_i, t_j)
     return _update(prior, model.obs_row(observer), model.obs_var(observer))[0]
 
@@ -234,23 +236,28 @@ def sequence_mse(
     seq = tuple(seq)  # read twice: by the check, then by the chain
     for obs in seq:
         _observer_id(obs.observer, model.n_observers)
-    boundary, cov = _sequence_boundary(model, np.asarray(P0, dtype=float), t0, seq, kT)
+    boundary, cov, _ = _sequence_boundary(model, np.asarray(P0, dtype=float), t0, seq, kT)
     return float(boundary.trace()), cov
 
 
-def _sequence_boundary(model, P0, t0, seq, kT) -> tuple[np.ndarray, np.ndarray]:
+def _sequence_boundary(model, P0, t0, seq, kT) -> tuple[np.ndarray, np.ndarray, list]:
     """``sequence_mse`` before the trace: (the running covariance predicted
-    to ``kT``, the running covariance), for a float array ``P0``, which it
-    does not convert.  The first is the covariance at the cycle boundary,
-    which ``sim.decision_cycles`` carries as the next cycle's anchor."""
-    cov, t_prev = P0, t0
+    to ``kT``, the running covariance, the steps' gains), for a float
+    array ``P0``, which it does not convert.  The first is the covariance
+    at the cycle boundary, which ``sim.decision_cycles`` carries as the
+    next cycle's anchor.  Each step is ``g_step``'s, ``predict_cov`` then
+    ``_update``; the gains are the ``(Pc, e)`` that ``_update`` returns
+    with each posterior, one pair per element of ``seq`` in order, from
+    which ``sim.run_simulation`` fuses its estimate."""
+    cov, t_prev, gains = P0, t0, []
     for obs in seq:
-        t = obs.timestamp
+        t, n = obs.timestamp, obs.observer
         if t < t_prev or t > kT:
             raise OrderingError(f"observation at t={t} outside [{t_prev}, {kT}]")
-        cov = g_step(model, cov, t_prev, t, obs.observer)
+        cov, Pc, e = _update(predict_cov(model, cov, t_prev, t), model.obs_row(n), model.obs_var(n))
+        gains.append((Pc, e))
         t_prev = t
-    return predict_cov(model, cov, t_prev, kT), cov
+    return predict_cov(model, cov, t_prev, kT), cov, gains
 
 
 def propagate_estimate(

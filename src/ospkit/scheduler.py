@@ -219,7 +219,11 @@ class ScheduleEvaluation:
     strict deadline but is reported anyway.  ``boundary_cov`` is
     ``running_cov`` predicted to the cycle end, whose trace is ``mse``;
     every policy sets it, and ``sim.decision_cycles`` takes it as the next
-    cycle's anchor.
+    cycle's anchor.  ``gains`` holds one ``(Pc, e)`` pair per element of
+    ``seq``, in order: the predicted covariance times the observer's row
+    of C and the innovation variance of that element's update along the
+    chain from the anchor to ``running_cov``, from which
+    ``sim.run_simulation`` fuses its estimate.
     """
 
     seq: tuple[int, ...]
@@ -229,6 +233,7 @@ class ScheduleEvaluation:
     nodes_visited: int = 0
     forced_empty: bool = False
     boundary_cov: np.ndarray | None = field(default=None, repr=False)
+    gains: tuple = field(default=(), repr=False, compare=False)
 
 
 def _check_instance(ctx: CycleContext, model: SystemModel) -> None:
@@ -244,6 +249,14 @@ def _check_instance(ctx: CycleContext, model: SystemModel) -> None:
         raise DimensionError(
             f"prior_cov must be {S}x{S} for the model's {S} states, got {n}x{n}"
         )
+
+
+def _followers(ctx: CycleContext) -> list[int]:
+    """The root followers of ``ctx`` in time order: each candidate i with
+    ``_finish(0.0, ctx, i) < B``, the only ones that can be in a
+    schedulable sequence."""
+    B, off, air = ctx.budget, ctx.offsets, ctx.airtimes
+    return [i for i in range(ctx.L) if max(off[i], 0.0) + air[i] < B]
 
 
 def _finish(d: float, ctx: CycleContext, j: int) -> float:
@@ -276,10 +289,10 @@ class RankKernel:
     and fills every pair it ranks with.
 
     A covariance is held at candidate j's timestamp or, at the spare index
-    ``anchor`` (= L), at ``t0``.  Only a root follower, an i with
-    ``_finish(0.0, ctx, i) < B``, can be in a schedulable sequence; the
-    followers are ``fol``, in time order.  The constructor holds the step
-    from each follower's predecessor in ``stacked``, as its
+    ``anchor`` (= L), at ``t0``.  Only a root follower (``_followers``)
+    can be in a schedulable sequence; the followers are ``fol``, in time
+    order, passed by a caller that found them already.  The constructor
+    holds the step from each follower's predecessor in ``stacked``, as its
     ``kalman._stacked_predictor`` form, or None for a zero length
     (``stacked[0]`` is None: ``bnb_search`` steps the prior to the first
     follower with ``predict_cov``).  It then fills the boundary pair
@@ -299,12 +312,11 @@ class RankKernel:
     to rounding.
     """
 
-    def __init__(self, ctx: CycleContext, model: SystemModel):
+    def __init__(self, ctx: CycleContext, model: SystemModel, fol: list[int] | None = None):
         _check_instance(ctx, model)
         self.ctx, self.model, self.anchor = ctx, model, ctx.L
-        ts = ctx.timestamps
-        B, off, air, kT = ctx.budget, ctx.offsets, ctx.airtimes, ctx.cycle_end
-        self.fol = fol = [i for i in range(ctx.L) if max(off[i], 0.0) + air[i] < B]
+        ts, kT = ctx.timestamps, ctx.cycle_end
+        self.fol = fol = _followers(ctx) if fol is None else fol
         steps = [None]  # steps[n]: fol[n - 1] -> fol[n], None for a zero length
         for i, j in zip(fol, fol[1:]):
             dt = ts[j] - ts[i]
@@ -353,26 +365,30 @@ def _winner(entries):
 
 
 def _score(
-    ctx: CycleContext, model: SystemModel, seq: tuple[int, ...], cov: np.ndarray, done: int,
+    ctx: CycleContext, model: SystemModel, seq: tuple[int, ...], cov: np.ndarray, head: tuple,
     nodes_visited: int = 0, forced_empty: bool = False,
 ) -> ScheduleEvaluation:
-    """The one place a ``ScheduleEvaluation`` is built.  ``cov`` is the
-    running covariance after the first ``done`` elements of ``seq`` (the
-    anchor's ``prior_cov`` when ``done`` is 0); ``kalman._sequence_boundary``
-    steps it through the rest of ``seq`` and predicts it to the cycle end.
-    The result records ``seq``'s end of harvest, the trace of the boundary
-    covariance as its MSE, the running and boundary covariances and the
-    two diagnostics, passed by name and not as ``**kwargs``, which cost a
-    dict per call.  A ``cov`` that ``kalman.g_step`` chained from the
-    anchor has the bits of ``kalman.sequence_mse``'s scoring from scratch.
+    """The one place a ``ScheduleEvaluation`` is built.  ``head`` holds
+    the ``(Pc, e)`` gains of the first ``done = len(head)`` elements of
+    ``seq``, and ``cov`` is the running covariance after them (the
+    anchor's ``prior_cov`` when ``head`` is empty);
+    ``kalman._sequence_boundary`` steps it through the rest of ``seq``,
+    recording their gains after ``head``'s, and predicts it to the cycle
+    end.  The result records ``seq``'s end of harvest, the trace of the
+    boundary covariance as its MSE, the running and boundary covariances,
+    the two diagnostics, passed by name and not as ``**kwargs``, which
+    cost a dict per call, and the gains.  A ``cov`` and ``head`` that
+    ``predict_cov`` and ``kalman._update`` chained from the anchor have
+    the bits of ``kalman.sequence_mse``'s scoring from scratch.
     Unchecked: the caller checked the instance against the model."""
+    done = len(head)
     t = ctx.timestamps[seq[done - 1]] if done else ctx.t0
-    boundary, cov = _sequence_boundary(
+    boundary, cov, gains = _sequence_boundary(
         model, cov, t, [ctx.candidates[i] for i in seq[done:]], ctx.cycle_end
     )
     return ScheduleEvaluation(
         seq, end_of_harvest(seq, ctx), float(boundary.trace()), cov,
-        nodes_visited, forced_empty, boundary,
+        nodes_visited, forced_empty, boundary, head + tuple(gains),
     )
 
 
@@ -383,7 +399,7 @@ def _evaluate(
     """Score ``seq`` from scratch, after ``_check_instance``: ``_score``
     from the cycle's anchor, as ``kalman.sequence_mse`` scores it."""
     _check_instance(ctx, model)
-    return _score(ctx, model, seq, ctx.prior_cov, 0, nodes_visited, forced_empty)
+    return _score(ctx, model, seq, ctx.prior_cov, (), nodes_visited, forced_empty)
 
 
 def harvest_none(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
@@ -408,10 +424,12 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     with j's row of C and ranked at its creation with j's boundary pair.
     A row that skips j stays in the frontier, so after the last follower
     every schedulable sequence has been a row, unless a bound cut it.  The
-    first follower's step runs the 2-D kernels of ``g_step``
+    first follower's step runs the 2-D kernels of the chain
     (``predict_cov``, ``kalman._update``); every later step runs the
     stacked ones, one predict and one masked update over the frontier
-    (``kalman._stacked_predictor``, ``kalman._update_rows``).
+    (``kalman._stacked_predictor``, ``kalman._update_rows``).  With no
+    root follower only the empty sequence is schedulable, and the search
+    returns ``harvest_none``'s answer without opening a kernel.
 
     Once the frontier holds more than ``_FRONTIER_CAP`` rows, a step
     after which two or more followers are left also bounds its rows
@@ -436,10 +454,11 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     tie the least rank are decoded into sequences, through their parents.
     The stacked kernels agree with the 2-D ones only to rounding, so the
     winner is reported by ``_score`` from a 2-D prefix that the search
-    holds: from the first follower's row when the winner takes ``fol[0]``,
-    which has ``g_step``'s bits and saves a step, and from the prior
-    otherwise.  Its ``mse`` and ``running_cov`` equal
-    ``kalman.sequence_mse`` of its ``seq`` bit for bit, on any model.
+    holds: from the first follower's row and that step's gain when the
+    winner takes ``fol[0]``, which have the chain's bits and save a step,
+    and from the prior otherwise.  Its ``mse`` and ``running_cov`` equal
+    ``kalman.sequence_mse`` of its ``seq`` bit for bit, on any model, and
+    its ``gains`` those of the chain from the anchor.
     ``nodes_visited`` counts the non-empty rows created:
     every schedulable non-empty sequence, less the descendants of the rows
     a bound cut.  The bound needs a positive
@@ -456,24 +475,22 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     step of the winner's chain, one that skips a root follower, costs one
     more exponential per length, as it does in ``kalman.sequence_mse``.
     """
-    if ctx.budget <= 0.0:
+    fol = _followers(ctx)
+    if not fol:  # only the empty sequence can be schedulable, as when budget <= 0
         return harvest_none(ctx, model)
-    kernel = RankKernel(ctx, model)
-    fol, prior = kernel.fol, ctx.prior_cov
-    entries = [(kernel.rank(prior, kernel.anchor), ())]
-    nodes, first = 0, None
-    if fol:
-        j = fol[0]
-        skip = predict_cov(model, prior, ctx.t0, ctx.timestamps[j])  # the empty row at t_j
-        obs = ctx.observers[j]
-        first = _update(skip, model.obs_row(obs), model.obs_var(obs))[0]
-        entries.append((kernel.rank(first, j), (j,)))
-        nodes = 1
-        if len(fol) > 1:
-            nodes += _sweep(kernel, np.concatenate((skip, first)).reshape(2, -1), entries)
+    kernel = RankKernel(ctx, model, fol)
+    prior, j = ctx.prior_cov, fol[0]
+    skip = predict_cov(model, prior, ctx.t0, ctx.timestamps[j])  # the empty row at t_j
+    obs = ctx.observers[j]
+    first, Pc, e = _update(skip, model.obs_row(obs), model.obs_var(obs))
+    entries = [(kernel.rank(prior, kernel.anchor), ()), (kernel.rank(first, j), (j,))]
+    nodes = 1
+    if len(fol) > 1:
+        nodes += _sweep(kernel, np.concatenate((skip, first)).reshape(2, -1), entries)
     _, seq = _winner(entries)
-    cov, done = (first, 1) if seq and seq[0] == fol[0] else (prior, 0)
-    return _score(ctx, model, seq, cov, done, nodes_visited=nodes)
+    if seq and seq[0] == j:
+        return _score(ctx, model, seq, first, ((Pc, e),), nodes_visited=nodes)
+    return _score(ctx, model, seq, prior, (), nodes_visited=nodes)
 
 
 def _sweep(kernel: RankKernel, rows: np.ndarray, entries: list) -> int:
@@ -644,7 +661,7 @@ def exhaustive_oracle(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluati
             if rank <= _tie_edge(m):
                 m = min(m, rank)
                 entries.append((rank, seq))
-    return _score(ctx, model, _winner(entries)[1], prior, 0, nodes_visited=2**ctx.L)
+    return _score(ctx, model, _winner(entries)[1], prior, (), nodes_visited=2**ctx.L)
 
 
 # Policy name -> decision rule (ctx, model) -> ScheduleEvaluation.  Each entry

@@ -5,9 +5,11 @@ harvesting budget and run the selected policy.  Then one walk in time
 order over the candidate timestamps and the cycle end: the true state
 steps to each new one with sampled process noise, and at each chosen
 candidate an observation value is synthesized from the state just reached
-and fused into the executive's estimate at once.  The estimate is then
-predicted to the cycle end, and predicted versus realized error is logged
-there.
+and fused into the executive's estimate at once, with the gain the
+policy's covariance chain recorded for it (``ScheduleEvaluation.gains``):
+the fusion's covariance is the chain the policy scored, so the walk does
+no covariance arithmetic.  The estimate is then predicted to the cycle
+end, and predicted versus realized error is logged there.
 
 Separate RNG streams are used for process noise, observation noise, and
 the channel, so two policies run on the same seed experience the same
@@ -252,7 +254,8 @@ def run_simulation(
     """Run K decision cycles under the given policy and return the logs.
 
     The estimate starts at (xh = 0, P = initial_cov, default I) and, like
-    ``decision_cycles``' anchor, is carried to every cycle boundary.
+    ``decision_cycles``' anchor, is carried to every cycle boundary; its
+    covariance is the anchor itself, so only its mean xh is carried here.
     ``inputs`` maps j to the action vector held over cycle j+1,
     [jT, (j+1)T], for j = 0 .. K-1; each vector has exactly
     ``model.n_agents`` entries once flattened.  ``None`` means zero input
@@ -261,8 +264,13 @@ def run_simulation(
     timestamps and then kT once, in time order: the true state steps to
     every timestamp regardless of selection, so that all policies on one
     seed see the same trajectory, and at each timestamp of ``ev.seq`` an
-    observation value is drawn from the state just reached and fused into
-    the estimate; after the walk the estimate is predicted to kT.  A
+    observation value y is drawn from the state just reached and fused
+    into the estimate: xh is propagated to the timestamp, unless it is
+    held there already, and becomes ``xh + Pc / e * (y - c^T xh)`` with
+    the gain ``(Pc, e)`` of ``ev.gains``, ``kalman.update_estimate``'s
+    expression and bits on the chain the policy scored, whose last
+    posterior is ``ev.running_cov``.  After the walk the estimate is
+    predicted to kT.  A
     timestamp equal to the last one reached is not stepped to:
     ``step_true_state`` over a zero length draws no noise and returns the
     state unchanged, so skipping it changes no bits.  A
@@ -310,8 +318,9 @@ def run_simulation(
         u = None if inputs is None else inputs[ctx.cycle_index - 1]
         # One walk in time order: the true state steps to each timestamp,
         # then to kT, and each chosen observation is drawn from the state
-        # just reached and fused into the estimate (xh, P) held at t_est.
-        P, t_est = ctx.prior_cov, ctx.t0
+        # just reached and fused into the estimate xh held at t_est, with
+        # the gain the policy's chain recorded for it.
+        t_est = ctx.t0
         for i, t in enumerate(ctx.timestamps + (ctx.cycle_end,)):
             if t != t_true:  # a zero-length step draws nothing and moves nothing
                 x_true = step_true_state(model, x_true, u, t_true, t, rng_proc)
@@ -319,11 +328,14 @@ def run_simulation(
             if i in ev.seq:  # ascending, so fused in time order
                 n = ctx.observers[i]
                 noise = np.sqrt(model.obs_var(n)) * rng_obs.standard_normal()
-                y = float(model.obs_row(n) @ x_true) + noise
-                xh = kalman.propagate_estimate(model, xh, u, t_est, t)
-                P = kalman.predict_cov(model, P, t_est, t)
-                xh, P = kalman.update_estimate(xh, P, y, model.obs_row(n), model.obs_var(n))
-                t_est = t
+                c = model.obs_row(n)
+                y = float(c @ x_true) + noise
+                if t != t_est:
+                    xh = kalman.propagate_estimate(model, xh, u, t_est, t)
+                    t_est = t
+                # update_estimate's expression and bits, with the chain's gain
+                Pc, e = ev.gains[ev.seq.index(i)]
+                xh = xh + Pc / e * (y - float(c.dot(xh)))
         xh = kalman.propagate_estimate(model, xh, u, t_est, ctx.cycle_end)
         sq_err = float(((x_true - xh) ** 2).sum())
         if not math.isfinite(sq_err):

@@ -78,10 +78,13 @@ def takes_first_follower(ctx, model, seq) -> bool:
 
 def assert_same_score(got, want, where):
     """``got`` and ``want`` score one sequence with the same bits in every
-    field that scoring sets."""
+    field that scoring sets, the gains included."""
     assert (got.seq, got.mse, got.end_of_harvest) == (want.seq, want.mse, want.end_of_harvest), where
     assert got.running_cov.tobytes() == want.running_cov.tobytes(), where
     assert got.boundary_cov.tobytes() == want.boundary_cov.tobytes(), where
+    assert len(got.gains) == len(want.gains) == len(got.seq), where
+    for (Pc, e), (want_Pc, want_e) in zip(got.gains, want.gains):
+        assert (Pc.tobytes(), e) == (want_Pc.tobytes(), want_e), where
 
 
 def ctx_from(offs_airs, actions=(), T=0.01, k=1, n_states=3):
@@ -98,6 +101,11 @@ def ctx_from(offs_airs, actions=(), T=0.01, k=1, n_states=3):
         t0=(k - 1) * T,
         prior_cov=np.eye(n_states),
     )
+
+
+# Action airtimes for a 10 ms cycle: a positive budget, a budget <= 0, and a
+# positive budget of 0.0005 that no airtime of 1 ms fits.
+ACTIONS = {"positive": (0.0,), "degenerate": (0.02,), "no-follower": (0.0095,)}
 
 
 class TestOrdering:
@@ -285,12 +293,14 @@ class TestSearches:
     @pytest.mark.parametrize(
         "search", [bnb_search, greedy_search, harvest_all, harvest_none, exhaustive_oracle]
     )
-    @pytest.mark.parametrize("budget", ["positive", "degenerate"])
+    @pytest.mark.parametrize("budget", ["positive", "degenerate", "no-follower"])
     def test_rejects_an_observer_the_model_lacks(self, search, budget):
         # The context does not know the model; each entry checks the ids
-        # against it, where a search ended in a bare IndexError.
+        # against it, where a search ended in a bare IndexError.  A budget
+        # of 0.0005 leaves no root follower, so bnb_search returns
+        # harvest_none's answer, which checks the ids too.
         model = parse_config_dict(preset_config("blackout-6of6-100000")).model
-        actions = (0.0,) if budget == "positive" else (0.02,)
+        actions = ACTIONS[budget]
         ctx = CycleContext(
             (Candidate(0.0, 1e-3, 0), Candidate(0.001, 1e-3, 6)), actions, 0.01, 1, None,
             np.eye(3),
@@ -301,15 +311,42 @@ class TestSearches:
     @pytest.mark.parametrize(
         "search", [bnb_search, greedy_search, harvest_all, harvest_none, exhaustive_oracle]
     )
-    @pytest.mark.parametrize("budget", ["positive", "degenerate"])
+    @pytest.mark.parametrize("budget", ["positive", "degenerate", "no-follower"])
     def test_rejects_a_prior_of_another_size(self, search, budget):
         # The context does not know the model either; a 2 x 2 prior on the
         # 3-state model ended in bare numpy errors.
         model = parse_config_dict(preset_config("blackout-6of6-100000")).model
-        actions = (0.0,) if budget == "positive" else (0.02,)
+        actions = ACTIONS[budget]
         ctx = CycleContext((Candidate(0.001, 1e-3, 0),), actions, 0.01, 1, None, np.eye(2))
         with pytest.raises(DimensionError, match=r"^prior_cov must be 3x3 .* got 2x2$"):
             search(ctx, model)
+
+    def test_bnb_without_a_root_follower_is_harvest_none(self, search_model, monkeypatch):
+        # With no root follower only the empty sequence is schedulable, so
+        # bnb_search returns harvest_none's evaluation, bit for bit, without
+        # opening a RankKernel.  Most rate-slow cycles offer no follower;
+        # the seeded instances get a budget that every airtime misses.
+        cfg = parse_config_dict(preset_config("rate-slow"))
+        pool = [(ctx, cfg.model) for ctx, _ in
+                decision_cycles(cfg.model, cfg.channel, "bnb", cfg.initial_cov(), 60)]
+        rng = np.random.default_rng(107)
+        for _ in range(40):
+            ctx = random_context(rng, search_model, int(rng.integers(1, 11)))
+            B = rng.uniform(0.2, 0.99) * min(o + a for o, a in zip(ctx.offsets, ctx.airtimes))
+            pool.append((replace(ctx, action_airtimes=(ctx.T - B,)), search_model))
+        opened = []
+        kernel = scheduler.RankKernel
+        monkeypatch.setattr(scheduler, "RankKernel", lambda *a: opened.append(1) or kernel(*a))
+        bare = 0
+        for n, (ctx, model) in enumerate(pool):
+            if scheduler._followers(ctx):
+                continue
+            bare += 1
+            got, want = bnb_search(ctx, model), harvest_none(ctx, model)
+            assert_same_score(got, want, n)
+            assert got.nodes_visited == 0 and not got.forced_empty, n
+        assert not opened
+        assert bare > 80, bare
 
     def test_bnb_matches_exhaustive(self, search_model):
         rng = np.random.default_rng(61)
@@ -518,21 +555,26 @@ class TestBound:
 
     @pytest.mark.parametrize("L", [8, 12])
     def test_sibling_cut_bounds_the_g_steps(self, L, search_model, monkeypatch):
-        # The sweep steps its rows with the stacked kernels, and g_step
-        # runs only in the winner's report, which starts from the first
-        # follower's row that the search holds: L - 1 steps when the winner
-        # is every candidate (L when the report chained from the anchor).
-        # The depth-first search took L(L+1)/2 + 1 steps here, and 92 and
-        # 298 before its sibling cut.
-        calls = []
-        step = kalman.g_step
-        monkeypatch.setattr(kalman, "g_step", lambda *a: calls.append(1) or step(*a))
+        # The sweep steps its rows with the stacked kernels, and 2-D steps
+        # run only in the winner's report, which starts from the first
+        # follower's row that the search holds: L - 1 steps of kalman's
+        # chain when the winner is every candidate (L when the report
+        # chained from the anchor).  The chain steps with predict_cov and
+        # _update itself, keeping each step's gain, so g_step runs 0 times
+        # (L - 1 while the chain called it and dropped the gain).  The
+        # depth-first search took L(L+1)/2 + 1 steps here, and 92 and 298
+        # before its sibling cut.
+        calls, g_steps = [], []
+        update, step = kalman._update, kalman.g_step
+        monkeypatch.setattr(kalman, "_update", lambda *a: calls.append(1) or update(*a))
+        monkeypatch.setattr(kalman, "g_step", lambda *a: g_steps.append(1) or step(*a))
         rng = np.random.default_rng(86)
         for _ in range(3):
             ctx = random_context(rng, search_model, L, loose=True)
             calls.clear()
             assert bnb_search(ctx, search_model).seq == tuple(range(L))
             assert len(calls) == L - 1, len(calls)
+        assert not g_steps
 
     def test_bnb_matches_exhaustive_on_large_ties(self, dup_model):
         # The bound cuts rows among runs of tied ones; the search must

@@ -5,6 +5,7 @@ the decision-cycle pipeline shared with the oracle command, and selection
 statistics."""
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import re
@@ -238,8 +239,11 @@ class TestStepTrueState:
         # operator (1532 calls when the search's kernel read held lengths
         # through ``held`` and handed them to g_step).  The next cycle's
         # anchor is the policy's own boundary prediction, not a second one
-        # (one call per cycle, 300, before).  Misses still go through
-        # discretize, one per length.
+        # (one call per cycle, 300, before).  The walk fuses each harvested
+        # observation with the gain the policy's chain recorded, so it
+        # predicts no covariance (1724 calls while it chained its own, one
+        # predict_cov per harvest).  Misses still go through discretize, one
+        # per length.
         cfg = parse_config_dict(preset_config("rate-fast"))
         calls, misses = [], []
         discretize, kernel = SystemModel.discretize, dynamics._discretize
@@ -249,7 +253,7 @@ class TestStepTrueState:
         monkeypatch.setattr(dynamics, "_discretize", lambda *a: misses.append(1) or kernel(*a))
         inputs = {j: np.ones(cfg.model.n_agents) for j in range(300)}
         run_simulation(cfg.model, cfg.channel, "bnb", 300, inputs=inputs)
-        assert len(calls) == 1724
+        assert len(calls) == 1524
         assert len(misses) == len(set(calls)) == len(cfg.model._disc_cache) == 32
 
 
@@ -498,6 +502,22 @@ def log_bits(log):
     )
 
 
+def assert_gains_are_the_chain(model, ctx, ev):
+    """Each of ``ev.gains`` is the ``(Pc, e)`` of ``kalman._update`` along
+    ``ev.seq``'s chain from the anchor (``predict_cov``, then the update),
+    bit for bit, one per element of ``ev.seq``, and the chain ends at
+    ``ev.running_cov``."""
+    assert len(ev.gains) == len(ev.seq), ctx.cycle_index
+    P, t = ctx.prior_cov, ctx.t0
+    for i, (Pc, e) in zip(ev.seq, ev.gains):
+        c = ctx.candidates[i]
+        prior = kalman.predict_cov(model, P, t, c.timestamp)
+        P, want_Pc, want_e = kalman._update(prior, model.obs_row(c.observer), model.obs_var(c.observer))
+        assert (Pc.tobytes(), e) == (want_Pc.tobytes(), want_e), (ctx.cycle_index, i)
+        t = c.timestamp
+    assert P.tobytes() == ev.running_cov.tobytes(), ctx.cycle_index
+
+
 class TestAgainstReference:
     """The one walk per cycle against the three-pass reference: the same
     draws from each generator and the same estimate calls on the same
@@ -562,31 +582,45 @@ class TestDecisionCycles:
     @pytest.mark.parametrize("policy", ["bnb", "greedy", "all"])
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_fusion_covariance_is_running_cov(self, name, policy, monkeypatch):
-        # The simulator fuses with its own predict/update chain while the
-        # next cycle's anchor is the search's running covariance: each
-        # cycle's last posterior must equal ev.running_cov bit for bit.
+        # The simulator fuses each harvested observation with the gain that
+        # the policy's chain recorded, and the next cycle's anchor is that
+        # chain's boundary prediction.  So each gain must be the (Pc, e)
+        # that the chain the simulator ran before gives, bit for bit, its
+        # last posterior must be ev.running_cov, and the run must call no
+        # covariance kernel beyond its decisions' calls.
+        kernels = [(kalman, "predict_cov"), (kalman, "_update"), (kalman, "update_estimate"),
+                   (scheduler, "predict_cov"), (scheduler, "_update")]
+        calls = collections.Counter()
+        for module, fn in kernels:
+            spied = getattr(module, fn)
+            monkeypatch.setattr(
+                module, fn, lambda *a, fn=fn, spied=spied: calls.update((fn,)) or spied(*a)
+            )
         model, channel, P0 = self.preset(name)
         cycles = list(decision_cycles(model, channel, policy, P0, 30))
-        posteriors = []
-        update = kalman.update_estimate
-
-        def spy(*args):
-            xh, P = update(*args)
-            posteriors.append(P)
-            return xh, P
-
-        monkeypatch.setattr(kalman, "update_estimate", spy)
+        decided = calls.copy()
         model, channel, P0 = self.preset(name)
         logs = run_simulation(model, channel, policy, 30, initial_cov=P0)
-        fused = iter(posteriors)
+        assert calls == decided + decided and "update_estimate" not in calls, calls
+        monkeypatch.undo()
         for log, (ctx, ev) in zip(logs, cycles):
             assert log.seq == ev.seq
-            P = ctx.prior_cov
-            for _ in log.seq:
-                P = next(fused)
-            assert P.tobytes() == ev.running_cov.tobytes(), log.cycle
-        assert next(fused, None) is None
+            assert_gains_are_the_chain(model, ctx, ev)
         assert any(log.seq for log in logs)
+
+    def test_bnb_gains_from_both_report_branches(self):
+        # bnb_search reports a winner that takes the first root follower
+        # from that follower's row, and passes that step's gain on; any
+        # other winner is chained from the anchor.  Both kinds occur among
+        # the presets, and both record the chain's gains.
+        branches = collections.Counter()
+        for name in PRESET_NAMES:
+            model, channel, P0 = self.preset(name)
+            for ctx, ev in decision_cycles(model, channel, "bnb", P0, 30):
+                assert_gains_are_the_chain(model, ctx, ev)
+                if ev.seq:
+                    branches[ev.seq[0] == scheduler._followers(ctx)[0]] += 1
+        assert branches[True] > 20 and branches[False] > 20, branches
 
     def test_unknown_policy_raises_before_cycle_one(self):
         model, channel, P0 = self.preset("rate-fast")
