@@ -512,7 +512,9 @@ def assert_gains_are_the_chain(model, ctx, ev):
     for i, (Pc, e) in zip(ev.seq, ev.gains):
         c = ctx.candidates[i]
         prior = kalman.predict_cov(model, P, t, c.timestamp)
-        P, want_Pc, want_e = kalman._update(prior, model.obs_row(c.observer), model.obs_var(c.observer))
+        P, want_Pc, want_e = kalman._update(
+            prior, model.obs_row(c.observer), model.obs_var(c.observer)
+        )
         assert (Pc.tobytes(), e) == (want_Pc.tobytes(), want_e), (ctx.cycle_index, i)
         t = c.timestamp
     assert P.tobytes() == ev.running_cov.tobytes(), ctx.cycle_index
@@ -584,10 +586,10 @@ class TestDecisionCycles:
     def test_fusion_covariance_is_running_cov(self, name, policy, monkeypatch):
         # The simulator fuses each harvested observation with the gain that
         # the policy's chain recorded, and the next cycle's anchor is that
-        # chain's boundary prediction.  So each gain must be the (Pc, e)
-        # that the chain the simulator ran before gives, bit for bit, its
-        # last posterior must be ev.running_cov, and the run must call no
-        # covariance kernel beyond its decisions' calls.
+        # chain's boundary prediction.  So each gain must be, bit for bit,
+        # the (Pc, e) of predict_cov then the update along ev.seq from the
+        # anchor, that chain's last posterior must be ev.running_cov, and
+        # the run must call no covariance kernel beyond its decisions' calls.
         kernels = [(kalman, "predict_cov"), (kalman, "_update"), (kalman, "update_estimate"),
                    (scheduler, "predict_cov"), (scheduler, "_update")]
         calls = collections.Counter()
