@@ -181,10 +181,16 @@ def _update(P: np.ndarray, c: np.ndarray, r: float):
 def _stacked_predictor(Phi: np.ndarray, Qd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(K, q) with ``rows.dot(K) + q`` the rows of Phi P Phi^T + Qd: K is
     Phi (x) Phi transposed, its columns of (a, b) and (b, a) averaged, so
-    that every row comes out exactly symmetric, as ``symmetrize`` makes it."""
-    n = Phi.shape[0]
-    K = Phi[:, None, :, None] * Phi[None, :, None, :]  # [a, b, k, l] = Phi_ak Phi_bl
-    return ((K + K.transpose(1, 0, 2, 3)) / 2.0).reshape(n * n, n * n).T, Qd.ravel()
+    that every row comes out exactly symmetric, as ``symmetrize`` makes it.
+    Phi and Qd may be stacks of n S x S matrices, built in one broadcast:
+    then K and q are stacks too, and each (K[i], q[i]) has the bits and
+    the memory layout of the pair built from (Phi[i], Qd[i]) alone, since
+    every entry is the same elementwise product and sum."""
+    S = Phi.shape[-1]
+    K = Phi[..., :, None, :, None] * Phi[..., None, :, None, :]  # [a, b, k, l] = Phi_ak Phi_bl
+    K = (K + np.swapaxes(K, -4, -3)) / 2.0
+    lead = Phi.shape[:-2]
+    return np.swapaxes(K.reshape(*lead, S * S, S * S), -1, -2), Qd.reshape(*lead, S * S)
 
 
 def _update_rows(rows: np.ndarray, c: np.ndarray, r: float) -> np.ndarray:

@@ -67,16 +67,17 @@ class SystemModel:
     is time-invariant, so they depend only on an interval's length, and
     every caller reaches them by length alone: ``discretize`` (Phi, Qd),
     ``input_lambda`` (Lambda), ``boundary_operator`` (M, c), with which
-    ``scheduler.RankKernel`` ranks covariances by ``<M, P> + c``, and
+    ``scheduler.RankKernel`` ranks covariances by ``<M, P> + c`` (the
+    anchor's pair and the last root follower's), and
     ``noise_factor`` (a factor of Qd), with which ``sim.step_true_state``
     draws process noise, share one memoized cache entry per length.  A
     miss runs the unchecked ``dynamics`` kernels on the A, B and Q checked
     here.  The cache is a plain memo: each length's (Phi, Qd) is its
     exponential, whatever was computed before, so every caller reads the
-    same bits for a length on any model; the boundary pairs
-    ``scheduler.RankKernel`` composes stay with its instance.  Each
-    observer's C row and noise variance are stored once, for ``obs_row``
-    and ``obs_var``.
+    same bits for a length on any model; ``scheduler.RankKernel``
+    composes no operator, so what it holds depends on its instance alone.
+    Each observer's C row and noise variance are stored once, for
+    ``obs_row`` and ``obs_var``.
     """
 
     A: np.ndarray
@@ -215,8 +216,10 @@ class SystemModel:
         For a symmetric P, ``np.vdot(M, P) + c`` is the trace of
         Phi P Phi^T + Qd, the MSE of P predicted over dt, for one S x S
         inner product instead of two matrix products.  The two agree to
-        rounding, not bit for bit: ``scheduler.RankKernel`` ranks with this
-        pair, and the search reports its winner through ``kalman.predict_cov``.
+        rounding, not bit for bit: ``scheduler.RankKernel`` ranks the
+        search's rows with the pair of the last root follower, the prior
+        with the anchor's, and the search reports its winner through
+        ``kalman.predict_cov``.
         """
         entry = self._disc_cache.get(dt) or self._entry(dt)  # a hit costs one read
         if entry[2] is None:

@@ -19,9 +19,11 @@ scheduling for linear dynamical systems", Automatica 2012).
 The winner depends on the instance alone, not on the order in which
 sequences are scored: with m the least rank over all schedulable
 sequences, it is the least ``(len(seq), seq)`` among the sequences ranked
-within ``MSE_TIE_RTOL`` of m (``_winner``).  ``bnb_search`` and
-``exhaustive_oracle`` rank with one ``RankKernel``'s table of boundary
-pairs and pick with the same ``_winner``, so they agree by construction.
+within ``MSE_TIE_RTOL`` of m (``_winner``).  ``bnb_search`` ranks each
+row once, at the last follower, with that follower's boundary pair
+(``RankKernel``), and ``exhaustive_oracle`` by the trace of each
+sequence's boundary covariance; both pick with the same ``_winner``, and
+their ranks agree to rounding, well inside the tie tolerance.
 Every policy's answer is scored in one place, ``_score``, with
 ``kalman.sequence_mse``'s arithmetic.
 """
@@ -240,8 +242,9 @@ def _check_instance(ctx: CycleContext, model: SystemModel) -> None:
     """DomainError unless every observer id of ``ctx`` names one of the
     model's observers, and DimensionError unless ``prior_cov`` is S x S
     for the model's S states; ``CycleContext`` checked that the ids are
-    integers >= 0 and that ``prior_cov`` is square.  ``RankKernel`` and
-    ``_evaluate``, through which every policy reads the model, call it."""
+    integers >= 0 and that ``prior_cov`` is square.  ``RankKernel``,
+    ``_evaluate`` and ``exhaustive_oracle``, through which every policy
+    reads the model, call it."""
     if ctx.observers:
         _observer_id(max(ctx.observers), model.n_observers)
     S, n = model.n_states, len(ctx.prior_cov)
@@ -283,69 +286,54 @@ def is_schedulable(seq, ctx: CycleContext) -> bool:
 
 
 class RankKernel:
-    """The one place where ``bnb_search`` and ``exhaustive_oracle`` rank a
-    covariance, and the one step that opens an instance against a model:
+    """The one place where ``bnb_search`` ranks a covariance, and the one
+    step that opens an instance with a root follower against a model:
     ``RankKernel(ctx, model)`` checks the instance (``_check_instance``)
-    and fills every pair it ranks with.
+    and fills what the search steps and ranks with.
 
-    A covariance is held at candidate j's timestamp or, at the spare index
-    ``anchor`` (= L), at ``t0``.  Only a root follower (``_followers``)
-    can be in a schedulable sequence; the followers are ``fol``, in time
-    order, passed by a caller that found them already.  The constructor
-    holds the step from each follower's predecessor in ``stacked``, as its
-    ``kalman._stacked_predictor`` form, or None for a zero length
-    (``stacked[0]`` is None: ``bnb_search`` steps the prior to the first
-    follower with ``predict_cov``).  It then fills the boundary pair
-    (M_j, c_j) over kT - t_j of the anchor and of each follower, backward
-    over the followers.  ``rank`` reads ``<M_j, P> + c_j``, the boundary
-    MSE of P held at j up to rounding, and ``rank_rows`` the same of each
-    row of a stack of flattened covariances.
+    Only a root follower (``_followers``) can be in a schedulable
+    sequence; the followers are ``fol``, in time order, passed by a caller
+    that found them already.  ``stacked[n]`` holds the step from
+    ``fol[n - 1]`` to ``fol[n]`` in its ``kalman._stacked_predictor`` form,
+    or None for a zero length (``stacked[0]`` is None: ``bnb_search``
+    steps the prior to the first follower with ``predict_cov``); the steps
+    of all nonzero lengths are built in one broadcast call.
 
-    Only the anchor's pair and the pair at the last follower timestamp
-    are ``model.boundary_operator``'s.  Every other follower's pair is
-    composed, since lengths add, from the next follower's pair and the
-    step between them, which the kernel holds:
-    ``M_j = Phi^T M_{j+1} Phi`` and ``c_j = <M_{j+1}, Qd> + c_{j+1}``;
-    equal timestamps share one pair.  So the pairs cost at most two
-    exponentials, and they depend on the instance alone, not on what the
-    model computed before.  Ranks agree with the trace of ``predict_cov``
-    to rounding.
+    The kernel holds two boundary pairs, both ``model.boundary_operator``'s.
+    The anchor's, over kT - t0, ranks the prior once, as ``empty_rank``,
+    the empty sequence's rank, which seeds the search's incumbent.  The
+    last follower's, over kT - t_last, is the one a row is ranked with:
+    ``rank_rows`` reads ``<M, P> + c`` of each row of a stack of
+    flattened covariances held at the last follower's timestamp, their
+    boundary MSE up to rounding.  Lengths add, so a row held at an earlier
+    follower and carried to the last one by the steps between ranks as it
+    would have there, to rounding.  So a kernel costs at most two
+    exponentials besides its steps, and what it holds depends on the
+    instance alone, not on what the model computed before.
     """
 
     def __init__(self, ctx: CycleContext, model: SystemModel, fol: list[int] | None = None):
         _check_instance(ctx, model)
-        self.ctx, self.model, self.anchor = ctx, model, ctx.L
+        self.ctx, self.model = ctx, model
         ts, kT = ctx.timestamps, ctx.cycle_end
         self.fol = fol = _followers(ctx) if fol is None else fol
-        steps = [None]  # steps[n]: fol[n - 1] -> fol[n], None for a zero length
-        for i, j in zip(fol, fol[1:]):
-            dt = ts[j] - ts[i]
-            steps.append(model.discretize(dt) if dt else None)
-        self.stacked = [s and _stacked_predictor(*s) for s in steps]
-        self._pairs = pairs = [None] * (ctx.L + 1)
-        pair, t_next = None, None
-        for n in range(len(fol) - 1, -1, -1):
-            k = fol[n]
-            t = ts[k]
-            if t != t_next:  # equal timestamps share one pair
-                if t_next is None:
-                    pair = model.boundary_operator(kT - t)
-                else:  # steps[n + 1] holds the length t_next - t > 0
-                    (Phi, Qd), (M, c) = steps[n + 1], pair
-                    pair = (Phi.T @ M @ Phi, float(np.vdot(M, Qd)) + c)
-            pairs[k], t_next = pair, t
-        pairs[self.anchor] = model.boundary_operator(kT - ctx.t0)
+        gaps = [ts[j] - ts[i] for i, j in zip(fol, fol[1:])]  # gaps[n - 1]: fol[n - 1] -> fol[n]
+        disc = [model.discretize(dt) for dt in gaps if dt]
+        steps = iter(())
+        if disc:  # one broadcast call builds every nonzero step
+            Phi, Qd = (np.array(stack) for stack in zip(*disc))
+            steps = zip(*_stacked_predictor(Phi, Qd))
+        self.stacked = [None] + [next(steps) if dt else None for dt in gaps]
+        M, c = model.boundary_operator(kT - ctx.t0)
+        self.empty_rank = float(np.vdot(M, ctx.prior_cov)) + c
+        M, c = model.boundary_operator(kT - ts[fol[-1]])
+        self._pair = M.ravel(), c
 
-    def rank(self, cov: np.ndarray, j: int) -> float:
-        """``<M_j, cov> + c_j`` of ``cov`` held at j, the anchor or a root
-        follower."""
-        pair = self._pairs[j]
-        return float(np.vdot(pair[0], cov)) + pair[1]
-
-    def rank_rows(self, rows: np.ndarray, j: int) -> np.ndarray:
-        """``rank`` of each row of a stack of flattened covariances held at j."""
-        M, c = self._pairs[j]
-        return rows.dot(M.ravel()) + c
+    def rank_rows(self, rows: np.ndarray) -> np.ndarray:
+        """``<M, P> + c`` of each row P of a stack of flattened covariances
+        held at the last follower's timestamp, or of one such row."""
+        M, c = self._pair
+        return rows.dot(M) + c
 
 
 def _tie_edge(m: float) -> float:
@@ -421,10 +409,14 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     followers in time order.  At follower j every row is predicted over
     the step from the previous follower, and every row with
     ``max(o_j, d) + O_j < B`` spawns the row that also takes j, updated
-    with j's row of C and ranked at its creation with j's boundary pair.
-    A row that skips j stays in the frontier, so after the last follower
-    every schedulable sequence has been a row, unless a bound cut it.  The
-    first follower's step runs the 2-D kernels of the chain
+    with j's row of C.  A row that skips j stays in the frontier, so after
+    the last follower the frontier holds every schedulable sequence,
+    unless a bound cut it.  Each row is ranked once, when its frontier
+    reaches the last follower, with that follower's boundary pair
+    (``RankKernel.rank_rows``): lengths add, so this is its rank at its
+    own follower, to rounding, for one stacked product over the frontier.
+    With one root follower nothing is swept: (fol[0],) is held at the last
+    follower.  The first follower's step runs the 2-D kernels of the chain
     (``predict_cov``, ``kalman._update``); every later step runs the
     stacked ones, one predict and one masked update over the frontier
     (``kalman._stacked_predictor``, ``kalman._update_rows``).  With no
@@ -438,20 +430,25 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     covariance in the Loewner order, so no descendant ranks below it.
     With one follower left the bound would be the rank of the row's one
     possible child, so it would cost as much as the step it could save,
-    and no bound runs.  The incumbent m is the least rank seen, of the
-    rows and of each row's greedy completion, which takes each later
-    follower that still fits and so is schedulable.  A row with
+    and no bound runs.  The incumbent m starts at the empty sequence's
+    rank with the anchor's pair (``RankKernel.empty_rank``) and takes in
+    the least rank of each row's greedy completion, which takes each later
+    follower that still fits, so is schedulable and ranks at or below its
+    row, and of each frontier that reached the last follower.  A row with
     ``bound * (1 - 2 * MSE_TIE_RTOL) > _tie_edge(m)`` is cut: no
     descendant can tie the least rank, and the slack covers the rounding
     between a bound and a rank.  A row that no later follower fits has no
-    descendant and leaves the frontier too.  Whether or not the step
-    bounds, a frontier of more than ``_ROW_LIMIT`` rows with a follower
-    still to come is split in two and the halves are swept in turn, depth
-    first, sharing m and the records, so memory stays bounded and the
-    answer exact.
+    descendant; its bound is its rank, so it stays in the frontier only
+    while it ties m.  Whether or not the step bounds, a frontier of more
+    than ``_ROW_LIMIT`` rows with a follower still to come is split in two
+    and the halves are swept in turn, depth first, sharing m and the
+    records, so memory stays bounded and the answer exact.
 
     The winner is ``_winner`` over the recorded ranks; only the rows that
     tie the least rank are decoded into sequences, through their parents.
+    ``exhaustive_oracle`` ranks by the trace of each sequence's 2-D chain
+    instead, so the two agree to rounding, well inside ``MSE_TIE_RTOL``,
+    not by construction.
     The stacked kernels agree with the 2-D ones only to rounding, so the
     winner is reported by ``_score`` from a 2-D prefix that the search
     holds: from the first follower's row and that step's gain when the
@@ -468,12 +465,13 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     finite entries and non-negative variances.
 
     ``RankKernel(ctx, model)`` opens the instance in one step: it checks
-    it against the model, finds the root followers, holds the step
-    between consecutive ones and fills every boundary pair, so a cold
-    loose instance pays L + 2 exponentials: anchor -> 0, the L - 1
-    adjacent steps, the last candidate's pair and the anchor's.  A far
-    step of the winner's chain, one that skips a root follower, costs one
-    more exponential per length, as it does in ``kalman.sequence_mse``.
+    it against the model, finds the root followers, builds the steps
+    between consecutive ones in one call and holds the anchor's and the
+    last follower's boundary pairs, so a cold loose instance pays L + 2
+    exponentials: anchor -> 0, the L - 1 adjacent steps, the last
+    candidate's pair and the anchor's.  A far step of the winner's chain,
+    one that skips a root follower, costs one more exponential per
+    length, as it does in ``kalman.sequence_mse``.
     """
     fol = _followers(ctx)
     if not fol:  # only the empty sequence can be schedulable, as when budget <= 0
@@ -483,32 +481,35 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     skip = predict_cov(model, prior, ctx.t0, ctx.timestamps[j])  # the empty row at t_j
     obs = ctx.observers[j]
     first, Pc, e = _update(skip, model.obs_row(obs), model.obs_var(obs))
-    entries = [(kernel.rank(prior, kernel.anchor), ()), (kernel.rank(first, j), (j,))]
-    nodes = 1
     if len(fol) > 1:
-        nodes += _sweep(kernel, np.concatenate((skip, first)).reshape(2, -1), entries)
-    _, seq = _winner(entries)
+        seq, nodes = _sweep(kernel, np.concatenate((skip, first)).reshape(2, -1))
+    else:  # nothing to sweep: (j,) is held at the last follower
+        rank = float(kernel.rank_rows(first.ravel()))
+        seq, nodes = _winner([(kernel.empty_rank, ()), (rank, (j,))])[1], 1
     if seq and seq[0] == j:
         return _score(ctx, model, seq, first, ((Pc, e),), nodes_visited=nodes)
     return _score(ctx, model, seq, prior, (), nodes_visited=nodes)
 
 
-def _sweep(kernel: RankKernel, rows: np.ndarray, entries: list) -> int:
+def _sweep(kernel: RankKernel, rows: np.ndarray) -> tuple[tuple[int, ...], int]:
     """Sweep the rows of the empty sequence and of (fol[0],), both held at
-    fol[0]'s timestamp and ranked in ``entries``, through the later root
-    followers ``fol = kernel.fol``, as ``bnb_search`` describes.  Appends
-    to ``entries`` every row that ties the least rank, and returns how
-    many rows it created."""
+    fol[0]'s timestamp, through the later root followers
+    ``fol = kernel.fol``, as ``bnb_search`` describes, and return the
+    ``_winner``'s sequence and how many non-empty rows there were,
+    (fol[0],) included.  A frontier's rows, or a half's after a split, are
+    ranked once, when it reaches the last follower, with the kernel's
+    last-follower pair; the incumbent starts at the anchor pair's
+    ``kernel.empty_rank``."""
     ctx, model, fol = kernel.ctx, kernel.model, kernel.fol
     B, off, air, observers = ctx.budget, ctx.offsets, ctx.airtimes, ctx.observers
     # Row 0 is the empty sequence and row 1 is (fol[0],); each later row
-    # is recorded in a block of its follower j: (first id, j, parent ids,
-    # ranks).  Until the first cut or split a row's position in the
-    # frontier is its id: ``ids`` is None then, and so are the parent ids
-    # of a block that every row spawned.  The incumbent m takes in the
-    # blocks' ranks when a bound needs it.
-    blocks = []
-    m, seen, count = min(e[0] for e in entries), 0, 2
+    # is recorded in a block of its follower j: (first id, j, parent ids).
+    # Until the first cut or split a row's position in the frontier is its
+    # id: ``ids`` is None then, and so are the parent ids of a block that
+    # every row spawned.  ``ranked`` holds (ids, ranks) of each frontier's
+    # rows once it reaches the last follower.
+    blocks, ranked = [], []
+    m, count = kernel.empty_rank, 2
     frontier = [(1, rows, np.array([0.0, _finish(0.0, ctx, fol[0])]), None)]
     while frontier:
         n, rows, d, ids = frontier.pop()
@@ -525,7 +526,7 @@ def _sweep(kernel: RankKernel, rows: np.ndarray, entries: list) -> int:
                     new, dj = rows.take(take, 0), d.take(take)
                     par = take if ids is None else ids.take(take)
                 new = _update_rows(new, model.obs_row(observers[j]), model.obs_var(observers[j]))
-                blocks.append((count, j, par, kernel.rank_rows(new, j)))
+                blocks.append((count, j, par))
                 rows = np.concatenate((rows, new))
                 d = np.concatenate((d, np.maximum(off[j], dj) + air[j]))
                 if ids is not None:
@@ -533,8 +534,6 @@ def _sweep(kernel: RankKernel, rows: np.ndarray, entries: list) -> int:
                 count += len(new)
             n += 1
             if len(fol) - n >= 2 and len(rows) > _FRONTIER_CAP:
-                m = min([m, *(b[3].min() for b in blocks[seen:])])
-                seen = len(blocks)
                 keep, m = _bound(kernel, n, rows, d, m)
                 keep = keep.nonzero()[0]
                 if len(keep) < len(rows):
@@ -546,34 +545,47 @@ def _sweep(kernel: RankKernel, rows: np.ndarray, entries: list) -> int:
                 half = len(rows) // 2
                 frontier.append((n, rows[half:], d[half:], ids[half:]))
                 rows, d, ids = rows[:half], d[:half], ids[:half]
-    if blocks:
-        ranks = np.concatenate([b[3] for b in blocks])
-        edge = _tie_edge(min(ranks.min(), *(e[0] for e in entries)))
-        tied = (ranks <= edge).nonzero()[0]
-        starts = [b[0] for b in blocks]
-        for i, rank in zip((tied + 2).tolist(), ranks.take(tied).tolist()):
-            seq = []
-            while i > 1:  # walk the parents back to row 1, (fol[0],), or row 0
-                start, j, par, _ = blocks[bisect.bisect_right(starts, i) - 1]
-                seq.append(j)
-                i = i - start if par is None else int(par[i - start])
-            if i:
-                seq.append(fol[0])
-            entries.append((rank, tuple(reversed(seq))))
-    return count - 2
+        if len(rows):  # at the last follower
+            ranks = kernel.rank_rows(rows)
+            ranked.append((ids, ranks))
+            if frontier:  # for the bounds of the halves still to sweep
+                m = min(m, ranks.min())
+    if not ranked:  # a bound cut every row, which only NaN bounds do
+        raise NumericError(f"cycle {ctx.cycle_index}: the search's bounds are not finite")
+    if len(ranked) == 1:  # ids None: no cut or split, a row's id is its position
+        ids, ranks = ranked[0]
+    else:
+        ids = np.concatenate([r[0] for r in ranked])
+        ranks = np.concatenate([r[1] for r in ranked])
+    tied = (ranks <= _tie_edge(ranks.min())).nonzero()[0]
+    tied_ids = tied if ids is None else ids.take(tied)
+    # () also enters with its rank at the start, so that a search whose
+    # ranks are all NaN still has a winner for decide to reject.
+    starts, entries = [b[0] for b in blocks], [(kernel.empty_rank, ())]
+    for i, rank in zip(tied_ids.tolist(), ranks.take(tied).tolist()):
+        seq = []
+        while i > 1:  # walk the parents back to row 1, (fol[0],), or row 0
+            start, j, par = blocks[bisect.bisect_right(starts, i) - 1]
+            seq.append(j)
+            i = i - start if par is None else int(par[i - start])
+        if i:
+            seq.append(fol[0])
+        entries.append((rank, tuple(reversed(seq))))
+    return _winner(entries)[1], count - 1
 
 
 def _bound(kernel: RankKernel, n: int, rows, d, m: float):
     """(rows to keep, the new incumbent) for the frontier ``rows`` with
     ends of harvest ``d``, held at fol[n - 1]'s timestamp.  A row is kept
-    unless no later follower fits it or its bound cuts it.  The greedy
-    completions of the rows the bounds keep may lower the incumbent m,
-    and the bounds cut again; a cut row's completion ranks at least its
-    bound, so it could not lower m."""
-    ctx = kernel.ctx
-    keep = d + min(ctx.airtimes[k] for k in kernel.fol[n:]) < ctx.budget
+    unless its bound cuts it.  The greedy completions of the rows the
+    bounds keep, ranked at the last follower at or below their rows, may
+    lower the incumbent m, and the bounds cut again; a cut row's
+    completion ranks at least its bound, so it could not lower m.
+    A row that no later follower fits is its own greedy completion, and
+    its bound, its covariance carried to the last follower, is its rank:
+    it stays only while it ties m, and is ranked with the frontier."""
     bounds = _complete(kernel, n, rows, d, greedy=False)
-    keep &= bounds * (1.0 - 2.0 * MSE_TIE_RTOL) <= _tie_edge(m)
+    keep = bounds * (1.0 - 2.0 * MSE_TIE_RTOL) <= _tie_edge(m)
     if keep.any():
         m = min(m, _complete(kernel, n, rows[keep], d[keep], greedy=True).min())
         keep &= bounds * (1.0 - 2.0 * MSE_TIE_RTOL) <= _tie_edge(m)
@@ -610,7 +622,7 @@ def _complete(kernel: RankKernel, n: int, rows, d, greedy: bool):
             rows[take] = _update_rows(rows.take(take, 0), c, r)
             if greedy:
                 d = np.where(fits, np.maximum(off[k], d) + air[k], d)
-    return kernel.rank_rows(rows, fol[-1])
+    return kernel.rank_rows(rows)
 
 
 def greedy_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
@@ -637,27 +649,28 @@ def harvest_all(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
 def exhaustive_oracle(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     """Ground truth: enumerate all 2^L subsets, chain each schedulable one
     from the anchor with ``kalman._sequence_boundary`` (no pruning, no
-    running-covariance reuse), rank the end of its chain with the
-    instance's ``RankKernel``, and return the ``_winner``, scored by
-    ``_score`` like every policy's answer.  Guarded to L <= 20.  The
-    kernel opens the instance as in ``bnb_search``, so both rank with
-    pairs built the same way."""
+    running-covariance reuse), rank it by the trace of its boundary
+    covariance, which is its ``kalman.sequence_mse``, and return the
+    ``_winner``, scored by ``_score`` like every policy's answer.  Guarded
+    to L <= 20; the instance is checked against the model
+    (``_check_instance``).  ``bnb_search`` ranks the same sequences with
+    its boundary pair over stacked chains, which agree with these ranks to
+    rounding, well inside ``MSE_TIE_RTOL``."""
     if ctx.L > _ORACLE_MAX_L:
         raise DomainError(f"exhaustive oracle limited to L <= {_ORACLE_MAX_L}")
     if ctx.budget <= 0.0:
         return harvest_none(ctx, model)
-    kernel = RankKernel(ctx, model)
+    _check_instance(ctx, model)
     prior, cands = ctx.prior_cov, ctx.candidates
-    m = kernel.rank(prior, kernel.anchor)  # (), schedulable as B > 0
     # Each sequence that tied the least rank seen when it was scored;
     # _winner drops those that do not tie the final least rank.
-    entries = [(m, ())]
-    for size in range(1, ctx.L + 1):
+    m, entries = math.inf, []
+    for size in range(ctx.L + 1):  # () is schedulable, as B > 0
         for seq in itertools.combinations(range(ctx.L), size):
             if not is_schedulable(seq, ctx):
                 continue
-            cov = _sequence_boundary(model, prior, ctx.t0, [cands[i] for i in seq], ctx.cycle_end)[1]
-            rank = kernel.rank(cov, seq[-1])
+            chain = [cands[i] for i in seq]
+            rank = float(_sequence_boundary(model, prior, ctx.t0, chain, ctx.cycle_end)[0].trace())
             if rank <= _tie_edge(m):
                 m = min(m, rank)
                 entries.append((rank, seq))

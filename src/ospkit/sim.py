@@ -327,9 +327,9 @@ def run_simulation(
                 t_true = t
             if i in ev.seq:  # ascending, so fused in time order
                 n = ctx.observers[i]
-                noise = np.sqrt(model.obs_var(n)) * rng_obs.standard_normal()
+                noise = math.sqrt(model.obs_var(n)) * rng_obs.standard_normal()
                 c = model.obs_row(n)
-                y = float(c @ x_true) + noise
+                y = float(c.dot(x_true)) + noise
                 if t != t_est:
                     xh = kalman.propagate_estimate(model, xh, u, t_est, t)
                     t_est = t

@@ -37,6 +37,7 @@ from conftest import (
     make_model,
     mp_noise_cov,
     mp_phi,
+    plant,
     random_stable_system,
     scalar_model,
 )
@@ -399,6 +400,27 @@ def test_boundary_operator_matches_predict_cov(name):
             P = G @ G.T
             want = float(np.trace(predict_cov(model, P, 0.0, dt)))
             assert float(np.vdot(M, P)) + c == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("S", [3, 1, 5])
+def test_batched_stacked_predictors_have_each_steps_bits(S):
+    # RankKernel builds an instance's stacked predictors in one broadcast
+    # call over a stack of (Phi, Qd); each must have the bits and the
+    # memory layout of _stacked_predictor on that pair alone, so that a
+    # stacked predict over the rows gives the same bits either way.
+    rng = np.random.default_rng(48 + S)
+    model = plant(*random_stable_system(rng, S))
+    pairs = [model.discretize(dt) for dt in rng.uniform(1e-4, 0.5, size=6)]
+    K, q = kalman._stacked_predictor(*map(np.array, zip(*pairs)))
+    G = rng.normal(size=(40, S, S))
+    rows = (G @ G.transpose(0, 2, 1)).reshape(40, -1)
+    for i, pair in enumerate(pairs):
+        want_K, want_q = kalman._stacked_predictor(*pair)
+        assert K[i].shape == want_K.shape == (S * S, S * S)
+        assert (K[i].tobytes(), q[i].tobytes()) == (want_K.tobytes(), want_q.tobytes()), i
+        assert (K[i].strides, q[i].strides) == (want_K.strides, want_q.strides), i
+        got = rows.dot(K[i]) + q[i]
+        assert got.tobytes() == (rows.dot(want_K) + want_q).tobytes(), i
 
 
 class TestEstimatePropagation:

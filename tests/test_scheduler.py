@@ -17,6 +17,7 @@ from ospkit import (
     CycleContext,
     DimensionError,
     DomainError,
+    NumericError,
     SystemModel,
     bnb_search,
     end_of_harvest,
@@ -41,21 +42,24 @@ from conftest import (
 )
 
 
-def far_steps(kernel, seq) -> int:
+def far_steps(ctx, seq) -> int:
     """How many steps of ``seq``'s chain from the anchor are far: each skips
     a root follower across a nonzero gap, so opening the instance did not
     discretize its length."""
-    pos = {j: n for n, j in enumerate(kernel.fol)}
-    pos[kernel.anchor] = -1
-    ts, chain = held_times(kernel.ctx), (kernel.anchor, *seq)
-    return sum(pos[j] > pos[i] + 1 and ts[j] > ts[i] for i, j in zip(chain, chain[1:]))
+    pos = {j: n for n, j in enumerate(scheduler._followers(ctx))}
+    ts = ctx.timestamps
+    chain = [(-1, ctx.t0)] + [(pos[j], ts[j]) for j in seq]
+    return sum(b > a + 1 and tb > ta for (a, ta), (b, tb) in zip(chain, chain[1:]))
 
 
-def held_times(ctx) -> tuple[float, ...]:
-    """The time at which a covariance held at each index is held: candidate
-    j's timestamp, and ``t0`` at the spare index L, ``RankKernel``'s
-    anchor."""
-    return ctx.timestamps + (ctx.t0,)
+def carried(kernel, n, cov) -> np.ndarray:
+    """``cov``, held at ``kernel.fol[n]``, as a flattened row carried to the
+    last follower by the kernel's stacked steps, as the sweep carries it."""
+    row = cov.reshape(1, -1)
+    for step in kernel.stacked[n + 1:]:
+        if step is not None:
+            row = row.dot(step[0]) + step[1]
+    return row
 
 
 def chain(ctx, model, seq) -> list[np.ndarray]:
@@ -69,10 +73,10 @@ def chain(ctx, model, seq) -> list[np.ndarray]:
     return out
 
 
-def takes_first_follower(ctx, model, seq) -> bool:
+def takes_first_follower(ctx, seq) -> bool:
     """Whether ``seq`` takes the instance's first root follower, so that
     ``bnb_search`` reports it from that follower's row."""
-    fol = RankKernel(ctx, model).fol
+    fol = scheduler._followers(ctx)
     return bool(seq) and seq[0] == fol[0]
 
 
@@ -592,11 +596,12 @@ class TestBound:
     @pytest.mark.parametrize("seed", [89, 90, 91])
     def test_bnb_matches_exhaustive_on_ties(self, seed, dup_model):
         # Many subsets of this model tie within MSE_TIE_RTOL, and ties do
-        # not chain.  The sweep, which ranks with the stacked kernels, and
-        # the oracle, which enumerates by size, rank with one RankKernel's
-        # pairs and pick with _winner, so they must pick the same sequence;
-        # both report it with sequence_mse's arithmetic, so the MSEs are
-        # equal bit for bit.
+        # not chain.  The sweep ranks with the stacked kernels and the last
+        # follower's pair, the oracle, which enumerates by size, by the trace
+        # of each 2-D chain; the ranks agree to rounding, far inside the tie
+        # tolerance, and both pick with _winner, so they must pick the same
+        # sequence; both report it with sequence_mse's arithmetic, so the
+        # MSEs are equal bit for bit.
         rng = np.random.default_rng(seed)
         for n in range(400):
             ctx = random_context(
@@ -737,7 +742,7 @@ class TestBound:
                                      loose=n % 2 == 0, ties=which == "dup")
             got = bnb_search(ctx, model)
             assert_same_score(got, _evaluate(ctx, make(), got.seq), n)
-            branches[takes_first_follower(ctx, model, got.seq)] += 1
+            branches[takes_first_follower(ctx, got.seq)] += 1
         # mid winners always take the first follower; the other pools mix.
         assert branches[True] > 50, branches
         assert which == "mid" or branches[False] > 5, branches
@@ -750,7 +755,7 @@ class TestBound:
         fresh = parse_config_dict(preset_config(preset)).model
         for ctx, got in decision_cycles(cfg.model, cfg.channel, "bnb", cfg.initial_cov(), 100):
             assert_same_score(got, _evaluate(ctx, fresh, got.seq), ctx.cycle_index)
-            assert takes_first_follower(ctx, cfg.model, got.seq) is takes, ctx.cycle_index
+            assert takes_first_follower(ctx, got.seq) is takes, ctx.cycle_index
 
     def test_reports_the_winner_through_sequence_mse(self, dup_model):
         # The search ranks by <M, P> + c but reports the winner's MSE and
@@ -766,43 +771,62 @@ class TestBound:
             assert got.mse == mse, n
             assert got.running_cov.tobytes() == cov.tobytes(), n
 
+    def test_a_search_whose_bounds_are_all_nan_raises_numeric_error(self, search_model):
+        # A prior of 1e150 I overflows the stacked chains of a loose L = 10
+        # instance, so every bound is NaN and cuts its row: no row reaches
+        # the last follower, and the search reports a numeric breakdown
+        # rather than a bare numpy error.
+        for seed in range(3):
+            ctx = random_context(np.random.default_rng(seed), search_model, 10, loose=True)
+            with np.errstate(all="ignore"), pytest.raises(NumericError, match="bounds are not finite"):
+                bnb_search(replace(ctx, prior_cov=1e150 * np.eye(3)), search_model)
+
 
 class TestRankKernel:
-    """The one place where the search and the oracle rank a covariance."""
+    """The one place where the search ranks a covariance."""
 
     @pytest.mark.parametrize("which", ["search", "dup"])
     def test_ranks_are_the_predicted_boundary_mse(self, which):
-        # Along a g_step chain from the anchor, each rank <M_j, P> + c_j is
-        # the trace of P predicted to kT, to rounding, the anchor's
-        # included; the chain ends on sequence_mse's running covariance,
-        # bit for bit, also when it crossed a far step.
+        # Along a g_step chain from the anchor, each covariance held at a
+        # root follower and carried to the last follower by the kernel's
+        # steps ranks as the trace of that covariance predicted to kT, to
+        # rounding, and the prior's empty_rank as the prior's; the chain
+        # ends on sequence_mse's running covariance, bit for bit, also when
+        # it crossed a far step.
         model = make_search_model() if which == "search" else make_dup_model()
         rng = np.random.default_rng(97)
-        far_chains = 0
+        far_chains = carried_rows = 0
         for n in range(60):
             L = int(rng.integers(1, 11))
             ctx = random_context(rng, model, L, loose=n % 2 == 0, ties=which == "dup")
+            if not scheduler._followers(ctx):
+                continue
             kernel = RankKernel(ctx, model)
-            fol = kernel.fol
+            fol, kT = kernel.fol, ctx.cycle_end
+            want = float(np.trace(predict_cov(model, ctx.prior_cov, ctx.t0, kT)))
+            assert kernel.empty_rank == pytest.approx(want, rel=1e-12, abs=0), n
             size = int(rng.integers(0, len(fol) + 1))
             seq = tuple(sorted(rng.choice(fol, size=size, replace=False).tolist()))
-            covs = [ctx.prior_cov, *chain(ctx, model, seq)]
-            held = [(kernel.anchor, ctx.t0)] + [(j, ctx.candidates[j].timestamp) for j in seq]
-            for cov, (j, t) in zip(covs, held):
-                want = float(np.trace(predict_cov(model, cov, t, ctx.cycle_end)))
-                assert kernel.rank(cov, j) == pytest.approx(want, rel=1e-12, abs=0), (n, j)
+            covs = chain(ctx, model, seq)
+            for cov, j in zip(covs, seq):
+                row = carried(kernel, fol.index(j), cov)
+                want = float(np.trace(predict_cov(model, cov, ctx.timestamps[j], kT)))
+                assert kernel.rank_rows(row)[0] == pytest.approx(want, rel=1e-12, abs=0), (n, j)
+                carried_rows += ctx.timestamps[j] < ctx.timestamps[fol[-1]]
             cands = [ctx.candidates[j] for j in seq]
-            _, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, cands, ctx.cycle_end)
-            assert covs[-1].tobytes() == cov.tobytes(), n
-            far_chains += far_steps(kernel, seq) > 0
-        assert far_chains > 0
+            _, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, cands, kT)
+            assert (covs[-1] if seq else ctx.prior_cov).tobytes() == cov.tobytes(), n
+            far_chains += far_steps(ctx, seq) > 0
+        assert far_chains > 0 and carried_rows > 20, (far_chains, carried_rows)
 
     @pytest.mark.parametrize("which", ["search", "dup"])
     def test_an_opened_instance_ranks_from_its_table(self, which, monkeypatch):
-        # The constructor fills the pair of the anchor and of every root
-        # follower, a composed one included; rank and rank_rows then only
-        # read the table, and each pair ranks as the trace of predict_cov
-        # to kT, to rounding, one covariance at a time or stacked.
+        # The constructor builds every step and both boundary pairs, the
+        # anchor's and the last follower's; the steps are those of the
+        # model's discretization of each gap between followers, bit for
+        # bit.  Ranking then only reads the table: one row at a time or
+        # stacked, each row carried to the last follower ranks as the
+        # trace of predict_cov to kT, to rounding.
         model = make_search_model() if which == "search" else make_dup_model()
         calls = []
         methods = {
@@ -810,26 +834,37 @@ class TestRankKernel:
             if callable(f) and name not in ("__init__", "__post_init__")
         }
         rng = np.random.default_rng(101)
-        composed_pairs = 0
+        carried_rows = 0
         for n in range(60):
             ctx = random_context(rng, model, int(rng.integers(1, 11)),
                                  loose=n % 2 == 0, ties=which == "dup")
+            if not scheduler._followers(ctx):
+                continue
             kernel = RankKernel(ctx, model)
-            fol, ts = kernel.fol, held_times(ctx)
-            held = [(kernel.anchor, ctx.prior_cov), *zip(fol, chain(ctx, model, fol))]
+            fol, ts = kernel.fol, ctx.timestamps
+            for k, (i, j) in enumerate(zip(fol, fol[1:]), 1):
+                want = kalman._stacked_predictor(*model.discretize(ts[j] - ts[i]))
+                got = kernel.stacked[k]
+                assert (got is None) == (ts[j] == ts[i]), (n, k)
+                if got is not None:
+                    assert got[0].tobytes() == want[0].tobytes(), (n, k)
+                    assert got[1].tobytes() == want[1].tobytes(), (n, k)
+            rows = np.concatenate(
+                [carried(kernel, k, cov) for k, cov in enumerate(chain(ctx, model, fol))]
+            )
             with monkeypatch.context() as spy:
                 for name, f in methods.items():
                     spy.setattr(SystemModel, name,
                                 lambda *a, _n=name, _f=f, **kw: calls.append(_n) or _f(*a, **kw))
-                ranks = [kernel.rank(cov, j) for j, cov in held]
-                stacked = [kernel.rank_rows(cov.reshape(1, -1), j)[0] for j, cov in held]
+                stacked = kernel.rank_rows(rows)
+                alone = [kernel.rank_rows(row[None])[0] for row in rows]
             assert not calls, (n, calls)
-            composed_pairs += sum(ts[j] != ts[fol[-1]] for j in fol)
-            for (j, cov), got, row in zip(held, ranks, stacked):
+            carried_rows += sum(ts[j] != ts[fol[-1]] for j in fol)
+            for j, cov, got, row in zip(fol, chain(ctx, model, fol), stacked, alone):
                 want = float(np.trace(predict_cov(model, cov, ts[j], ctx.cycle_end)))
                 assert got == pytest.approx(want, rel=1e-12, abs=0), (n, j)
                 assert row == pytest.approx(want, rel=1e-12, abs=0), (n, j)
-        assert composed_pairs > 0
+        assert carried_rows > 0
 
     @pytest.mark.parametrize("L", [8, 12])
     def test_cold_loose_instance_pays_L_plus_2_exponentials(self, L, monkeypatch):
@@ -850,6 +885,50 @@ class TestRankKernel:
             assert got.seq == tuple(range(L))
             assert len(misses) <= L + 2, len(misses)
 
+    @pytest.mark.parametrize("source", ["rate-fast", "rate-slow", "loose", "mid"])
+    def test_a_cold_search_discretizes_the_instance_lengths(self, source, monkeypatch):
+        # A cold bnb_search pays one exponential for each of these lengths
+        # and for no other: anchor -> first follower, each nonzero step
+        # between adjacent followers, last follower -> kT and the anchor's
+        # kT - t0, plus, as in sequence_mse, each length of the winner's
+        # reported chain that none of these is.  Where a length is paid
+        # decides which decision of a run pays it; dropping the anchor's
+        # pair, for one, moves its exponential into a later harvest_none.
+        lengths = []
+        kernel = dynamics._discretize
+        monkeypatch.setattr(dynamics, "_discretize", lambda b, dt: lengths.append(dt) or kernel(b, dt))
+        if source.startswith("rate"):
+            def make():
+                return parse_config_dict(preset_config(source)).model
+
+            cfg = parse_config_dict(preset_config(source))
+            pool = [ctx for ctx, _ in
+                    decision_cycles(cfg.model, cfg.channel, "bnb", cfg.initial_cov(), 200)]
+        else:
+            make = make_search_model if source == "loose" else make_mid_model
+            rng = np.random.default_rng(108)
+            pool = [random_context(rng, make(), int(rng.integers(1, 11)), loose=True)
+                    if source == "loose" else mid_context(rng, make(), int(rng.integers(4, 11)))
+                    for _ in range(40)]
+        searched = 0
+        for n, ctx in enumerate(pool):
+            fol = scheduler._followers(ctx)
+            if not fol:
+                continue
+            searched += 1
+            ts, t0, kT = ctx.timestamps, ctx.t0, ctx.cycle_end
+            lengths.clear()
+            got = bnb_search(ctx, make())
+            want = {ts[fol[0]] - t0, kT - ts[fol[-1]], kT - t0}
+            want.update(ts[j] - ts[i] for i, j in zip(fol, fol[1:]))
+            # the reported chain, from the first follower's row or the prior
+            t, rest = (ts[fol[0]], got.seq[1:]) if takes_first_follower(ctx, got.seq) else (t0, got.seq)
+            held = [t, *(ts[i] for i in rest), kT]
+            want.update(b - a for a, b in zip(held, held[1:]))
+            want.discard(0.0)
+            assert sorted(lengths) == sorted(want), (n, lengths, want)
+        assert searched >= 30, searched
+
     def test_winners_have_sequence_mse_bits_on_a_fresh_model(self):
         # On one model shared by many instances, as in a run, every
         # winner's mse and running covariance are sequence_mse's on a model
@@ -865,25 +944,28 @@ class TestRankKernel:
             mse, cov = sequence_mse(make_mid_model(), ctx.prior_cov, ctx.t0, cands, ctx.cycle_end)
             assert got.mse == mse and got.running_cov.tobytes() == cov.tobytes(), n
             assert (got.seq, got.mse) == (exhaustive_oracle(ctx, model).seq, mse), n
-            far_winners += far_steps(RankKernel(ctx, model), got.seq) > 0
+            far_winners += far_steps(ctx, got.seq) > 0
         assert far_winners > 10, far_winners
 
     def test_pairs_do_not_depend_on_what_the_model_computed(self):
-        # An instance opens with the same pairs, byte for byte, on a fresh
-        # model and on one that has just searched it: the search's winner
-        # chain and boundary prediction leave lengths in the cache, and no
-        # pair may read them.
+        # An instance opens with the same steps and boundary pairs, byte
+        # for byte, on a fresh model and on one that has just searched it:
+        # the search's winner chain and boundary prediction leave lengths
+        # in the cache, and nothing the kernel holds may read them.
         model = make_mid_model()
         rng = np.random.default_rng(103)
         for n in range(60):
             ctx = mid_context(rng, model, int(rng.integers(4, 17)))
-            fresh = RankKernel(ctx, make_mid_model())._pairs
+            fresh = RankKernel(ctx, make_mid_model())
             bnb_search(ctx, model)
-            again = RankKernel(ctx, model)._pairs
-            for j, (a, b) in enumerate(zip(fresh, again)):
-                assert (a is None) == (b is None), (n, j)
+            again = RankKernel(ctx, model)
+            assert fresh.empty_rank == again.empty_rank, n
+            for a, b in zip((fresh._pair, *fresh.stacked), (again._pair, *again.stacked)):
+                assert (a is None) == (b is None), n
                 if a is not None:
-                    assert a[0].tobytes() == b[0].tobytes() and a[1] == b[1], (n, j)
+                    assert a[0].tobytes() == b[0].tobytes(), n
+                    assert np.asarray(a[1]).tobytes() == np.asarray(b[1]).tobytes(), n
+            assert len(fresh.stacked) == len(again.stacked) == len(fresh.fol), n
 
     def test_greedy_does_not_depend_on_what_the_model_computed(self):
         # The oracle chains every schedulable subset, far steps included;
@@ -900,10 +982,10 @@ class TestRankKernel:
             assert got.boundary_cov.tobytes() == want.boundary_cov.tobytes(), n
 
     def test_oracle_scores_only_its_winner(self, search_model, monkeypatch):
-        # The oracle chains each schedulable non-empty subset once with
-        # kalman's chain and ranks its end with the kernel; it builds one
-        # ScheduleEvaluation, through _score, for its winner, which
-        # chains once more.
+        # The oracle chains each schedulable subset, the empty one
+        # included, once with kalman's chain and ranks it by its boundary
+        # covariance's trace; it builds one ScheduleEvaluation, through
+        # _score, for its winner, which chains once more.
         chains, scores = [], []
         boundary, score = scheduler._sequence_boundary, scheduler._score
         monkeypatch.setattr(
@@ -919,7 +1001,7 @@ class TestRankKernel:
             scores.clear()
             exhaustive_oracle(ctx, search_model)
             assert len(scores) == 1, n
-            assert len(chains) == schedulable_count(ctx) + 1, n
+            assert len(chains) == schedulable_count(ctx) + 2, n
 
 
 class TestStats:
