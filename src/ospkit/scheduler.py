@@ -7,7 +7,8 @@ A sequence of candidate indices is schedulable iff its end-of-harvest time
 budget B = T - sum(action airtimes).  The search space is the family of
 strictly ascending index tuples (a subset forest).  The branch-and-bound
 search sweeps the forest in time order: it advances every live sequence
-through the candidates together, over stacked covariances, and prunes
+through the candidates together, over stacked covariances, each row
+carrying its own sequence as one flag per candidate it took, and prunes
 on two rules.  Feasibility: any extension of a non-schedulable sequence
 is non-schedulable.  The objective: adding an observation never raises
 the predicted MSE, so the MSE of a sequence extended by every candidate
@@ -30,7 +31,6 @@ Every policy's answer is scored in one place, ``_score``, with
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -107,9 +107,10 @@ def _finite_variances(P: np.ndarray) -> bool:
     """True iff the square matrix P has only finite entries and no negative
     variance: O(S^2) reads and no factorization, so short of
     ``model.check_covariance``'s positive semi-definite test, which the
-    search's bound needs.  ``CycleContext`` and ``sim.decision_cycles``
-    (for each new anchor) reject what fails it.  At a plant's few states
-    these Python-level reads cost a third of two numpy reductions."""
+    search's bound needs.  ``CycleContext`` and ``decide`` (for each
+    policy's boundary covariance, the next cycle's anchor) reject what
+    fails it.  At a plant's few states these Python-level reads cost a
+    third of two numpy reductions."""
     return all(map(math.isfinite, P.flat)) and min(P.diagonal().tolist(), default=0.0) >= 0.0
 
 
@@ -341,6 +342,17 @@ def _tie_edge(m: float) -> float:
     return m + abs(m) * MSE_TIE_RTOL
 
 
+def _checked(ctx: CycleContext, rank: float) -> float:
+    """``rank``, unless it is NaN or -inf: no rank ties those
+    (``_tie_edge`` is NaN), so the search has broken down, and
+    NumericError names the cycle."""
+    if not rank > -math.inf:
+        raise NumericError(
+            f"cycle {ctx.cycle_index}: predicted MSE is {rank} for a sequence the search ranked"
+        )
+    return rank
+
+
 def _winner(entries):
     """The winning entry of ``(rank, seq, ...)`` tuples: with m the least
     rank, the least ``(len(seq), seq)`` among the entries ranked at or
@@ -405,8 +417,9 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     Only a root follower, a candidate i with ``_finish(0.0, ctx, i) < B``,
     can be in a schedulable sequence.  The search holds a frontier of
     *rows*, each a live sequence: its covariance, its end of harvest d and
-    a parent pointer.  It starts with the empty row and visits the root
-    followers in time order.  At follower j every row is predicted over
+    its flags, one per root follower, set for each one it took.  It
+    starts with the empty row and visits the root followers in time
+    order.  At follower j every row is predicted over
     the step from the previous follower, and every row with
     ``max(o_j, d) + O_j < B`` spawns the row that also takes j, updated
     with j's row of C.  A row that skips j stays in the frontier, so after
@@ -445,7 +458,7 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     records, so memory stays bounded and the answer exact.
 
     The winner is ``_winner`` over the recorded ranks; only the rows that
-    tie the least rank are decoded into sequences, through their parents.
+    tie the least rank are read back into sequences, from their flags.
     ``exhaustive_oracle`` ranks by the trace of each sequence's 2-D chain
     instead, so the two agree to rounding, well inside ``MSE_TIE_RTOL``,
     not by construction.
@@ -461,8 +474,10 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     a bound cut.  The bound needs a positive
     semi-definite ``prior_cov``.  ``ospkit schedule`` checks that in full,
     and so does ``decision_cycles`` for the initial covariance; each later
-    anchor is a policy's boundary prediction, which it checks only for
-    finite entries and non-negative variances.
+    anchor is a policy's boundary prediction, which ``decide`` checks only
+    for finite entries and non-negative variances.  A rank that is NaN or
+    -inf, where the search compares it, raises NumericError
+    (``_checked``).
 
     ``RankKernel(ctx, model)`` opens the instance in one step: it checks
     it against the model, finds the root followers, builds the steps
@@ -484,7 +499,7 @@ def bnb_search(ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
     if len(fol) > 1:
         seq, nodes = _sweep(kernel, np.concatenate((skip, first)).reshape(2, -1))
     else:  # nothing to sweep: (j,) is held at the last follower
-        rank = float(kernel.rank_rows(first.ravel()))
+        rank = _checked(ctx, float(kernel.rank_rows(first.ravel())))
         seq, nodes = _winner([(kernel.empty_rank, ()), (rank, (j,))])[1], 1
     if seq and seq[0] == j:
         return _score(ctx, model, seq, first, ((Pc, e),), nodes_visited=nodes)
@@ -496,23 +511,26 @@ def _sweep(kernel: RankKernel, rows: np.ndarray) -> tuple[tuple[int, ...], int]:
     fol[0]'s timestamp, through the later root followers
     ``fol = kernel.fol``, as ``bnb_search`` describes, and return the
     ``_winner``'s sequence and how many non-empty rows there were,
-    (fol[0],) included.  A frontier's rows, or a half's after a split, are
-    ranked once, when it reaches the last follower, with the kernel's
-    last-follower pair; the incumbent starts at the anchor pair's
+    (fol[0],) included.  Each row carries a bool flag per follower, set
+    for each one it took, which is taken, cut, split and concatenated with
+    its covariance and its end of harvest, so a row is its own sequence
+    and no parent tree is kept.  A frontier's rows, or a half's after a
+    split, are ranked once, when it reaches the last follower, with the
+    kernel's last-follower pair; the incumbent starts at the anchor pair's
     ``kernel.empty_rank``."""
     ctx, model, fol = kernel.ctx, kernel.model, kernel.fol
     B, off, air, observers = ctx.budget, ctx.offsets, ctx.airtimes, ctx.observers
-    # Row 0 is the empty sequence and row 1 is (fol[0],); each later row
-    # is recorded in a block of its follower j: (first id, j, parent ids).
-    # Until the first cut or split a row's position in the frontier is its
-    # id: ``ids`` is None then, and so are the parent ids of a block that
-    # every row spawned.  ``ranked`` holds (ids, ranks) of each frontier's
-    # rows once it reaches the last follower.
-    blocks, ranked = [], []
+    # Row 0 is the empty sequence and row 1 is (fol[0],); ``took[r, n]``
+    # flags whether row r took fol[n], so row r is the sequence
+    # compress(fol, took[r]).  ``ranked`` holds (took, ranks) of each
+    # frontier's rows once it reaches the last follower.
+    took = np.zeros((2, len(fol)), dtype=bool)
+    took[1, 0] = True
+    ranked = []
     m, count = kernel.empty_rank, 2
-    frontier = [(1, rows, np.array([0.0, _finish(0.0, ctx, fol[0])]), None)]
+    frontier = [(1, rows, np.array([0.0, _finish(0.0, ctx, fol[0])]), took)]
     while frontier:
-        n, rows, d, ids = frontier.pop()
+        n, rows, d, took = frontier.pop()
         while n < len(fol) and len(rows):
             j = fol[n]
             step = kernel.stacked[n]
@@ -521,56 +539,39 @@ def _sweep(kernel: RankKernel, rows: np.ndarray) -> tuple[tuple[int, ...], int]:
             take = (d + air[j] < B).nonzero()[0]  # _finish(d, ctx, j) < B
             if len(take):
                 if len(take) == len(rows):  # every row spawns: no selection
-                    new, dj, par = rows, d, ids
+                    new, dj, tj = rows, d, took
                 else:
-                    new, dj = rows.take(take, 0), d.take(take)
-                    par = take if ids is None else ids.take(take)
+                    new, dj, tj = rows.take(take, 0), d.take(take), took.take(take, 0)
                 new = _update_rows(new, model.obs_row(observers[j]), model.obs_var(observers[j]))
-                blocks.append((count, j, par))
                 rows = np.concatenate((rows, new))
                 d = np.concatenate((d, np.maximum(off[j], dj) + air[j]))
-                if ids is not None:
-                    ids = np.concatenate((ids, np.arange(count, count + len(new))))
+                took = np.concatenate((took, tj))
+                took[-len(new):, n] = True
                 count += len(new)
             n += 1
             if len(fol) - n >= 2 and len(rows) > _FRONTIER_CAP:
                 keep, m = _bound(kernel, n, rows, d, m)
                 keep = keep.nonzero()[0]
                 if len(keep) < len(rows):
-                    rows, d = rows.take(keep, 0), d.take(keep)
-                    ids = keep if ids is None else ids.take(keep)
+                    rows, d, took = rows.take(keep, 0), d.take(keep), took.take(keep, 0)
             if len(rows) > _ROW_LIMIT and n < len(fol):
-                if ids is None:
-                    ids = np.arange(count)
                 half = len(rows) // 2
-                frontier.append((n, rows[half:], d[half:], ids[half:]))
-                rows, d, ids = rows[:half], d[:half], ids[:half]
+                frontier.append((n, rows[half:], d[half:], took[half:]))
+                rows, d, took = rows[:half], d[:half], took[:half]
         if len(rows):  # at the last follower
             ranks = kernel.rank_rows(rows)
-            ranked.append((ids, ranks))
+            ranked.append((took, ranks))
             if frontier:  # for the bounds of the halves still to sweep
                 m = min(m, ranks.min())
     if not ranked:  # a bound cut every row, which only NaN bounds do
         raise NumericError(f"cycle {ctx.cycle_index}: the search's bounds are not finite")
-    if len(ranked) == 1:  # ids None: no cut or split, a row's id is its position
-        ids, ranks = ranked[0]
-    else:
-        ids = np.concatenate([r[0] for r in ranked])
-        ranks = np.concatenate([r[1] for r in ranked])
-    tied = (ranks <= _tie_edge(ranks.min())).nonzero()[0]
-    tied_ids = tied if ids is None else ids.take(tied)
-    # () also enters with its rank at the start, so that a search whose
-    # ranks are all NaN still has a winner for decide to reject.
-    starts, entries = [b[0] for b in blocks], [(kernel.empty_rank, ())]
-    for i, rank in zip(tied_ids.tolist(), ranks.take(tied).tolist()):
-        seq = []
-        while i > 1:  # walk the parents back to row 1, (fol[0],), or row 0
-            start, j, par = blocks[bisect.bisect_right(starts, i) - 1]
-            seq.append(j)
-            i = i - start if par is None else int(par[i - start])
-        if i:
-            seq.append(fol[0])
-        entries.append((rank, tuple(reversed(seq))))
+    took, ranks = (np.concatenate(parts) for parts in zip(*ranked))
+    tied = (ranks <= _tie_edge(_checked(ctx, ranks.min()))).nonzero()[0]  # NaN if any rank is
+    # () also enters with empty_rank, the incumbent's seed, so that the
+    # least rank here is at most every incumbent a bound cut against.
+    entries = [(kernel.empty_rank, ())]
+    for rank, flags in zip(ranks.take(tied).tolist(), took.take(tied, 0).tolist()):
+        entries.append((rank, tuple(itertools.compress(fol, flags))))
     return _winner(entries)[1], count - 1
 
 
@@ -697,9 +698,15 @@ def _policy_rule(policy: str):
 
 
 def decide(policy: str, ctx: CycleContext, model: SystemModel) -> ScheduleEvaluation:
-    """Run the named policy on one instance; an unknown policy raises
-    ConfigError, and a non-finite predicted MSE NumericError."""
+    """Run the named policy on one instance and check its answer in one
+    place.  An unknown policy raises ConfigError.  A predicted MSE that is
+    not finite, or a boundary covariance, the next cycle's anchor, with a
+    non-finite entry or a negative variance (``_finite_variances``; a
+    negative MSE has one) raises NumericError naming the cycle."""
     ev = _policy_rule(policy)(ctx, model)
-    if not math.isfinite(ev.mse):
-        raise NumericError(f"cycle {ctx.cycle_index}: predicted MSE is {ev.mse}")
+    if not (math.isfinite(ev.mse) and _finite_variances(ev.boundary_cov)):
+        raise NumericError(
+            f"cycle {ctx.cycle_index}: predicted MSE is {ev.mse}; it and the boundary "
+            "covariance, the next cycle's anchor, must be finite with no negative variance"
+        )
     return ev

@@ -192,10 +192,10 @@ def decision_cycles(
     >= 1 (a bool included), an unknown policy, a channel whose observer
     count differs from the model's, an airtime trace shorter than the run,
     or an ``initial_cov`` that is not a finite, symmetric, positive
-    semi-definite S x S matrix raises ConfigError.  A non-finite predicted
-    MSE raises NumericError (``scheduler.decide``), and so does a new
-    anchor with a non-finite entry or a negative variance on its diagonal,
-    naming the cycle that produced it.
+    semi-definite S x S matrix raises ConfigError.  ``scheduler.decide``
+    checks each cycle's answer: a predicted MSE that is not finite, or a
+    new anchor with a non-finite entry or a negative variance on its
+    diagonal, raises NumericError naming the cycle that produced it.
     """
     try:
         kalman._cycle_index("cycle count", cycles)
@@ -233,12 +233,6 @@ def _cycles(model, channel, policy, P0, cycles):
         )
         ev = scheduler.decide(policy, ctx, model)
         prior_cov = ev.boundary_cov
-        # A broken anchor would otherwise surface cycles later.
-        if not scheduler._finite_variances(prior_cov):
-            raise NumericError(
-                f"cycle {k}: the next cycle's anchor covariance has a non-finite "
-                "entry or a negative variance"
-            )
         yield ctx, ev
 
 

@@ -33,7 +33,7 @@ from ospkit import (
 from ospkit import decision_cycles, dynamics, kalman, preset_config, scheduler
 from ospkit.config import parse_config_dict
 from ospkit.scheduler import (
-    MSE_TIE_RTOL, RankKernel, _evaluate, _finish, _winner, harvest_all, harvest_none,
+    MSE_TIE_RTOL, RankKernel, _evaluate, _finish, _winner, decide, harvest_all, harvest_none,
 )
 
 from conftest import (
@@ -695,12 +695,11 @@ class TestBound:
 
     @pytest.mark.parametrize("cap", [None, 2])
     def test_tied_rows_decode_to_the_oracle_winner(self, cap, dup_model, monkeypatch):
-        # Row ids stay the rows' positions until the first cut, and only
-        # the tied rows are decoded.  With the default cap these instances
-        # (at most 6 candidates, so at most 64 rows) are never bounded and
-        # keep that form; with a cap of 2 the bound cuts rows, and the ids
-        # are carried from the first cut on.  Both must decode the
-        # oracle's winner.
+        # Each row carries a flag per follower it took, and only the tied
+        # rows are decoded.  With the default cap these instances (at most
+        # 6 candidates, so at most 64 rows) are never bounded; with a cap
+        # of 2 the bound cuts rows, and their flags go with them.  Both
+        # must decode the oracle's winner.
         if cap is not None:
             monkeypatch.setattr(scheduler, "_FRONTIER_CAP", cap)
         cuts = []
@@ -780,6 +779,40 @@ class TestBound:
             ctx = random_context(np.random.default_rng(seed), search_model, 10, loose=True)
             with np.errstate(all="ignore"), pytest.raises(NumericError, match="bounds are not finite"):
                 bnb_search(replace(ctx, prior_cov=1e150 * np.eye(3)), search_model)
+
+    def test_a_search_that_breaks_down_raises_numeric_error(self):
+        # Loose instances under a prior of 1e150 I, then 1e300 I: the
+        # chains overflow or cancel.  A NaN or -inf rank (1e300: L = 1, 3
+        # and 8) raises where the search compares it, and a negative MSE
+        # (1e150: L = 3) where decide checks the answer.  No draw raises
+        # anything else or returns a negative or non-finite MSE.
+        model = make_search_model()
+        rng = np.random.default_rng(5)
+        raised = set()
+        for scale in (1e150, 1e300):
+            for L in (1, 3, 8, 10):
+                ctx = replace(random_context(rng, model, L, loose=True), prior_cov=scale * np.eye(3))
+                try:
+                    with np.errstate(all="ignore"):
+                        ev = decide("bnb", ctx, model)
+                except NumericError:
+                    raised.add((scale, L))
+                    continue
+                assert 0.0 <= ev.mse < np.inf, (scale, L, ev.mse)
+        assert {(1e150, 3), (1e300, 1), (1e300, 3), (1e300, 8)} <= raised, raised
+
+    def test_more_followers_than_a_machine_word(self):
+        # 70 root followers, more than one 64-bit word of flags, on a loose
+        # instance where every subset fits (observers repeat): the winner
+        # takes them all, with sequence_mse's bits.
+        model = make_search_model()
+        ctx = random_context(np.random.default_rng(70), model, 70, loose=True)
+        assert len(scheduler._followers(ctx)) == 70
+        got = bnb_search(ctx, model)
+        assert got.seq == tuple(range(70))
+        mse, cov = sequence_mse(model, ctx.prior_cov, ctx.t0, ctx.candidates, ctx.cycle_end)
+        assert got.mse == mse
+        assert got.running_cov.tobytes() == cov.tobytes()
 
 
 class TestRankKernel:
